@@ -1,9 +1,9 @@
 """Command-line toolkit: one command per construction and verifier.
 
 Exit codes: 0 success or verified, 1 verified-false, 2 usage error,
-3 construction failure.  Generation commands self-verify before writing
-and re-read their own artifact through the file formats as a final
-consistency check.
+3 construction failure, running out of memory included.  Generation
+commands self-verify before writing and re-read their own artifact
+through the file formats as a final consistency check.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 
 
-def _field_for_q(q: int) -> gf.FieldTable:
-    pm = gf.prime_power(q)
-    if pm is None:
-        raise ValueError(f"q={q} is not a prime power")
-    return gf.build_field(*pm)
-
-
 def _cmd_field(args) -> int:
     table = gf.build_field(args.p, args.m)
     print(f"q={table.q}")
@@ -41,7 +34,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_search_matrices(args) -> int:
-    table = _field_for_q(args.q)
+    table = gf.build_field_q(args.q)
     if args.kind == "sdloa":
         cert = linalg.find_sdloa_pair(table, args.t)
     else:
@@ -51,7 +44,7 @@ def _cmd_search_matrices(args) -> int:
 
 
 def _cmd_gen_ms(args) -> int:
-    table = _field_for_q(args.q)
+    table = gf.build_field_q(args.q)
     progress = (lambda msg: print(f"# {msg}")) if args.verbose else None
     if args.method == "qt":
         sq = construct.build_ms_qt(table, args.t)
@@ -67,7 +60,7 @@ def _cmd_gen_ms(args) -> int:
 
 
 def _cmd_gen_cms(args) -> int:
-    table = _field_for_q(args.q)
+    table = gf.build_field_q(args.q)
     fam = construct.build_cms_family(table, args.t, threads=args.threads)
     io.write_cms_bundle(args.out, fam)
     back = io.read_cms_bundle(args.out)
@@ -260,6 +253,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    except MemoryError as exc:
+        print(f"construction failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

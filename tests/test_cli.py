@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from multimagic import io
+from multimagic import construct, io
 from multimagic.cli import main
 
 from conftest import GOLDEN_CMS9, GOLDEN_LOA
@@ -78,6 +78,19 @@ class TestGenVerifyLoop:
         out = tmp_path / "x.mms"
         assert run_cli("gen-ms", "--q", "3", "--t", "3", "--method", "qt",
                        "--out", str(out)) == 2
+
+    def test_out_of_memory_is_construction_failure(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def exhausted(table, t):
+            raise MemoryError("Unable to allocate 64.9 GiB for an array")
+
+        monkeypatch.setattr(construct, "build_ms_qt", exhausted)
+        out = tmp_path / "x.mms"
+        assert run_cli("gen-ms", "--q", "9", "--t", "5", "--method", "qt",
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "construction failed: Unable to allocate 64.9 GiB for an array\n"
+        assert not out.exists()
 
 
 class TestVerifyCommands:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multimagic import oa
+from multimagic import construct, gf, linalg, oa
 
 
 def recount_oracle(arr: oa.OrthArray) -> bool:
@@ -107,14 +107,14 @@ class TestSdloa:
     def test_all_nine_grids(self, a_arrays):
         for i in range(9):
             fam = oa.ArrayFamily(tuple(a_arrays[9 * i:9 * i + 9]))
-            assert oa.verify_sdloa(fam, 2)
+            assert assert_paths_agree(fam, 2)
 
     def test_swap_keeps_large_set_breaks_diagonal(self, a_arrays):
         members = list(a_arrays[0:9])
         members[0], members[1] = members[1], members[0]
         fam = oa.ArrayFamily(tuple(members))
         assert oa.verify_large_set(fam, 2)
-        assert not oa.verify_sdloa(fam, 2)
+        assert not assert_paths_agree(fam, 2)
         # pin down that it is the diagonal selection that repeats a tuple
         d, _ = oa.diagonal_selections(fam)
         assert not oa.verify_oa(d)
@@ -127,6 +127,136 @@ class TestSdloa:
     def test_member_count_must_match(self, a_arrays):
         with pytest.raises(ValueError):
             oa.verify_sdloa(oa.ArrayFamily(tuple(a_arrays[0:3])), 2)
+
+
+def exhaustive_sdloa(fam: oa.ArrayFamily, t: int) -> bool:
+    """Reference verdict: every member of both orientations tallied."""
+    stack = np.stack([m.entries for m in fam.members])
+    by_col = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    codes = np.concatenate([oa.column_codes(m) for m in fam.members])
+    d, d_back = oa.diagonal_selections(fam)
+    return (oa._stack_members_ok(stack, fam.v, t)
+            and bool(np.all(np.bincount(codes, minlength=fam.v**fam.k) == 1))
+            and oa._stack_members_ok(by_col, fam.v, t)
+            and oa.verify_oa(d) and oa.verify_oa(d_back))
+
+
+def assert_paths_agree(fam: oa.ArrayFamily, t: int) -> bool:
+    """The relabelling pass and the exhaustive tally agree per orientation,
+    and verify_sdloa agrees with the reference; returns the verdict."""
+    stack = np.stack([m.entries for m in fam.members])
+    for members in (stack, stack.transpose(2, 1, 0)):
+        assert (oa._relabelled_members_ok(members, fam.v, t)
+                == oa._stack_members_ok(np.ascontiguousarray(members), fam.v, t))
+    verdict = oa.verify_sdloa(fam, t)
+    assert verdict == exhaustive_sdloa(fam, t)
+    return verdict
+
+
+def with_member(fam: oa.ArrayFamily, s: int, entries: np.ndarray) -> oa.ArrayFamily:
+    members = list(fam.members)
+    members[s] = oa.OrthArray(entries, fam.v, members[s].t)
+    return oa.ArrayFamily(tuple(members))
+
+
+def built_grid(q: int, t: int) -> oa.ArrayFamily:
+    table = gf.build_field_q(q)
+    cert = construct.registered_pair(table, t) or linalg.find_sdloa_pair(table, t)
+    return construct.build_sdloa_grid(cert).rows_family()
+
+
+class TestSdloaShortcut:
+    """verify_sdloa proves members from member 0 by relabelling; its
+    verdict must equal the exhaustive tally of every member."""
+
+    @pytest.mark.parametrize("q,t", [(3, 2), (5, 2), (7, 3)])
+    def test_built_grids(self, q, t):
+        fam = built_grid(q, t)
+        stack = np.stack([m.entries for m in fam.members])
+        # translated members are all relabellings: no member falls back
+        assert oa._relabelled(stack, stack[0]).all()
+        assert assert_paths_agree(fam, t)
+
+    def test_random_row_bijection_is_relabelling(self):
+        fam = built_grid(5, 2)
+        rng = np.random.default_rng(3)
+        s = 7
+        entries = fam.members[s].entries.copy()
+        for row in entries:
+            row[:] = rng.permutation(fam.v)[row]
+        fam = with_member(fam, s, entries)
+        stack = np.stack([m.entries for m in fam.members])
+        assert oa._relabelled(stack[s:s + 1], stack[0]).all()
+        assert oa._stack_members_ok(stack[s:s + 1], fam.v, 2)
+        assert_paths_agree(fam, 2)
+
+    def test_row_swap_falls_back(self):
+        fam = built_grid(5, 2)
+        s = 4
+        entries = fam.members[s].entries.copy()
+        row = entries[1]
+        j = int(np.flatnonzero(row != row[0])[0])
+        row[0], row[j] = row[j], row[0]
+        fam = with_member(fam, s, entries)
+        stack = np.stack([m.entries for m in fam.members])
+        assert not oa._relabelled(stack[s:s + 1], stack[0]).any()
+        assert not assert_paths_agree(fam, 2)
+
+    def test_column_permutation_falls_back_to_true_member(self):
+        # a column permutation keeps the member a simple OA but is not a
+        # relabelling, so the row pass must tally it and accept it
+        fam = built_grid(5, 2)
+        s = 9
+        cols = np.random.default_rng(1).permutation(fam.members[s].n_cols)
+        entries = fam.members[s].entries[:, cols]
+        fam = with_member(fam, s, entries)
+        stack = np.stack([m.entries for m in fam.members])
+        assert not oa._relabelled(stack[s:s + 1], stack[0]).any()
+        assert oa._relabelled_members_ok(stack, fam.v, 2)
+        assert_paths_agree(fam, 2)
+
+    def test_corrupted_member_zero(self, a_arrays):
+        fam = oa.ArrayFamily(tuple(a_arrays[0:9]))
+        bad = fam.members[0].entries.copy()
+        bad[0, 0] = (bad[0, 0] + 1) % 3
+        assert not assert_paths_agree(with_member(fam, 0, bad), 2)
+        grid = built_grid(5, 2)
+        bad = grid.members[0].entries.copy()
+        bad[2, 3] = (bad[2, 3] + 1) % 5
+        assert not assert_paths_agree(with_member(grid, 0, bad), 2)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_random_corruptions(self, q):
+        # one random member rewritten per trial: one row relabelled, two
+        # row entries swapped, columns permuted, one entry changed, or one
+        # row mapped through a random (mostly non-injective) symbol map
+        grid = built_grid(q, 2)
+        rng = np.random.default_rng(q)
+        rows_ok = Counter()
+        for trial in range(75):
+            s = int(rng.integers(grid.members[0].n_cols))
+            entries = grid.members[s].entries.copy()
+            kind = trial % 5
+            i = int(rng.integers(entries.shape[0]))
+            if kind == 0:
+                entries[i] = rng.permutation(q)[entries[i]]
+            elif kind == 1:
+                a, b = rng.choice(entries.shape[1], 2, replace=False)
+                entries[i, [a, b]] = entries[i, [b, a]]
+            elif kind == 2:
+                entries = entries[:, rng.permutation(entries.shape[1])]
+            elif kind == 3:
+                entries[i, int(rng.integers(entries.shape[1]))] = rng.integers(q)
+            else:
+                entries[i] = rng.integers(q, size=q)[entries[i]]
+            fam = with_member(grid, s, entries)
+            stack = np.stack([m.entries for m in fam.members])
+            rows_ok[kind, oa._relabelled_members_ok(stack, q, 2)] += 1
+            assert_paths_agree(fam, 2)
+        # relabelled and column-permuted members pass the row pass,
+        # broken ones fail it: both outcomes of the fallback are exercised
+        assert rows_ok[0, True] and rows_ok[2, True]
+        assert rows_ok[3, False] and rows_ok[4, False]
 
 
 class TestFixtureProperties:
