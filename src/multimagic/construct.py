@@ -73,6 +73,15 @@ def _matvec(table: FieldTable, mat: np.ndarray, vec) -> np.ndarray:
     return acc
 
 
+def _verified_or_raise(report: verify.VerifyReport, what: str) -> None:
+    """Raise ConstructionError naming the first four failures, if any."""
+    if not report.passed:
+        raise ConstructionError(
+            f"{what} failed verification: "
+            + "; ".join(f.describe() for f in report.failures[:4])
+        )
+
+
 def _np_of(mat: FMatrix) -> np.ndarray:
     return np.array(mat.rows, dtype=np.int64)
 
@@ -164,12 +173,7 @@ def grid_to_ms(grid: SdloaGrid, check: bool = True) -> MagicSquare:
     entries = grid.cells.astype(np.int64) @ weights
     sq = MagicSquare(entries, grid.t)
     if check:
-        rep = verify.verify_ms(sq, grid.t)
-        if not rep.passed:
-            raise ConstructionError(
-                "encoded square failed verification: "
-                + "; ".join(f.describe() for f in rep.failures[:4])
-            )
+        _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
     return sq
 
 
@@ -270,7 +274,8 @@ def build_cms(cert: MatrixPairCertificate,
             raise ConstructionError(
                 f"translated grid {i} failed strong-double-large-set verification"
             )
-        members.append(grid_to_ms(grid))
+        # verify_cms below checks every member at degree t
+        members.append(grid_to_ms(grid, check=False))
 
     def _family(cell_block: np.ndarray) -> oa.ArrayFamily:
         return oa.ArrayFamily(tuple(
@@ -293,12 +298,8 @@ def build_cms(cert: MatrixPairCertificate,
         bad = [k for k in ("main_diagonal", "back_diagonal") if not checks[k]]
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
 
-    rep = verify.verify_cms(members, t, threads=threads)
-    if not rep.passed:
-        raise ConstructionError(
-            "complementary family failed verification: "
-            + "; ".join(f.describe() for f in rep.failures[:4])
-        )
+    _verified_or_raise(verify.verify_cms(members, t, threads=threads),
+                       "complementary family")
     return CmsFamily(tuple(members), t, checks)
 
 
@@ -361,12 +362,7 @@ def product_compose(a: MagicSquare, b: MagicSquare, t: int | None = None) -> Mag
     out = np.kron(a0 * (n * n), np.ones((n, n), dtype=np.int64)) \
         + np.tile(b0, (m, m))
     sq = MagicSquare(out, t)
-    rep = verify.verify_ms(sq, t)
-    if not rep.passed:
-        raise ConstructionError(
-            "product square failed verification: "
-            + "; ".join(f.describe() for f in rep.failures[:4])
-        )
+    _verified_or_raise(verify.verify_ms(sq, t), "product square")
     return sq
 
 
@@ -461,12 +457,7 @@ def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment,
     out = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n) \
         + np.kron(a0 * (n * n), np.ones((n, n), dtype=np.int64))
     sq = MagicSquare(out, t)
-    final = verify.verify_ms(sq, t)
-    if not final.passed:
-        raise ConstructionError(
-            "composed square failed verification: "
-            + "; ".join(f.describe() for f in final.failures[:4])
-        )
+    _verified_or_raise(verify.verify_ms(sq, t), "composed square")
     return sq
 
 

@@ -1,9 +1,10 @@
 """Exact verification of magic, multimagic, and complementary-family
 properties.
 
-No floating point anywhere.  Line power sums are computed in int64 when
-a checked bound proves that safe, through an exact two-limb split when
-the bound allows, and in arbitrary-precision Python integers otherwise.
+No floating point anywhere.  Line power sums are taken modulo 2**64
+(int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then
+recombined exactly by the CRT.  Products of residues below 2**31, and
+line sums of n < 2**32 of them, fit in int64.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-_INT64_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -172,54 +171,56 @@ def magic_sum(n: int, e: int) -> int:
 # Exact line sums over a square
 # ---------------------------------------------------------------------------
 
+def _moduli(bound: int) -> list[int]:
+    """Pairwise coprime moduli whose product exceeds 2 * bound: 2**64
+    first, then odd m < 2**31 stepping down from 2**31 - 1."""
+    moduli, product, m = [2**64], 2**64, 2**31 - 1
+    while product <= 2 * bound:
+        if math.gcd(m, product) == 1:
+            moduli.append(m)
+            product *= m
+        m -= 2
+    return moduli
+
+
+def _line_sums(p: np.ndarray) -> list[int]:
+    """Row sums, column sums, main and back diagonal sums of p, in int64."""
+    return np.concatenate([p.sum(axis=1), p.sum(axis=0),
+                           [np.trace(p), np.trace(np.fliplr(p))]]).tolist()
+
+
+def _power_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
+    """x**e mod m by square-and-multiply, for 0 <= x < m < 2**31."""
+    if e == 1:
+        return x
+    half = _power_mod(x * x % m, e // 2, m)
+    return half * x % m if e & 1 else half
+
+
 def _line_power_sums(mat: np.ndarray, e: int):
     """Row sums, column sums, and both diagonal sums of entrywise e-th
-    powers, exact.  Returns (rows, cols, diag, back) with Python ints."""
+    powers, exact, as Python ints (rows, cols, diag, back).  Each sum lies
+    in [-B, B], B = n * max|x|**e; its residues modulo _moduli(B) are
+    recombined by Garner's CRT into (-M/2, M/2], M their product."""
     n = mat.shape[0]
-    vmax = int(mat.max(initial=0))
-    # negative entries (malformed inputs) take the arbitrary-precision path
-    fast_ok = int(mat.min(initial=0)) >= 0
+    lo, hi = int(mat.min(initial=0)), int(mat.max(initial=0))
+    moduli = _moduli(n * max(-lo, hi) ** e)
+    residues = [_line_sums(mat**e if e > 1 else mat)]
+    for m in moduli[1:]:
+        r = mat if 0 <= lo and hi < m else mat % m
+        residues.append(_line_sums(_power_mod(r, e, m)))
 
-    if fast_ok and n * max(vmax, 1) ** e <= _INT64_LIMIT:
-        powed = mat ** e if e > 1 else mat
-        rows = [int(x) for x in powed.sum(axis=1)]
-        cols = [int(x) for x in powed.sum(axis=0)]
-        diag = int(np.trace(powed))
-        back = int(np.trace(np.fliplr(powed)))
-        return rows, cols, diag, back
-
-    shift = (vmax.bit_length() + 1) // 2
-    if fast_ok and n * (1 << (shift * e)) <= _INT64_LIMIT:
-        hi = mat >> shift
-        lo = mat & ((1 << shift) - 1)
-        rows = [0] * n
-        cols = [0] * n
-        diag = 0
-        back = 0
-        flip = np.fliplr
-        for i in range(e + 1):
-            term = (hi**i) * (lo ** (e - i)) if 0 < i < e else (
-                hi**e if i == e else lo**e)
-            w = math.comb(e, i) << (shift * i)
-            for r, x in enumerate(term.sum(axis=1)):
-                rows[r] += w * int(x)
-            for c, x in enumerate(term.sum(axis=0)):
-                cols[c] += w * int(x)
-            diag += w * int(np.trace(term))
-            back += w * int(np.trace(flip(term)))
-        return rows, cols, diag, back
-
-    cells = [[int(x) ** e for x in row] for row in mat]
-    rows = [sum(r) for r in cells]
-    cols = [sum(col) for col in zip(*cells)]
-    diag = sum(cells[i][i] for i in range(n))
-    back = sum(cells[i][n - 1 - i] for i in range(n))
-    return rows, cols, diag, back
-
-
-def accumulator_headroom(n: int, t: int) -> int:
-    """Bits needed for the largest possible line power sum at (n, t)."""
-    return (n * (n * n - 1) ** t).bit_length()
+    steps, product = [], 1
+    for m in moduli:
+        steps.append((m, product, pow(product, -1, m)))
+        product *= m
+    exact = []
+    for digits in zip(*residues):
+        x = 0
+        for r, (m, before, inv) in zip(digits, steps):
+            x += before * ((r - x) * inv % m)
+        exact.append(x - product if 2 * x > product else x)
+    return exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]
 
 
 def verify_ms(sq: MagicSquare, t: int | None = None) -> VerifyReport:

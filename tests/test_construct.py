@@ -163,6 +163,27 @@ class TestBuildCms:
         with pytest.raises(ConstructionError):
             build_cms(cert, TranslationScheme(tuple(pairs)))
 
+    def test_bad_member_caught_by_family_gate(self, f5, monkeypatch):
+        # members are encoded without their own check; verify_cms must
+        # still refuse a member whose degree-t line sums fail
+        encode = construct.grid_to_ms
+        encoded = []
+
+        def corrupt_fourth(grid, check=True):
+            sq = encode(grid, check)
+            encoded.append(sq)
+            if len(encoded) != 4:
+                return sq
+            bad = sq.entries.copy()
+            bad[0, 0], bad[1, 2] = bad[1, 2], bad[0, 0]
+            return verify.MagicSquare(bad, sq.t)
+
+        monkeypatch.setattr(construct, "grid_to_ms", corrupt_fourth)
+        with pytest.raises(ConstructionError,
+                           match=r"^complementary family failed verification: "
+                                 r"row 0 degree 1 \(member 3\)"):
+            build_cms(linalg.find_cms_pair(f5, 2))
+
     def test_scheme_validation(self, f5):
         cert = linalg.find_cms_pair(f5, 2)
         good = construct.default_scheme(f5, 2, cert.d)

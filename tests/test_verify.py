@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import multimagic.verify as V
 from multimagic.verify import MagicSquare, magic_sum, power_sum, verify_cms, verify_ms
@@ -111,30 +114,78 @@ class TestVerifyMs:
             assert degree1_rows, "cross-row swap must break a degree-1 row sum"
 
 
-class TestAccumulatorPaths:
-    def test_three_paths_agree(self):
+def _reference_sums(mat, e):
+    """Line power sums of mat in plain Python integers."""
+    n = mat.shape[0]
+    cells = [[int(x) ** e for x in row] for row in mat]
+    return (
+        [sum(row) for row in cells],
+        [sum(col) for col in zip(*cells)],
+        sum(cells[i][i] for i in range(n)),
+        sum(cells[i][n - 1 - i] for i in range(n)),
+    )
+
+
+def _bound(mat, e):
+    return mat.shape[0] * int(np.abs(mat.astype(object)).max()) ** e
+
+
+class TestExactPowerSums:
+    def test_permutation_matrix_low_degrees(self):
         rng = np.random.default_rng(0)
         mat = rng.permutation(64 * 64).astype(np.int64).reshape(64, 64) * 2381
         for e in (1, 2, 3, 4):
-            reference = (
-                [sum(int(x) ** e for x in row) for row in mat],
-                [sum(int(x) ** e for x in col) for col in mat.T],
-                sum(int(mat[i, i]) ** e for i in range(64)),
-                sum(int(mat[i, 63 - i]) ** e for i in range(64)),
-            )
-            assert V._line_power_sums(mat, e) == reference
-            limit = V._INT64_LIMIT
-            try:
-                V._INT64_LIMIT = 2**40  # force the limb-split branch
-                assert V._line_power_sums(mat, e) == reference
-                V._INT64_LIMIT = 0  # force the Python-int branch
-                assert V._line_power_sums(mat, e) == reference
-            finally:
-                V._INT64_LIMIT = limit
+            assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
 
     def test_largest_in_scope_width(self):
-        # order 16807 at degree 3 must stay within a 127-bit accumulator
-        assert V.accumulator_headroom(16807, 3) < 127
+        # entries of an order-16807 square at degree 3, the widest point
+        # the toolkit targets; the largest entry is present on purpose
+        rng = np.random.default_rng(1)
+        top = 16807**2 - 1
+        mat = rng.integers(top - 10**6, top, size=(48, 48), dtype=np.int64)
+        mat[0, :] = top
+        assert len(V._moduli(_bound(mat, 3))) == 2
+        assert V._line_power_sums(mat, 3) == _reference_sums(mat, 3)
+
+    def test_order_3125_values_degree5(self):
+        rng = np.random.default_rng(2)
+        mat = rng.integers(0, 3125**2, size=(40, 40), dtype=np.int64)
+        mat[np.arange(40), np.arange(40)] = 3125**2 - 1
+        assert len(V._moduli(_bound(mat, 5))) > 2
+        assert V._line_power_sums(mat, 5) == _reference_sums(mat, 5)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 9])
+    def test_negative_entries(self, e):
+        rng = np.random.default_rng(e)
+        mat = rng.integers(-(3125**2), 3125**2, size=(24, 24), dtype=np.int64)
+        mat[5, 7] = -(3125**2)
+        assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+
+    def test_degree_12_needs_many_moduli(self):
+        rng = np.random.default_rng(3)
+        mat = rng.integers(-(2**30), 2**31, size=(16, 16), dtype=np.int64)
+        assert len(V._moduli(_bound(mat, 12))) > 10
+        assert V._line_power_sums(mat, 12) == _reference_sums(mat, 12)
+
+    @pytest.mark.parametrize("e, top, count", [
+        (2, 2**31 - 1, 1), (2, 2**31, 2), (1, 2**62 - 1, 1), (1, 2**62, 2)])
+    def test_one_to_two_moduli_switch(self, e, top, count):
+        # 2B = 4 * top**e with n = 2 sits just below or exactly at 2**64;
+        # at the upper value a row sum of two entries overflows int64
+        for sign in (1, -1):
+            mat = np.full((2, 2), sign * top, dtype=np.int64)
+            assert len(V._moduli(_bound(mat, e))) == count
+            assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+            np.int64, (n, n),
+            elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3))),
+        st.integers(1, 8),
+    )
+    def test_matches_reference_property(self, mat, e):
+        assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
 
 
 class TestVerifyCms:
