@@ -435,19 +435,17 @@ def make_block_assignment(table: FieldTable, t_big: int, t_small: int) -> BlockA
     return BlockAssignment(m, mp, f)
 
 
-def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment,
-                threads: int = 1) -> MagicSquare:
-    """Block (I, J) of the output holds member f(I, J) of the family,
-    shifted by n^2 * a[I, J]."""
-    t = a.t
-    if fam.t != t - 1:
-        raise ValueError(f"family degree {fam.t} must be {t - 1}")
+def _check_compose_shapes(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> None:
+    if fam.t != a.t - 1:
+        raise ValueError(f"family degree {fam.t} must be {a.t - 1}")
     if assign.m != a.n or assign.m_prime != fam.m:
         raise ValueError("assignment shape does not match the inputs")
-    a0 = _require_ms(a, t, "outer square")
-    rep = verify.verify_cms(fam.members, fam.t, threads=threads)
-    if not rep.passed:
-        raise ValueError("family fails complementary verification")
+
+
+def _compose_blocks(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> MagicSquare:
+    """cms_compose without re-verifying its inputs; the output is still
+    verified."""
+    _check_compose_shapes(a, fam, assign)
     m, n = a.n, fam.n
     if ((m * n) ** 2).bit_length() >= 63:
         raise ValueError("composite order is beyond the supported range")
@@ -455,10 +453,22 @@ def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment,
     stack = np.stack([mem.normalized() for mem in fam.members])
     blocks = stack[assign.f]  # (m, m, n, n)
     out = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n) \
-        + np.kron(a0 * (n * n), np.ones((n, n), dtype=np.int64))
-    sq = MagicSquare(out, t)
-    _verified_or_raise(verify.verify_ms(sq, t), "composed square")
+        + np.kron(a.normalized() * (n * n), np.ones((n, n), dtype=np.int64))
+    sq = MagicSquare(out, a.t)
+    _verified_or_raise(verify.verify_ms(sq, a.t), "composed square")
     return sq
+
+
+def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment,
+                threads: int = 1) -> MagicSquare:
+    """Block (I, J) of the output holds member f(I, J) of the family,
+    shifted by n^2 * a[I, J].  Both inputs are verified first."""
+    _check_compose_shapes(a, fam, assign)
+    _require_ms(a, a.t, "outer square")
+    rep = verify.verify_cms(fam.members, fam.t, threads=threads)
+    if not rep.passed:
+        raise ValueError("family fails complementary verification")
+    return _compose_blocks(a, fam, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,8 @@ def build_ms_q2t1(table: FieldTable, t: int, threads: int = 1,
     fam = build_cms_family(table, t - 1, threads=threads)
     say("complementary family verified; composing blocks")
     assign = make_block_assignment(table, t, t - 1)
-    out = cms_compose(a, fam, assign, threads=threads)
+    # a and fam were verified by their constructors just above
+    out = _compose_blocks(a, fam, assign)
     say(f"composition verified (order {out.n})")
     return out
 

@@ -108,8 +108,10 @@ def write_ms(path, sq: MagicSquare, binary: bool = False) -> None:
         return
     with open(path, "w", encoding="ascii") as f:
         f.write(header)
-        for row in sq.entries.tolist():
-            f.write(" ".join(map(str, row)))
+        # one row list at a time: a whole-square tolist() parks ~n^2 * 8
+        # bytes of row lists on the C heap, which may stay resident
+        for row in sq.entries:
+            f.write(" ".join(map(str, row.tolist())))
             f.write("\n")
 
 

@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multimagic import gf, io
+from multimagic import gf, io, oa
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CMS9 = DATA / "cms9_expected.cms"
@@ -50,3 +51,13 @@ def golden_cms9():
 def golden_loa():
     """The 81 frozen 4x9 arrays, indexed members[9*i + k]."""
     return io.read_oa_family(GOLDEN_LOA)
+
+
+@pytest.fixture(scope="session")
+def wide_simple_oa():
+    """A simple strength-1 OA whose column codes overflow int64: v=512,
+    k=8, N=1024, every row 0..511 twice, except that row 7's second half
+    is shifted by 2.  All 1024 columns are distinct, but 512^8 >= 2^63."""
+    entries = np.tile(np.arange(512), (8, 2))
+    entries[7, 512:] = (entries[7, 512:] + 2) % 512
+    return oa.OrthArray(entries, 512, 1)

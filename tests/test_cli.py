@@ -141,6 +141,14 @@ class TestVerifyCommands:
         assert run_cli("verify-oa", str(path)) == 1
         assert run_cli("verify-oa", str(path), "--sdloa") == 1
 
+    def test_verify_oa_simple_beyond_int64_codes(self, tmp_path, capsys,
+                                                 wide_simple_oa):
+        from multimagic import oa as oam
+        path = tmp_path / "wide.oaf"
+        io.write_oa_family(path, oam.ArrayFamily((wide_simple_oa,)))
+        assert run_cli("verify-oa", str(path)) == 0
+        assert capsys.readouterr().out == "member 0: pass\n"
+
     def test_verify_cms_corrupt_bundle(self, tmp_path, golden_cms9):
         from multimagic import construct, verify as ver
         members = list(golden_cms9.members)

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimagic import construct, gf, linalg, oa
 
@@ -75,6 +77,41 @@ class TestIsSimple:
         with pytest.raises(ValueError):
             oa.OrthArray(np.array([[1], [0]]), 2, 1)
 
+    def test_column_codes_beyond_int64(self, wide_simple_oa):
+        # 512^8 >= 2^63: columns are compared exactly, not by wrapped codes
+        assert oa.is_simple(wide_simple_oa)
+        assert oa.verify_oa(wide_simple_oa)
+        with pytest.raises(ValueError):
+            oa.column_codes(wide_simple_oa)
+        dup = wide_simple_oa.entries.copy()
+        dup[7, 512:] = dup[7, :512]
+        assert not oa.is_simple(oa.OrthArray(dup, 512, 1))
+
+
+class TestTallyProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 4, 2), (512, 8, 1)]),
+           st.integers(1, 2),
+           st.sampled_from(["balanced", "shifted", "pool", "random"]),
+           st.data())
+    def test_tally_and_simplicity_match_definitions(self, vkt, lam, kind, data):
+        v, k, t = vkt
+        n = lam * v**t
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "balanced":  # every row holds each symbol n / v times
+            entries = np.stack([rng.permutation(np.arange(n) % v) for _ in range(k)])
+        elif kind == "shifted":  # rows 0..n-1 mod v, last row's second half
+            entries = np.tile(np.arange(n) % v, (k, 1))  # shifted by 0 or 2
+            shift = data.draw(st.sampled_from([0, 2]))
+            entries[-1, n // 2:] = (entries[-1, n // 2:] + shift) % v
+        elif kind == "pool":  # columns drawn from three, so repeats are likely
+            entries = rng.integers(0, v, (k, 3))[:, rng.integers(0, 3, n)]
+        else:
+            entries = rng.integers(0, v, (k, n))
+        arr = oa.OrthArray(entries, v, t)
+        assert oa.verify_oa(arr) == recount_oracle(arr)
+        assert oa.is_simple(arr) == (len(set(map(tuple, entries.T.tolist()))) == n)
+
 
 class TestLargeSet:
     def test_fixture_row_family(self, a_arrays):
@@ -97,6 +134,18 @@ class TestLargeSet:
     def test_covering_failure_detected(self, a_arrays):
         members = list(a_arrays[0:8]) + [a_arrays[0]]
         assert not oa.verify_large_set(oa.ArrayFamily(tuple(members)), 2)
+
+    def test_mixed_column_counts(self):
+        # v=2, k=3: two 2-column members and one 4-column member cover
+        # all eight 3-tuples once; each member has strength 1
+        cols = ([(0, 0, 0), (1, 1, 1)], [(0, 0, 1), (1, 1, 0)],
+                [(0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0)])
+        members = [oa.OrthArray(np.array(c).T, 2, 1) for c in cols]
+        assert oa.verify_large_set(oa.ArrayFamily(tuple(members)), 1)
+        members[2] = oa.OrthArray(np.array(cols[2][:2] * 2).T, 2, 1)
+        assert not oa.verify_large_set(oa.ArrayFamily(tuple(members)), 1)
+        with pytest.raises(ValueError):
+            oa.verify_large_set(oa.ArrayFamily(tuple(members)), 2)
 
 
 class TestSdloa:
@@ -122,21 +171,32 @@ class TestSdloa:
     def test_orientation_symmetry(self, a_arrays):
         fam = oa.ArrayFamily(tuple(a_arrays[0:9]))
         assert oa.verify_large_set(fam, 2)
-        assert oa.verify_large_set(oa.transposed_family(fam), 2)
+        # member j of the other orientation is column j of every member
+        stack = np.stack([m.entries for m in fam.members])
+        by_col = oa.ArrayFamily(tuple(
+            oa.OrthArray(member, 3, 2) for member in stack.transpose(2, 1, 0)
+        ))
+        assert oa.verify_large_set(by_col, 2)
 
     def test_member_count_must_match(self, a_arrays):
         with pytest.raises(ValueError):
             oa.verify_sdloa(oa.ArrayFamily(tuple(a_arrays[0:3])), 2)
 
 
+def exhaustive_large_set(fam: oa.ArrayFamily, t: int) -> bool:
+    """Reference verdict: every member tallied, plus a coverage count."""
+    stack = np.stack([m.entries for m in fam.members])
+    codes = np.concatenate([oa.column_codes(m) for m in fam.members])
+    return (oa._stack_members_ok(stack, fam.v, t)
+            and bool(np.all(np.bincount(codes, minlength=fam.v**fam.k) == 1)))
+
+
 def exhaustive_sdloa(fam: oa.ArrayFamily, t: int) -> bool:
     """Reference verdict: every member of both orientations tallied."""
     stack = np.stack([m.entries for m in fam.members])
     by_col = np.ascontiguousarray(stack.transpose(2, 1, 0))
-    codes = np.concatenate([oa.column_codes(m) for m in fam.members])
     d, d_back = oa.diagonal_selections(fam)
-    return (oa._stack_members_ok(stack, fam.v, t)
-            and bool(np.all(np.bincount(codes, minlength=fam.v**fam.k) == 1))
+    return (exhaustive_large_set(fam, t)
             and oa._stack_members_ok(by_col, fam.v, t)
             and oa.verify_oa(d) and oa.verify_oa(d_back))
 
@@ -215,6 +275,33 @@ class TestSdloaShortcut:
         assert oa._relabelled_members_ok(stack, fam.v, 2)
         assert_paths_agree(fam, 2)
 
+    def test_cms_cross_member_families_are_relabellings(self, f5):
+        # build_cms checks the family of row x (and column y) of every
+        # translated grid as a large set; those members are translates of
+        # member 0, so the relabelling pass proves all of them
+        cms = construct.build_cms(linalg.find_cms_pair(f5, 2))
+        digits = 5 ** np.arange(4)[:, None]
+        squares = np.stack([m.normalized() for m in cms.members])
+        for lines in (squares.transpose(1, 0, 2), squares.transpose(2, 0, 1)):
+            for line in lines:  # (members, N): line x of every square
+                stack = line[:, None, :] // digits % 5
+                assert oa._relabelled(stack, stack[0]).all()
+                fam = oa.ArrayFamily(tuple(oa.OrthArray(m, 5, 2) for m in stack))
+                assert oa.verify_large_set(fam, 2) and exhaustive_large_set(fam, 2)
+
+    def test_in_row_cell_swap_is_caught_by_columns(self):
+        # two cells of one row swapped off both diagonals: every row member
+        # keeps its columns, so coverage and the diagonals hold, and only
+        # the column orientation rejects the family
+        fam = built_grid(5, 2)
+        entries = fam.members[3].entries.copy()
+        entries[:, [0, 1]] = entries[:, [1, 0]]
+        fam = with_member(fam, 3, entries)
+        assert oa.verify_large_set(fam, 2)
+        d, d_back = oa.diagonal_selections(fam)
+        assert oa.verify_oa(d) and oa.verify_oa(d_back)
+        assert not assert_paths_agree(fam, 2)
+
     def test_corrupted_member_zero(self, a_arrays):
         fam = oa.ArrayFamily(tuple(a_arrays[0:9]))
         bad = fam.members[0].entries.copy()
@@ -228,15 +315,17 @@ class TestSdloaShortcut:
     @pytest.mark.parametrize("q", [3, 5])
     def test_random_corruptions(self, q):
         # one random member rewritten per trial: one row relabelled, two
-        # row entries swapped, columns permuted, one entry changed, or one
-        # row mapped through a random (mostly non-injective) symbol map
+        # row entries swapped, columns permuted, one entry changed, one
+        # row mapped through a random (mostly non-injective) symbol map, or
+        # one column exchanged with another member's (coverage kept)
         grid = built_grid(q, 2)
+        n = grid.members[0].n_cols
         rng = np.random.default_rng(q)
         rows_ok = Counter()
-        for trial in range(75):
-            s = int(rng.integers(grid.members[0].n_cols))
+        for trial in range(90):
+            s = int(rng.integers(n))
             entries = grid.members[s].entries.copy()
-            kind = trial % 5
+            kind = trial % 6
             i = int(rng.integers(entries.shape[0]))
             if kind == 0:
                 entries[i] = rng.permutation(q)[entries[i]]
@@ -247,12 +336,20 @@ class TestSdloaShortcut:
                 entries = entries[:, rng.permutation(entries.shape[1])]
             elif kind == 3:
                 entries[i, int(rng.integers(entries.shape[1]))] = rng.integers(q)
-            else:
+            elif kind == 4:
                 entries[i] = rng.integers(q, size=q)[entries[i]]
+            else:
+                s2 = (s + 1 + int(rng.integers(n - 1))) % n
+                other = grid.members[s2].entries.copy()
+                a, b = rng.integers(n, size=2)
+                entries[:, a], other[:, b] = other[:, b].copy(), entries[:, a].copy()
             fam = with_member(grid, s, entries)
+            if kind == 5:
+                fam = with_member(fam, s2, other)
             stack = np.stack([m.entries for m in fam.members])
             rows_ok[kind, oa._relabelled_members_ok(stack, q, 2)] += 1
             assert_paths_agree(fam, 2)
+            assert oa.verify_large_set(fam, 2) == exhaustive_large_set(fam, 2)
         # relabelled and column-permuted members pass the row pass,
         # broken ones fail it: both outcomes of the fallback are exercised
         assert rows_ok[0, True] and rows_ok[2, True]
