@@ -8,10 +8,10 @@ tally, one column code and one member pass:
   N / v^t.  Every code is below v^t, and v^t divides N (a slab whose N it
   does not divide fails untallied), so v^t <= N < 2^53 keeps the codes
   exact.  In-scope arrays have at most 2t <= 20 rows.
-* Columns are coded base v by an int64 Horner pass, exact while
-  v^k < 2^63; beyond that (v = 512, k >= 7) distinct columns are compared
-  directly and column_codes raises ValueError.  A large set holds v^k
-  columns in memory, so its coverage count is always in range.
+* Distinct columns are found by a lexicographic column sort, exact for
+  any v^k.  Coverage counts base-v int64 column codes, exact while
+  v^k < 2^63 (column_codes raises ValueError beyond); a large set holds
+  v^k columns in memory, so its count is always in range.
 * Members: only member 0 is always tallied.  A member with
   member[i, j] = sigma_i(member_0[i, j]) for injective per-row maps
   sigma_i needs no tally: sigma carries the t-tuples of any row subset
@@ -28,10 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# Column codes below this bound fit int64.
-_CODE_LIMIT = 2**63
-
 
 def _check_strength(k: int, n: int, v: int, t: int) -> None:
     """Raise ValueError unless a k x n array over v symbols can have strength t."""
@@ -98,6 +94,10 @@ class ArrayFamily:
         return self.members[0].v
 
 
+# Codes per chunk of slabs in the strength tally.
+_TALLY_ENTRIES = 4_000_000
+
+
 @lru_cache(maxsize=None)
 def _subset_weights(k: int, t: int, v: int) -> np.ndarray:
     """One row of base-v position weights per t-subset of k rows."""
@@ -119,7 +119,7 @@ def _strength_ok(stack: np.ndarray, v: int, t: int) -> bool:
         return False
     weights = _subset_weights(k, t, v)
     nsub = weights.shape[0]
-    chunk = max(1, 4_000_000 // max(1, nsub * n))
+    chunk = max(1, _TALLY_ENTRIES // max(1, nsub * n))
     for s0 in range(0, count, chunk):
         blk = stack[s0:s0 + chunk]
         rows = len(blk) * nsub  # one tally row per (slab, subset)
@@ -133,7 +133,7 @@ def _strength_ok(stack: np.ndarray, v: int, t: int) -> bool:
 def _column_codes(stack: np.ndarray, v: int) -> np.ndarray:
     """Base-v int64 column codes of a (..., k, N) stack, row 0 least significant."""
     k = stack.shape[-2]
-    if v**k >= _CODE_LIMIT:
+    if v**k >= 2**63:
         raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
     codes = np.zeros(stack.shape[:-2] + stack.shape[-1:], dtype=np.int64)
     for i in reversed(range(k)):
@@ -142,17 +142,19 @@ def _column_codes(stack: np.ndarray, v: int) -> np.ndarray:
     return codes
 
 
-def _distinct_columns(stack: np.ndarray, v: int) -> bool:
-    """No slab of a (count, k, N) stack repeats a column."""
-    if v**stack.shape[1] >= _CODE_LIMIT:
-        return all(np.unique(slab, axis=1).shape[1] == slab.shape[1] for slab in stack)
-    srt = np.sort(_column_codes(stack, v), axis=1)
-    return bool(np.all(srt[:, 1:] != srt[:, :-1]))
+def _distinct_columns(stack: np.ndarray) -> bool:
+    """No slab of a (count, k, N) stack repeats a column: the columns are
+    sorted lexicographically within each slab and neighbours compared."""
+    count, k, n = stack.shape
+    cols = stack.transpose(1, 0, 2).reshape(k, count * n)
+    order = np.lexsort((*cols, np.repeat(np.arange(count), n)))
+    srt = cols[:, order].reshape(k, count, n)
+    return not np.any(np.all(srt[:, :, 1:] == srt[:, :, :-1], axis=0))
 
 
 def _stack_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
     """Simple-OA check for every slab of a (count, k, N) stack, batched."""
-    return _strength_ok(stack, v, t) and _distinct_columns(stack, v)
+    return _strength_ok(stack, v, t) and _distinct_columns(stack)
 
 
 def column_codes(arr: OrthArray) -> np.ndarray:
@@ -167,7 +169,7 @@ def verify_oa(arr: OrthArray) -> bool:
 
 def is_simple(arr: OrthArray) -> bool:
     """No two identical columns."""
-    return _distinct_columns(arr.entries[None], arr.v)
+    return _distinct_columns(arr.entries[None])
 
 
 # Entries per chunk of members in the relabelling pass; keeps its
@@ -269,5 +271,4 @@ def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
     stacks = _large_set_stacks(fam, t)
     if stacks is None or not _relabelled_members_ok(stacks[0].transpose(2, 1, 0), fam.v, t):
         return False
-    d, d_back = diagonal_selections(fam)
-    return _strength_ok(np.stack([d.entries, d_back.entries]), fam.v, t)
+    return all(verify_oa(OrthArray(d.entries, fam.v, t)) for d in diagonal_selections(fam))

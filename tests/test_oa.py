@@ -61,6 +61,31 @@ class TestVerifyOa:
             assert not oa.verify_oa(arr)
 
 
+class TestChunks:
+    """Stacks longer than one chunk: a fault only in the last chunk counts."""
+
+    def test_strength_tally_spans_chunks(self):
+        a, b = np.divmod(np.arange(9), 3)
+        base = np.tile(np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3]), 50)  # N = 450
+        count = oa._TALLY_ENTRIES // (6 * 450) + 1  # C(4, 2) = 6 subsets
+        stack = np.repeat(base[None], count, axis=0)
+        assert oa._strength_ok(stack, 3, 2)
+        stack[-1, 0, 0] = (stack[-1, 0, 0] + 1) % 3
+        assert not oa._strength_ok(stack, 3, 2)
+        stack[-1, 0, 0] = base[0, 0]
+        assert oa._strength_ok(stack, 3, 2)
+
+    def test_relabelling_pass_spans_chunks(self, a_arrays, monkeypatch):
+        member = a_arrays[0].entries
+        monkeypatch.setattr(oa, "_CHUNK_ENTRIES", 2 * member.size)  # two members a chunk
+        stack = np.repeat(member[None], 7, axis=0)
+        stack[1:, 0] = (stack[1:, 0] + 1) % 3  # relabelled row 0
+        assert oa._relabelled_members_ok(stack, 3, 2)
+        j = int(np.argmax(member[0] != member[0, 0]))
+        stack[-1, 0, [0, j]] = stack[-1, 0, [j, 0]]  # no relabelling, no OA
+        assert not oa._relabelled_members_ok(stack, 3, 2)
+
+
 class TestIsSimple:
     def test_fixture(self, a_arrays):
         assert oa.is_simple(a_arrays[0])
@@ -177,6 +202,21 @@ class TestSdloa:
             oa.OrthArray(member, 3, 2) for member in stack.transpose(2, 1, 0)
         ))
         assert oa.verify_large_set(by_col, 2)
+
+    def test_diagonals_tallied_at_requested_strength(self, a_arrays):
+        # members declared at t=1, reordered so both diagonals have
+        # strength 1 but not 2; both orientations stay large sets
+        order = [7, 8, 0, 3, 1, 5, 2, 4, 6]
+        fam = oa.ArrayFamily(tuple(oa.OrthArray(a_arrays[i].entries, 3, 1) for i in order))
+        assert all(oa.verify_oa(d) for d in oa.diagonal_selections(fam))
+        assert oa.verify_sdloa(fam, 1)
+        assert not oa.verify_sdloa(fam, 2)
+
+    def test_strength_out_of_shape_is_error(self, a_arrays):
+        fam = oa.ArrayFamily(tuple(a_arrays[0:9]))  # k = 4, N = 9, v = 3
+        for t in (0, 5, 3):  # t < 1, t > k, v^t does not divide N
+            with pytest.raises(ValueError):
+                oa.verify_sdloa(fam, t)
 
     def test_member_count_must_match(self, a_arrays):
         with pytest.raises(ValueError):
