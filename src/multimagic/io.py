@@ -2,15 +2,32 @@
 matrix-pair certificates, and verification reports.
 
 Writers emit byte-identical output for equal inputs: no timestamps, no
-unordered maps.  Readers reject unknown header keys and any payload
-whose dimensions disagree with its header.  An optional binary square
-variant (``MMB``) stores little-endian 64-bit entries after the same
-header line.
+unordered maps.  An optional binary square variant (``MMB``) stores
+little-endian 64-bit entries after the same header line.
+
+The three integer text formats (``MMS`` squares, ``OAF`` array families,
+``CMS`` family bundles) share one encoder and one decoder:
+
+* The header is the first line.  A line break is ``\\n``, ``\\r\\n`` or a
+  bare ``\\r``.
+* A body token is ``[+-]?[0-9]+`` and must lie in the int64 range.
+  Tokens are separated by spaces, tabs and line breaks; any other byte
+  (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, non-ASCII, ...) is an error.
+* Every non-blank line holds exactly the header's column count.  Lines
+  holding only spaces and tabs separate the member blocks of ``OAF`` and
+  ``CMS`` files; in ``MMS`` files they are ignored.
+* Values are parsed by numpy's C text parser after the bytes are
+  validated.  That parser saturates every out-of-range token to
+  INT64_MAX, so each parsed INT64_MAX is checked against its token text.
+
+Readers raise ``FormatError`` on any payload that breaks these rules or
+whose dimensions disagree with its header, and on unknown header keys.
 """
 
 from __future__ import annotations
 
-import warnings
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +44,19 @@ _OA_MAGIC = "OAF"
 _CMS_MAGIC = "CMS"
 _VERSION = "1"
 
+# "%02d" % i for i = 0..99, each two-byte string read as one uint16
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
+                       dtype=np.uint16)
+_BODY_BYTES = b"0123456789+- \t\n\r"
+_SEPARATORS = (b" ", b"\t", b"\n", b"\r")
+_TOKEN = re.compile(rb"[+-]?[0-9]+")
+_INT64_MAX = 2**63 - 1
+_ENCODE_ENTRIES = 1 << 13   # entries per encoded block (about 64 KB of text)
+_DECODE_BYTES = 1 << 16     # text bytes read per decoder pass
 
-def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict:
+
+def _parse_header(line: str, magic: str, keys: tuple[str, ...],
+                  dims: tuple[str, ...] = ()) -> dict:
     parts = line.split()
     if len(parts) < 2 or parts[0] != magic or parts[1] != _VERSION:
         raise FormatError(f"malformed header: expected '{magic} {_VERSION} ...'")
@@ -48,49 +76,193 @@ def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict:
     missing = [k for k in keys if k not in seen]
     if missing:
         raise FormatError(f"missing header keys {missing}")
+    for key in dims:
+        if seen[key] < 0:
+            raise FormatError(f"negative header dimension {key}={seen[key]}")
     return seen
 
 
-def _token_count(text: str) -> int:
-    """Number of whitespace-separated tokens, without materializing them."""
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if b.size == 0:
-        return 0
-    nonspace = ~((b == 32) | (b == 10) | (b == 13) | (b == 9))
-    starts = nonspace.copy()
-    starts[1:] &= ~nonspace[:-1]
-    return int(starts.sum())
+def _read_header(f) -> tuple[str, bytes]:
+    """The first line of binary file f, and the bytes read past it, from
+    its line break on."""
+    buf = b""
+    while True:
+        more = f.read(_DECODE_BYTES)
+        ends = [i for i in (more.find(b"\n"), more.find(b"\r")) if i >= 0]
+        if ends or not more:
+            break
+        buf += more
+    if not ends:
+        raise FormatError("malformed header: no line break")
+    end = len(buf) + min(ends)
+    buf += more
+    try:
+        return buf[:end].decode("ascii"), buf[end:]
+    except UnicodeDecodeError:
+        raise FormatError("malformed header: not ASCII") from None
 
 
-def _int_tokens(text: str, what: str) -> np.ndarray:
-    # C-speed parse; fromstring stops at the first malformed token (a
-    # warning today, a ValueError in future numpy), so a token-count
-    # comparison catches any garbage in the body.
-    if not text.strip():
-        return np.empty(0, dtype=np.int64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            out = np.fromstring(text, dtype=np.int64, sep=" ")
-        except ValueError:
-            raise FormatError(f"non-integer token in {what}") from None
-    if out.size != _token_count(text):
-        raise FormatError(f"non-integer token in {what}")
+# ---------------------------------------------------------------------------
+# The integer text codec
+# ---------------------------------------------------------------------------
+
+def _encode(block: np.ndarray) -> bytes:
+    """ASCII text of an integer row block: each row's decimal entries joined
+    by single spaces and ended by a newline, the bytes of
+    ``" ".join(map(str, row)) + "\\n"`` for every row."""
+    rows, cols = block.shape
+    if not block.size:
+        return b"\n" * rows
+    flat = np.ascontiguousarray(block, dtype=np.int64).ravel()
+    neg = flat < 0
+    signed = bool(neg.any())
+    if signed:
+        u = flat.view(np.uint64)
+        mag = np.where(neg, -u, u)  # two's complement, exact at int64 min
+    else:
+        mag = flat
+    top = int(mag.max())
+    mag = mag.astype(np.uint32 if top < 1 << 32 else np.uint64)
+    digits = len(str(top))
+    # One slot per entry, a multiple of 8 bytes wide: column 0 holds the
+    # separator that precedes the entry, sign and digits are right-aligned.
+    width = (digits + signed) // 8 * 8 + 8
+    first = np.full(flat.size, width - 1, dtype=np.uint8)  # first byte kept
+    for d in range(1, digits):
+        first -= mag >= 10**d
+    if signed:
+        first -= neg
+    slots = np.empty((flat.size, width), dtype=np.uint8)
+    pairs = slots.view(np.uint16)
+    rem = np.empty_like(mag)
+    for c in range(width // 2 - 1, width // 2 - 1 - (digits + 1) // 2, -1):
+        np.divmod(mag, 100, out=(mag, rem))
+        np.take(_PAIRS, rem, out=pairs[:, c], mode="clip")
+    if signed:
+        at = np.flatnonzero(neg)
+        slots[at, first[at]] = ord("-")
+    slots[:, 0] = ord(" ")
+    slots[::cols, 0] = ord("\n")
+    # patterns[f]: keep column 0 and columns f.. of a slot
+    patterns = np.arange(width) >= np.arange(width)[:, None]
+    patterns[:, 0] = True
+    keep = patterns.view(np.dtype((np.void, width))).ravel()[first].view(bool)
+    # drop the newline that precedes the block, end its last row
+    return slots.ravel()[keep][1:].tobytes() + b"\n"
+
+
+def _decode(f, body: bytes, count: int, rows: int, cols: int,
+            split: bool) -> np.ndarray:
+    """The count * rows * cols int64 entries of a text body.
+
+    ``body`` holds the bytes already read past the header, from its line
+    break on; the rest is read from binary file f in passes of about
+    ``_DECODE_BYTES``, each cut after its last separator so that no token
+    spans two passes.  With ``split``, blank lines separate count blocks
+    of rows lines each; without it they are ignored.
+    """
+    total = count * rows * cols
+    # every entry takes at least one digit and one separator
+    if 2 * total > len(body) + os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"body is too short for {total} entries")
+    out = np.empty(total, dtype=np.int64)
+    pos = 0       # entries parsed
+    line = 0      # tokens on the unfinished line
+    run = 0       # lines of the unfinished block
+    blocks = 0    # finished blocks
+    data = body
+    while True:
+        more = f.read(_DECODE_BYTES)
+        data += more
+        if more:
+            cut = max(data.rfind(sep) for sep in _SEPARATORS)
+            if cut <= 0:
+                continue
+        else:
+            data += b"\n"  # the last line ends with the file
+            cut = len(data)
+        # byte classes: token bytes, separators, nothing else
+        if data.translate(None, _BODY_BYTES):
+            raise FormatError("body holds a byte other than a digit, sign, "
+                              "space, tab or line break")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        b = buf[:cut]  # b[0] is a separator, buf[cut] one too unless at the end
+        if b"+" in data or b"-" in data:
+            at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+            after = buf[at + 1]
+            if ((b[at - 1] > 32).any() or (after < ord("0")).any()
+                    or (after > ord("9")).any()):
+                raise FormatError("a sign must start a token and precede a digit")
+        tok = b > 32  # every separator byte is at most b" "
+        starts = np.empty(cut, dtype=bool)  # starts[i]: a token starts at b[i]
+        starts[0] = False
+        np.less(tok[:-1], tok[1:], out=starts[1:])
+        breaks = np.flatnonzero(b == 10)
+        if b"\r" in data:
+            cr = np.flatnonzero(b == 13)
+            breaks = np.union1d(breaks, cr[buf[cr + 1] != 10])
+        # tokens before the first break, between breaks, after the last
+        bounds = np.concatenate(([0], breaks))
+        per_line = np.add.reduceat(starts.view(np.uint8), bounds, dtype=np.uint32)
+        n = int(per_line.sum())
+        if pos + n > total:
+            raise FormatError(f"body holds more than {total} entries")
+        per_line[0] += line
+        line = int(per_line[-1])
+        per_line = per_line[:-1]
+        if per_line.size:
+            full = per_line > 0
+            bad = per_line[full] != cols
+            if bad.any():
+                raise FormatError(f"a row holds {per_line[full][bad][0]} entries, "
+                                  f"want {cols}")
+            if split:
+                edges = np.flatnonzero(np.diff(full, prepend=False, append=False))
+                sizes = (edges[1::2] - edges[::2]).tolist()
+                if run and full[0]:
+                    sizes[0] += run
+                elif run:
+                    sizes.insert(0, run)
+                run = sizes.pop() if full[-1] else 0
+                if not more and run:
+                    sizes.append(run)
+                for size in sizes:
+                    if size != rows:
+                        raise FormatError(f"block {blocks} has {size} rows, want {rows}")
+                    blocks += 1
+        if n:
+            vals = np.fromstring(data, dtype=np.int64, count=n, sep=" ")
+            # the parser saturates every out-of-range token to INT64_MAX
+            hits = np.flatnonzero(vals == _INT64_MAX)
+            if hits.size:
+                for at in np.flatnonzero(starts)[hits].tolist():
+                    text = _TOKEN.match(data, at).group()
+                    if text.lstrip(b"+").lstrip(b"0") != b"9223372036854775807":
+                        raise FormatError(f"token {text[:24].decode()} is outside "
+                                          "the int64 range")
+            out[pos:pos + n] = vals
+            pos += n
+        if not more:
+            break
+        data = data[cut:]
+    if split and blocks != count:
+        raise FormatError(f"found {blocks} blocks, header says {count}")
+    if pos != total:
+        raise FormatError(f"body holds {pos} entries, want {total}")
     return out
 
 
-def _blocks(lines: list[str]) -> list[list[str]]:
-    out: list[list[str]] = []
-    cur: list[str] = []
-    for ln in lines:
-        if ln.strip():
-            cur.append(ln)
-        elif cur:
-            out.append(cur)
-            cur = []
-    if cur:
-        out.append(cur)
-    return out
+def _write_blocks(path, header: str, blocks) -> None:
+    """Header line, then each 2-D block's rows, blocks separated by a blank
+    line; encoded a bounded number of entries at a time."""
+    with open(Path(path), "wb") as f:
+        f.write(header.encode("ascii"))
+        for i, entries in enumerate(blocks):
+            if i:
+                f.write(b"\n")
+            step = max(1, _ENCODE_ENTRIES // max(1, entries.shape[1]))
+            for r in range(0, entries.shape[0], step):
+                f.write(_encode(entries[r:r + step]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,50 +270,49 @@ def _blocks(lines: list[str]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 def write_ms(path, sq: MagicSquare, binary: bool = False) -> None:
-    path = Path(path)
-    magic = _MS_BINARY_MAGIC if binary else _MS_MAGIC
-    header = f"{magic} {_VERSION} n={sq.n} t={sq.t} base={sq.base}\n"
-    if binary:
-        with open(path, "wb") as f:
-            f.write(header.encode("ascii"))
-            f.write(np.ascontiguousarray(sq.entries, dtype="<i8").tobytes())
+    header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
+              f"n={sq.n} t={sq.t} base={sq.base}\n")
+    if not binary:
+        _write_blocks(path, header, [sq.entries])
         return
-    with open(path, "w", encoding="ascii") as f:
-        f.write(header)
-        # one row list at a time: a whole-square tolist() parks ~n^2 * 8
-        # bytes of row lists on the C heap, which may stay resident
-        for row in sq.entries:
-            f.write(" ".join(map(str, row.tolist())))
-            f.write("\n")
+    with open(Path(path), "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(np.ascontiguousarray(sq.entries, dtype="<i8").tobytes())
 
 
-def read_ms(path) -> MagicSquare:
-    path = Path(path)
-    with open(path, "rb") as f:
-        raw = f.read()
+def _read_binary_ms(raw: bytes) -> MagicSquare:
     nl = raw.find(b"\n")
     if nl < 0:
-        raise FormatError("malformed header: empty file")
+        raise FormatError("malformed header: no line break")
     try:
         first = raw[:nl].decode("ascii")
     except UnicodeDecodeError:
         raise FormatError("malformed header: not ASCII") from None
-    magic = first.split()[0] if first.split() else ""
-    if magic == _MS_BINARY_MAGIC:
-        head = _parse_header(first, _MS_BINARY_MAGIC, ("n", "t", "base"))
-        n = head["n"]
-        body = raw[nl + 1:]
-        if len(body) != n * n * 8:
-            raise FormatError(f"binary payload holds {len(body)} bytes, "
-                              f"want {n * n * 8}")
-        entries = np.frombuffer(body, dtype="<i8").reshape(n, n).astype(np.int64)
-        return MagicSquare(entries, head["t"], head["base"])
-    head = _parse_header(first, _MS_MAGIC, ("n", "t", "base"))
+    head = _parse_header(first, _MS_BINARY_MAGIC, ("n", "t", "base"), dims=("n",))
     n = head["n"]
-    entries = _int_tokens(raw[nl + 1:].decode("ascii"), "square body")
-    if entries.size != n * n:
-        raise FormatError(f"square body holds {entries.size} entries, want {n * n}")
-    return MagicSquare(entries.reshape(n, n), head["t"], head["base"])
+    body = raw[nl + 1:]
+    if len(body) != n * n * 8:
+        raise FormatError(f"binary payload holds {len(body)} bytes, want {n * n * 8}")
+    entries = np.frombuffer(body, dtype="<i8").reshape(n, n).astype(np.int64)
+    try:
+        return MagicSquare(entries, head["t"], head["base"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def read_ms(path) -> MagicSquare:
+    with open(Path(path), "rb") as f:
+        line, body = _read_header(f)
+        if line.split()[:1] == [_MS_BINARY_MAGIC]:
+            f.seek(0)
+            return _read_binary_ms(f.read())
+        head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
+        n = head["n"]
+        entries = _decode(f, body, 1, n, n, split=False)
+    try:
+        return MagicSquare(entries.reshape(n, n), head["t"], head["base"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,38 +324,24 @@ def write_oa_family(path, fam: ArrayFamily) -> None:
     first = members[0]
     if any(m.n_cols != first.n_cols for m in members):
         raise ValueError("family members must share a column count to serialize")
-    with open(Path(path), "w", encoding="ascii") as f:
-        f.write(f"{_OA_MAGIC} {_VERSION} count={len(members)} k={first.k} "
-                f"cols={first.n_cols} v={first.v} t={first.t}\n")
-        for i, m in enumerate(members):
-            if i:
-                f.write("\n")
-            for row in m.entries:
-                f.write(" ".join(str(int(x)) for x in row))
-                f.write("\n")
+    _write_blocks(path, f"{_OA_MAGIC} {_VERSION} count={len(members)} k={first.k} "
+                        f"cols={first.n_cols} v={first.v} t={first.t}\n",
+                  [m.entries for m in members])
 
 
 def read_oa_family(path) -> ArrayFamily:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise FormatError("malformed header: empty file")
-    head = _parse_header(lines[0], _OA_MAGIC, ("count", "k", "cols", "v", "t"))
-    count, k, cols = head["count"], head["k"], head["cols"]
-    if count < 1:
-        raise FormatError("empty family is invalid")
-    blocks = _blocks(lines[1:])
-    if len(blocks) != count:
-        raise FormatError(f"found {len(blocks)} blocks, header says {count}")
+    with open(Path(path), "rb") as f:
+        line, body = _read_header(f)
+        head = _parse_header(line, _OA_MAGIC, ("count", "k", "cols", "v", "t"),
+                             dims=("count", "k", "cols"))
+        count, k, cols = head["count"], head["k"], head["cols"]
+        if count < 1:
+            raise FormatError("empty family is invalid")
+        entries = _decode(f, body, count, k, cols, split=True)
     members = []
-    for b, block in enumerate(blocks):
-        if len(block) != k:
-            raise FormatError(f"block {b} has {len(block)} rows, want {k}")
-        entries = _int_tokens("\n".join(block), f"block {b}")
-        if entries.size != k * cols:
-            raise FormatError(f"block {b} holds {entries.size} entries, "
-                              f"want {k * cols}")
+    for b, block in enumerate(entries.reshape(count, k, cols)):
         try:
-            members.append(OrthArray(entries.reshape(k, cols), head["v"], head["t"]))
+            members.append(OrthArray(block, head["v"], head["t"]))
         except ValueError as exc:
             raise FormatError(f"block {b}: {exc}") from None
     return ArrayFamily(tuple(members))
@@ -195,37 +352,23 @@ def read_oa_family(path) -> ArrayFamily:
 # ---------------------------------------------------------------------------
 
 def write_cms_bundle(path, fam: CmsFamily) -> None:
-    with open(Path(path), "w", encoding="ascii") as f:
-        f.write(f"{_CMS_MAGIC} {_VERSION} m={fam.m} n={fam.n} t={fam.t}\n")
-        for i, member in enumerate(fam.members):
-            if i:
-                f.write("\n")
-            for row in member.entries:
-                f.write(" ".join(str(int(x)) for x in row))
-                f.write("\n")
+    _write_blocks(path, f"{_CMS_MAGIC} {_VERSION} m={fam.m} n={fam.n} t={fam.t}\n",
+                  [member.entries for member in fam.members])
 
 
 def read_cms_bundle(path) -> CmsFamily:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise FormatError("malformed header: empty file")
-    head = _parse_header(lines[0], _CMS_MAGIC, ("m", "n", "t"))
-    m, n, t = head["m"], head["n"], head["t"]
-    if m < 1:
-        raise FormatError("empty bundle is invalid")
-    blocks = _blocks(lines[1:])
-    if len(blocks) != m:
-        raise FormatError(f"found {len(blocks)} blocks, header says {m}")
-    members = []
-    for b, block in enumerate(blocks):
-        if len(block) != n:
-            raise FormatError(f"block {b} has {len(block)} rows, want {n}")
-        entries = _int_tokens("\n".join(block), f"block {b}")
-        if entries.size != n * n:
-            raise FormatError(f"block {b} holds {entries.size} entries, "
-                              f"want {n * n}")
-        members.append(MagicSquare(entries.reshape(n, n), t))
-    return CmsFamily(tuple(members), t)
+    with open(Path(path), "rb") as f:
+        line, body = _read_header(f)
+        head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
+        m, n, t = head["m"], head["n"], head["t"]
+        if m < 1:
+            raise FormatError("empty bundle is invalid")
+        entries = _decode(f, body, m, n, n, split=True)
+    try:
+        members = tuple(MagicSquare(block, t) for block in entries.reshape(m, n, n))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return CmsFamily(members, t)
 
 
 # ---------------------------------------------------------------------------
