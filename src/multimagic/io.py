@@ -217,13 +217,15 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
                 raise FormatError(f"a row holds {per_line[full][bad][0]} entries, "
                                   f"want {cols}")
             if split:
-                edges = np.flatnonzero(np.diff(full, prepend=False, append=False))
-                sizes = (edges[1::2] - edges[::2]).tolist()
-                if run and full[0]:
-                    sizes[0] += run
-                elif run:
-                    sizes.insert(0, run)
-                run = sizes.pop() if full[-1] else 0
+                # each blank line ends the run of rows before it
+                blank = np.flatnonzero(~full)
+                if blank.size:
+                    sizes = np.concatenate(([run + blank[0]], np.diff(blank) - 1))
+                    sizes = sizes[sizes > 0].tolist()
+                    run = per_line.size - 1 - int(blank[-1])
+                else:
+                    sizes = []
+                    run += per_line.size
                 if not more and run:
                     sizes.append(run)
                 for size in sizes:
