@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import re
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,16 @@ def _parse_header(line: str, magic: str, keys: tuple[str, ...],
         if seen[key] < 0:
             raise FormatError(f"negative header dimension {key}={seen[key]}")
     return seen
+
+
+def _open(path):
+    """path opened for binary reading; a pipe or other stream that cannot
+    seek is read into memory first."""
+    f = open(Path(path), "rb")
+    if f.seekable():
+        return f
+    with f:
+        return BytesIO(f.read())
 
 
 def _read_header(f) -> tuple[str, bytes]:
@@ -162,8 +173,11 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
     of rows lines each; without it they are ignored.
     """
     total = count * rows * cols
+    here = f.tell()
+    left = len(body) + f.seek(0, os.SEEK_END) - here
+    f.seek(here)
     # every entry takes at least one digit and one separator
-    if 2 * total > len(body) + os.fstat(f.fileno()).st_size - f.tell():
+    if 2 * total > left:
         raise FormatError(f"body is too short for {total} entries")
     out = np.empty(total, dtype=np.int64)
     pos = 0       # entries parsed
@@ -303,7 +317,7 @@ def _read_binary_ms(raw: bytes) -> MagicSquare:
 
 
 def read_ms(path) -> MagicSquare:
-    with open(Path(path), "rb") as f:
+    with _open(path) as f:
         line, body = _read_header(f)
         if line.split()[:1] == [_MS_BINARY_MAGIC]:
             f.seek(0)
@@ -332,7 +346,7 @@ def write_oa_family(path, fam: ArrayFamily) -> None:
 
 
 def read_oa_family(path) -> ArrayFamily:
-    with open(Path(path), "rb") as f:
+    with _open(path) as f:
         line, body = _read_header(f)
         head = _parse_header(line, _OA_MAGIC, ("count", "k", "cols", "v", "t"),
                              dims=("count", "k", "cols"))
@@ -359,7 +373,7 @@ def write_cms_bundle(path, fam: CmsFamily) -> None:
 
 
 def read_cms_bundle(path) -> CmsFamily:
-    with open(Path(path), "rb") as f:
+    with _open(path) as f:
         line, body = _read_header(f)
         head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
         m, n, t = head["m"], head["n"], head["t"]

@@ -2,8 +2,10 @@
 identity with the row-join writer, agreement with the previous readers,
 the exact int64 range, the row-shape rule, fuzzing and memory bounds."""
 
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -258,6 +260,26 @@ class TestGrammar:
     def test_bad_block_headers(self, tmp_path, fmt, raw):
         with pytest.raises(FormatError):
             read_bytes_as(fmt, raw, tmp_path)
+
+    @pytest.mark.parametrize("fmt, raw", [
+        ("MMS", b"MMS 1 n=2 t=1 base=0\n1 2\n3 4\n"),
+        ("CMS", b"CMS 1 m=2 n=1 t=1\n5\n\n6\n"),
+        ("OAF", b"OAF 1 count=1 k=1 cols=2 v=2 t=1\n0 1\n"),
+    ])
+    def test_reads_from_a_pipe(self, tmp_path, fmt, raw):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as f:
+                f.write(raw)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = entries_of(READERS[fmt](path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(got, entries_of(READERS[fmt](_write(tmp_path, raw))))
 
     def test_header_far_larger_than_body(self, tmp_path):
         with pytest.raises(FormatError, match="too short"):
