@@ -96,19 +96,18 @@ def _open(path):
 def _read_header(f) -> tuple[str, bytes]:
     """The first line of binary file f, and the bytes read past it, from
     its line break on."""
-    buf = b""
+    parts = []
     while True:
         more = f.read(_DECODE_BYTES)
         ends = [i for i in (more.find(b"\n"), more.find(b"\r")) if i >= 0]
         if ends or not more:
             break
-        buf += more
+        parts.append(more)
     if not ends:
         raise FormatError("malformed header: no line break")
-    end = len(buf) + min(ends)
-    buf += more
+    parts.append(more[:min(ends)])
     try:
-        return buf[:end].decode("ascii"), buf[end:]
+        return b"".join(parts).decode("ascii"), more[min(ends):]
     except UnicodeDecodeError:
         raise FormatError("malformed header: not ASCII") from None
 
@@ -184,14 +183,15 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
     line = 0      # tokens on the unfinished line
     run = 0       # lines of the unfinished block
     blocks = 0    # finished blocks
-    data = body
+    parts = [body]  # unparsed bytes; each part but the first lacks a separator
     while True:
         more = f.read(_DECODE_BYTES)
-        data += more
+        if more and max(more.rfind(sep) for sep in _SEPARATORS) < 0:
+            parts.append(more)  # a token longer than one read
+            continue
+        data = b"".join(parts) + more
         if more:
             cut = max(data.rfind(sep) for sep in _SEPARATORS)
-            if cut <= 0:
-                continue
         else:
             data += b"\n"  # the last line ends with the file
             cut = len(data)
@@ -260,7 +260,7 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
             pos += n
         if not more:
             break
-        data = data[cut:]
+        parts = [data[cut:]]
     if split and blocks != count:
         raise FormatError(f"found {blocks} blocks, header says {count}")
     if pos != total:
