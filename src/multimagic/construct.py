@@ -128,13 +128,6 @@ class SdloaGrid:
     def n(self) -> int:
         return self.cells.shape[0]
 
-    def rows_family(self) -> oa.ArrayFamily:
-        by_row = np.ascontiguousarray(self.cells.transpose(0, 2, 1))
-        return oa.ArrayFamily(tuple(
-            oa.OrthArray(by_row[r], self.table.q, self.t)
-            for r in range(self.n)
-        ))
-
 
 def _base_cells(cert: MatrixPairCertificate) -> np.ndarray:
     table = cert.table
@@ -160,18 +153,18 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
     large set before returning."""
     _require_pair_flags(cert)
-    grid = SdloaGrid(cert.table, cert.t, _base_cells(cert), cert)
-    if not oa.verify_sdloa(grid.rows_family(), cert.t):
+    cells = _base_cells(cert)
+    # member r of the row orientation is grid row r, checked in place
+    if not oa._sdloa_ok(cells.transpose(0, 2, 1), cert.table.q, cert.t):
         raise ConstructionError("grid failed strong-double-large-set verification")
-    return grid
+    return SdloaGrid(cert.table, cert.t, cells, cert)
 
 
 def grid_to_ms(grid: SdloaGrid, check: bool = True) -> MagicSquare:
     """Encode each cell as sum(component_l * q**l) and verify the square."""
-    q = grid.table.q
-    weights = q ** np.arange(2 * grid.t, dtype=np.int64)
-    entries = grid.cells.astype(np.int64) @ weights
-    sq = MagicSquare(entries, grid.t)
+    # the cell encoding is the base-q column code of the row-orientation
+    # members: one in-place Horner pass over the 2t component planes
+    sq = MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
     if check:
         _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
     return sq
@@ -269,31 +262,32 @@ def build_cms(cert: MatrixPairCertificate,
     members = []
     for i, k_shift in enumerate(shifts):
         cells = table.add_table[base, k_shift[None, None, :]]
-        grid = SdloaGrid(table, t, cells, cert)
-        if not oa.verify_sdloa(grid.rows_family(), t):
+        if not oa._sdloa_ok(cells.transpose(0, 2, 1), q, t):
             raise ConstructionError(
                 f"translated grid {i} failed strong-double-large-set verification"
             )
         # verify_cms below checks every member at degree t
-        members.append(grid_to_ms(grid, check=False))
+        members.append(grid_to_ms(SdloaGrid(table, t, cells, cert), check=False))
 
-    def _family(cell_block: np.ndarray) -> oa.ArrayFamily:
-        return oa.ArrayFamily(tuple(
-            oa.OrthArray(table.add_table[cell_block, k[None, :]].T, q, t)
-            for k in shifts
-        ))
+    shift_planes = np.stack(shifts)[:, :, None]  # (members, 2t, 1)
+
+    def _large_set(cell_block: np.ndarray) -> bool:
+        """Cells (N, 2t) of one line, translated by every shift: member s
+        of the family is the (2t, N) array cell_block.T + shift s."""
+        stack = table.add_table[cell_block.T[None], shift_planes]
+        return oa._large_set_ok([stack], q, t)
 
     for x in range(n):
-        if not oa.verify_large_set(_family(base[x]), t):
+        if not _large_set(base[x]):
             raise ConstructionError(f"row family X={x} is not a large set")
     for y in range(n):
-        if not oa.verify_large_set(_family(base[:, y]), t):
+        if not _large_set(base[:, y]):
             raise ConstructionError(f"column family Y={y} is not a large set")
 
     ar = np.arange(n)
     checks = {"rows": True, "columns": True}
-    checks["main_diagonal"] = oa.verify_large_set(_family(base[ar, ar]), t)
-    checks["back_diagonal"] = oa.verify_large_set(_family(base[ar, n - 1 - ar]), t)
+    checks["main_diagonal"] = _large_set(base[ar, ar])
+    checks["back_diagonal"] = _large_set(base[ar, n - 1 - ar])
     if require_diagonals and not (checks["main_diagonal"] and checks["back_diagonal"]):
         bad = [k for k in ("main_diagonal", "back_diagonal") if not checks[k]]
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
@@ -451,10 +445,12 @@ def _compose_blocks(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> 
         raise ValueError("composite order is beyond the supported range")
 
     stack = np.stack([mem.normalized() for mem in fam.members])
-    blocks = stack[assign.f]  # (m, m, n, n)
-    out = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n) \
-        + np.kron(a.normalized() * (n * n), np.ones((n, n), dtype=np.int64))
-    sq = MagicSquare(out, a.t)
+    outer = a.normalized() * (n * n)
+    # out[i, :, j, :] is block (i, j); filled one block-row at a time
+    out = np.empty((m, n, m, n), dtype=np.int64)
+    for i in range(m):
+        np.add(stack[assign.f[i]].transpose(1, 0, 2), outer[i][None, :, None], out=out[i])
+    sq = MagicSquare(out.reshape(m * n, m * n), a.t)
     _verified_or_raise(verify.verify_ms(sq, a.t), "composed square")
     return sq
 

@@ -193,8 +193,7 @@ class FieldTable:
                     self.inv_table):
             arr.setflags(write=False)
 
-        if q <= 64:
-            self._self_check()
+        self._self_check()
 
     # -- construction internals --------------------------------------------
 
@@ -237,17 +236,34 @@ class FieldTable:
         raise RuntimeError("no primitive element found")  # impossible for a field
 
     def _self_check(self) -> None:
-        """Exhaustive field-axiom check, run at build time for small q."""
-        q = self.q
+        """Field check in O(q^2 m), run at build time for every q.
+
+        1. add[a, b] is the digit-wise sum of a and b mod p.
+        2. mul[a, 1] = a, and mul[a, x^(j+1)] is x * mul[a, x^j] reduced by
+           the modulus f, for j < m - 1 (x^j has label p^j).
+        3. mul is GF(p)-linear in its second argument:
+           mul[a, b] = sum_j b_j * mul[a, x^j], digit-wise mod p.
+
+        Proof that these suffice: by 1 the labels add as the vectors of
+        Z_p[x]/(f).  By 2 and induction mul[a, x^j] = a x^j mod f for every
+        j < m, so by 3 mul[a, b] = sum_j b_j a x^j = a b mod f.  f is
+        irreducible (_find_modulus tests it), so Z_p[x]/(f) is a field and
+        add and mul are its tables.  neg, inv and add(j, q-1-j) = q-1 are
+        then checked entry by entry.
+        """
+        p, m, q = self.p, self.m, self.q
         add, mul = self.add_table, self.mul_table
+        d = self.digits.astype(np.int64)
+        xj = d[mul[:, p ** np.arange(m)]]  # xj[a, j] = digits of a x^j
+        low, top = xj[:, :-1, :-1], xj[:, :-1, -1:]
+        # x (c_0 + ... + c_{m-1} x^{m-1}) with x^m = -(f_0 + ... + f_{m-1} x^{m-1})
+        times_x = np.concatenate([np.zeros_like(top), low], axis=2) \
+            - top * np.array(self.spec.modulus[:m])
         ok = (
-            np.array_equal(add, add.T)
-            and np.array_equal(mul, mul.T)
-            and np.array_equal(add[add][:, :, :], add[:, add])
-            and np.array_equal(mul[mul][:, :, :], mul[:, mul])
-            and np.array_equal(
-                mul[:, add], add[mul[:, :, None], mul[:, None, :]]
-            )
+            np.array_equal(d[add], (d[:, None, :] + d[None, :, :]) % p)
+            and np.array_equal(mul[:, 1], np.arange(q))
+            and np.array_equal(xj[:, 1:], times_x % p)
+            and np.array_equal(d[mul], np.matmul(d, xj) % p)
             and np.array_equal(add[np.arange(q), self.neg_table], np.zeros(q))
             and np.array_equal(
                 mul[np.arange(1, q), self.inv_table[1:]], np.ones(q - 1)

@@ -1,7 +1,8 @@
 """Orthogonal arrays and exact large-set / double-large-set checks.
 
-Every check runs on a (count, k, N) stack of members through one subset
-tally, one column code and one member pass:
+Every check runs on a (count, k, N) stack of members, which may be a
+strided view (a grid's cells are checked in place), through one subset
+tally, one column code, one coverage seen-map and one member pass:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -9,9 +10,14 @@ tally, one column code and one member pass:
   does not divide fails untallied), so v^t <= N < 2^53 keeps the codes
   exact.  In-scope arrays have at most 2t <= 20 rows.
 * Distinct columns are found by a lexicographic column sort, exact for
-  any v^k.  Coverage counts base-v int64 column codes, exact while
-  v^k < 2^63 (column_codes raises ValueError beyond); a large set holds
-  v^k columns in memory, so its count is always in range.
+  any v^k.  Column codes are base-v int64, exact while v^k < 2^63
+  (column_codes raises ValueError beyond); a large set holds v^k columns
+  in memory, so its codes are always in range.
+* Coverage: the family holds exactly v^k columns (checked first, a
+  ValueError otherwise), and each column code marks one byte of a v^k
+  seen-map.  By pigeonhole, v^k codes that mark all v^k bytes hit each
+  byte exactly once, so "every byte marked" is the same verdict as "every
+  count equal to 1" at one byte per code instead of eight.
 * Members: only member 0 is always tallied.  A member with
   member[i, j] = sigma_i(member_0[i, j]) for injective per-row maps
   sigma_i needs no tally: sigma carries the t-tuples of any row subset
@@ -19,6 +25,9 @@ tally, one column code and one member pass:
   its tuple counts are those of member 0 permuted.  This check is exact,
   field-free and O(N k) per member; a member that fails it is tallied
   exhaustively, so the verdict is the full tally's on every input.
+
+The private entry points _large_set_ok and _sdloa_ok take stacks; the
+public verify_* functions wrap them for OrthArray families.
 """
 
 from __future__ import annotations
@@ -172,9 +181,9 @@ def is_simple(arr: OrthArray) -> bool:
     return _distinct_columns(arr.entries[None])
 
 
-# Entries per chunk of members in the relabelling pass; keeps its
-# temporaries, and the copy of the members it sends to the tally, to a
-# few tens of MB whatever the family size.
+# Entries per chunk of members in the relabelling and coverage passes;
+# keeps their temporaries, and the copy of the members sent to the tally,
+# to a few tens of MB whatever the family size.
 _CHUNK_ENTRIES = 8_000_000
 
 
@@ -209,26 +218,30 @@ def _relabelled_members_ok(members: np.ndarray, v: int, t: int) -> bool:
     return True
 
 
-def _large_set_stacks(fam: ArrayFamily, t: int) -> list[np.ndarray] | None:
-    """The members as (count, k, N) stacks, one per column count, if they
-    form a large set of strength t, else None; ValueError if their shapes
-    cannot."""
+def _large_set_ok(stacks: list[np.ndarray], v: int, t: int) -> bool:
+    """Large-set check on (count, k, N) member stacks sharing k (one per
+    column count), entries in 0..v-1: every member a simple OA of strength
+    t, and the columns cover every k-tuple exactly once; ValueError if
+    their shapes cannot."""
     if t < 1:
         raise ValueError("strength must be at least 1")
-    total = sum(m.n_cols for m in fam.members)
-    full = fam.v**fam.k
+    k = stacks[0].shape[1]
+    total = sum(s.shape[0] * s.shape[2] for s in stacks)
+    full = v**k
     if total != full:
         raise ValueError(f"family holds {total} columns but a large set needs v^k={full}")
-    groups: dict[int, list[np.ndarray]] = {}
-    for m in fam.members:
-        groups.setdefault(m.n_cols, []).append(m.entries)
-    for n in groups:
-        _check_strength(fam.k, n, fam.v, t)
-    stacks = [np.stack(group) for group in groups.values()]
-    if not all(_relabelled_members_ok(s, fam.v, t) for s in stacks):
-        return None
-    codes = np.concatenate([_column_codes(s, fam.v).ravel() for s in stacks])
-    return stacks if np.all(np.bincount(codes, minlength=full) == 1) else None
+    for s in stacks:
+        _check_strength(k, s.shape[2], v, t)
+    if not all(_relabelled_members_ok(s, v, t) for s in stacks):
+        return False
+    # the full columns mark a v^k seen-map; by pigeonhole, all marked
+    # means each k-tuple covered exactly once (see the module docstring)
+    seen = np.zeros(full, dtype=bool)
+    for s in stacks:
+        chunk = max(1, _CHUNK_ENTRIES // (k * s.shape[2]))
+        for s0 in range(0, s.shape[0], chunk):
+            seen[_column_codes(s[s0:s0 + chunk], v).ravel()] = True
+    return bool(seen.all())
 
 
 def verify_large_set(fam: ArrayFamily, t: int) -> bool:
@@ -238,7 +251,18 @@ def verify_large_set(fam: ArrayFamily, t: int) -> bool:
     Members are stacked by column count; in each stack member 0 is tallied
     and every other member is proved as a per-row relabelling of it or,
     failing that, tallied (see the module docstring)."""
-    return _large_set_stacks(fam, t) is not None
+    groups: dict[int, list[np.ndarray]] = {}
+    for m in fam.members:
+        groups.setdefault(m.n_cols, []).append(m.entries)
+    return _large_set_ok([np.stack(group) for group in groups.values()], fam.v, t)
+
+
+def _diagonals(members: np.ndarray) -> np.ndarray:
+    """(2, k, N) stack of the diagonal selections of an (N, k, N) stack:
+    column j of slab 0 is column j of member j, and column j of slab 1 is
+    column N-1-j of member j."""
+    ar = np.arange(members.shape[0])
+    return members[ar, :, np.stack([ar, ar[::-1]])].transpose(0, 2, 1)
 
 
 def diagonal_selections(fam: ArrayFamily) -> tuple[OrthArray, OrthArray]:
@@ -248,10 +272,19 @@ def diagonal_selections(fam: ArrayFamily) -> tuple[OrthArray, OrthArray]:
     n = members[0].n_cols
     if len(members) != n or any(m.n_cols != n for m in members):
         raise ValueError("diagonal selection needs member count == column count")
-    v, t = fam.v, members[0].t
-    d = np.stack([m.entries[:, j] for j, m in enumerate(members)], axis=1)
-    d_back = np.stack([m.entries[:, n - 1 - j] for j, m in enumerate(members)], axis=1)
-    return OrthArray(d, v, t), OrthArray(d_back, v, t)
+    d, d_back = _diagonals(np.stack([m.entries for m in members]))
+    return OrthArray(d, fam.v, members[0].t), OrthArray(d_back, fam.v, members[0].t)
+
+
+def _sdloa_ok(members: np.ndarray, v: int, t: int) -> bool:
+    """SDLOA check on an (N, k, N) member stack with N * N = v^k and
+    entries in 0..v-1, which may be a view: a large set in the row
+    orientation, the member pass in the column orientation (whose columns
+    are the same multiset, so coverage needs no second count), and both
+    diagonal selections tallied at strength t."""
+    return (_large_set_ok([members], v, t)
+            and _relabelled_members_ok(members.transpose(2, 1, 0), v, t)
+            and _strength_ok(_diagonals(members), v, t))
 
 
 def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
@@ -267,8 +300,4 @@ def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
         raise ValueError(f"need N={n} members, got {count}")
     if count * n != fam.v**fam.k:
         raise ValueError("member count x columns must equal v^k")
-    # Column coverage is the same multiset of columns as row coverage.
-    stacks = _large_set_stacks(fam, t)
-    if stacks is None or not _relabelled_members_ok(stacks[0].transpose(2, 1, 0), fam.v, t):
-        return False
-    return all(verify_oa(OrthArray(d.entries, fam.v, t)) for d in diagonal_selections(fam))
+    return _sdloa_ok(np.stack([m.entries for m in fam.members]), fam.v, t)

@@ -5,6 +5,18 @@ No floating point anywhere.  Line power sums are taken modulo 2**64
 (int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then
 recombined exactly by the CRT.  Products of residues below 2**31, and
 line sums of n < 2**32 of them, fit in int64.
+
+The residues are summed over row blocks of about a million entries, so no
+temporary is larger than a block.  A row sum lies in one block.  Column
+and diagonal sums add up across blocks in int64: modulo 2**64 the adds
+wrap, which keeps them congruent, and for an odd modulus a column sum of
+n residues stays below n * 2**31.  The CRT needs only congruent residues,
+so it runs once, after the last block.
+
+The consecutive-entry check needs no sort: after a range check, each of
+the n^2 entries marks one byte of an n^2 seen-map, and by pigeonhole n^2
+entries in range mark every byte exactly when they are 0..n^2-1, each
+once.
 """
 
 from __future__ import annotations
@@ -183,12 +195,6 @@ def _moduli(bound: int) -> list[int]:
     return moduli
 
 
-def _line_sums(p: np.ndarray) -> list[int]:
-    """Row sums, column sums, main and back diagonal sums of p, in int64."""
-    return np.concatenate([p.sum(axis=1), p.sum(axis=0),
-                           [np.trace(p), np.trace(np.fliplr(p))]]).tolist()
-
-
 def _power_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
     """x**e mod m by square-and-multiply, for 0 <= x < m < 2**31."""
     if e == 1:
@@ -197,18 +203,37 @@ def _power_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
     return half * x % m if e & 1 else half
 
 
+# Entries per row block of the power sums.
+_BLOCK_ENTRIES = 1 << 20
+
+
 def _line_power_sums(mat: np.ndarray, e: int):
     """Row sums, column sums, and both diagonal sums of entrywise e-th
     powers, exact, as Python ints (rows, cols, diag, back).  Each sum lies
-    in [-B, B], B = n * max|x|**e; its residues modulo _moduli(B) are
-    recombined by Garner's CRT into (-M/2, M/2], M their product."""
+    in [-B, B], B = n * max|x|**e; its residues modulo _moduli(B), summed
+    over row blocks, are recombined by Garner's CRT into (-M/2, M/2], M
+    their product."""
     n = mat.shape[0]
     lo, hi = int(mat.min(initial=0)), int(mat.max(initial=0))
     moduli = _moduli(n * max(-lo, hi) ** e)
-    residues = [_line_sums(mat**e if e > 1 else mat)]
-    for m in moduli[1:]:
-        r = mat if 0 <= lo and hi < m else mat % m
-        residues.append(_line_sums(_power_mod(r, e, m)))
+    step = max(1, _BLOCK_ENTRIES // max(1, n))
+    residues = []
+    for m in moduli:
+        rows = np.empty(n, dtype=np.int64)
+        cols = np.zeros(n, dtype=np.int64)
+        diag = back = 0
+        for r0 in range(0, n, step):
+            blk = mat[r0:r0 + step]
+            if m == moduli[0]:  # 2**64: int64 wraparound
+                p = blk**e if e > 1 else blk
+            else:
+                p = _power_mod(blk if 0 <= lo and hi < m else blk % m, e, m)
+            r = np.arange(len(blk))
+            rows[r0:r0 + len(blk)] = p.sum(axis=1)
+            cols += p.sum(axis=0)
+            diag += int(p[r, r0 + r].sum())
+            back += int(p[r, n - 1 - r0 - r].sum())
+        residues.append(rows.tolist() + cols.tolist() + [diag, back])
 
     steps, product = [], 1
     for m in moduli:
@@ -234,8 +259,10 @@ def verify_ms(sq: MagicSquare, t: int | None = None) -> VerifyReport:
     norm = sq.normalized()
     failures: list[LineFailure] = []
 
-    flat = np.sort(norm, axis=None)
-    consecutive_ok = bool(np.array_equal(flat, np.arange(n * n, dtype=np.int64)))
+    seen = np.zeros(n * n, dtype=bool)
+    if n and 0 <= norm.min() and norm.max() < n * n:
+        seen[norm.ravel()] = True
+    consecutive_ok = bool(seen.all())
 
     sums = {}
     for e in range(1, t + 1):

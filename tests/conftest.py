@@ -21,6 +21,13 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def rows_family(grid) -> oa.ArrayFamily:
+    """A grid's row orientation as an OrthArray family: member r holds the
+    cells of grid row r as its columns."""
+    by_row = np.ascontiguousarray(grid.cells.transpose(0, 2, 1))
+    return oa.ArrayFamily(tuple(oa.OrthArray(m, grid.table.q, grid.t) for m in by_row))
+
+
 @pytest.fixture(scope="session")
 def f3():
     return gf.build_field(3, 1)

@@ -22,6 +22,8 @@ from multimagic.construct import (
 from multimagic.errors import ConstructionError
 from multimagic.linalg import FMatrix
 
+from conftest import rows_family
+
 E1_ROWS = ((1, 0), (0, 1), (1, 1), (2, 1))
 E2_ROWS = ((0, 1), (2, 0), (1, 2), (1, 1))
 
@@ -90,7 +92,7 @@ class TestGrid:
         grid = build_sdloa_grid(cert)
         assert grid.n == q**t
         # build_sdloa_grid already gates on the verifier; re-run it here
-        assert oa.verify_sdloa(grid.rows_family(), t)
+        assert oa.verify_sdloa(rows_family(grid), t)
 
     def test_bad_certificate_rejected(self, f3):
         e1 = FMatrix.from_rows(f3, E1_ROWS)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,8 @@ class TestPrimitiveElement:
 class TestInvariants:
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (7, 1)])
     def test_axioms_exhaustive_small(self, p, m):
-        # build_field already self-checks exhaustively for q <= 64; redo
-        # the core identities here independently of that gate
+        # build_field already self-checks every field; redo the core
+        # identities here independently of that gate
         table = gf.build_field(p, m)
         q = table.q
         add, mul = table.add_table, table.mul_table
@@ -156,6 +158,75 @@ class TestInvariants:
             f9.index_of((1,))  # wrong length
         with pytest.raises(ValueError):
             f9.index_of((3, 0))  # digit out of range
+
+
+def exhaustive_field_ok(table: gf.FieldTable) -> bool:
+    """The O(q^3) field-axiom check, kept as the oracle for q <= 64."""
+    q = table.q
+    add, mul = table.add_table, table.mul_table
+    return bool(
+        np.array_equal(add, add.T)
+        and np.array_equal(mul, mul.T)
+        and np.array_equal(add[add][:, :, :], add[:, add])
+        and np.array_equal(mul[mul][:, :, :], mul[:, mul])
+        and np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]])
+        and np.array_equal(add[np.arange(q), table.neg_table], np.zeros(q))
+        and np.array_equal(mul[np.arange(1, q), table.inv_table[1:]], np.ones(q - 1))
+        and np.array_equal(add[np.arange(q), q - 1 - np.arange(q)], np.full(q, q - 1))
+    )
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("q", [q for q in range(2, 65) if gf.prime_power(q)])
+    def test_exhaustive_oracle_agrees(self, q):
+        # build_field_q runs the O(q^2 m) check; the oracle must agree
+        assert exhaustive_field_ok(gf.build_field_q(q))
+
+    @pytest.mark.parametrize("q", [8, 9, 49, 256, 512])
+    @pytest.mark.parametrize("which", ["add_table", "mul_table"])
+    def test_one_corrupted_entry_raises(self, q, which):
+        table = gf.build_field_q(q)
+        p, m = table.p, table.m
+        rng = np.random.default_rng(q)
+        # two random entries, plus entries at x^0, x^1 and x^(m-1), the
+        # second arguments the linearity condition takes as given
+        cols = [int(rng.integers(q)), int(rng.integers(q))] + sorted({1, p, p ** (m - 1)})
+        for b in cols:
+            a = int(rng.integers(q))
+            entries = getattr(table, which).copy()
+            entries[a, b] = (entries[a, b] + 1) % q
+            bad = copy.copy(table)
+            setattr(bad, which, entries)
+            with pytest.raises(RuntimeError):
+                bad._self_check()
+            if q <= 64:
+                assert not exhaustive_field_ok(bad)
+
+
+    @pytest.mark.parametrize("q", [7, 9, 256, 512])
+    def test_linear_row_corruptions_raise(self, q):
+        # row a of mul replaced by another map that is GF(p)-linear in b,
+        # so only the conditions on mul[a, 1] and mul[a, x^(j+1)] can fail
+        table = gf.build_field_q(q)
+        p, m = table.p, table.m
+        d = table.digits.astype(np.int64)
+        a = q // 2
+        images = d[table.mul_table[a, p ** np.arange(m)]]  # digits of a x^j
+        for j in (0, m - 1):  # a * 1, then a * x^(m-1)
+            changed = images.copy()
+            changed[j, 0] = (changed[j, 0] + 1) % p
+            entries = table.mul_table.copy()
+            entries[a] = (d @ changed % p) @ p ** np.arange(m)
+            bad = copy.copy(table)
+            bad.mul_table = entries
+            hit = np.flatnonzero(entries[a] == 1)
+            if hit.size:  # keep the inverse table consistent with the new row
+                bad.inv_table = table.inv_table.copy()
+                bad.inv_table[a] = hit[0]
+            with pytest.raises(RuntimeError):
+                bad._self_check()
+            if q <= 64:
+                assert not exhaustive_field_ok(bad)
 
 
 def test_modulus_str():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multimagic import construct, gf, linalg, oa
+
+from conftest import rows_family
 
 
 def recount_oracle(arr: oa.OrthArray) -> bool:
@@ -259,10 +263,15 @@ def with_member(fam: oa.ArrayFamily, s: int, entries: np.ndarray) -> oa.ArrayFam
     return oa.ArrayFamily(tuple(members))
 
 
-def built_grid(q: int, t: int) -> oa.ArrayFamily:
+@lru_cache(maxsize=None)
+def grid_of(q: int, t: int) -> construct.SdloaGrid:
     table = gf.build_field_q(q)
     cert = construct.registered_pair(table, t) or linalg.find_sdloa_pair(table, t)
-    return construct.build_sdloa_grid(cert).rows_family()
+    return construct.build_sdloa_grid(cert)
+
+
+def built_grid(q: int, t: int) -> oa.ArrayFamily:
+    return rows_family(grid_of(q, t))
 
 
 class TestSdloaShortcut:
@@ -394,6 +403,91 @@ class TestSdloaShortcut:
         # broken ones fail it: both outcomes of the fallback are exercised
         assert rows_ok[0, True] and rows_ok[2, True]
         assert rows_ok[3, False] and rows_ok[4, False]
+
+
+def reference_parts(cells: np.ndarray, v: int, t: int) -> dict:
+    """Exhaustive reference on an (N, N, k) cell grid, part by part: every
+    member of both orientations tallied, coverage by bincount, and both
+    diagonals gathered cell by cell."""
+    n, _, k = cells.shape
+    codes = (cells.astype(np.int64) * v ** np.arange(k)).sum(axis=2).ravel()
+    diag = np.stack([cells[j, j] for j in range(n)], axis=1)
+    back = np.stack([cells[j, n - 1 - j] for j in range(n)], axis=1)
+    return {
+        "rows": oa._stack_members_ok(np.ascontiguousarray(cells.transpose(0, 2, 1)), v, t),
+        "cols": oa._stack_members_ok(np.ascontiguousarray(cells.transpose(1, 2, 0)), v, t),
+        "cover": bool(np.all(np.bincount(codes, minlength=v**k) == 1)),
+        "diag": oa._strength_ok(diag[None], v, t),
+        "back": oa._strength_ok(back[None], v, t),
+    }
+
+
+# Grid rows reordered by X -> A X: both orientations and the main diagonal
+# stay intact, only the back diagonal breaks (A found by search; the
+# test pins that effect)
+BACK_ONLY = {(5, 2): ((2, 2), (3, 4)), (5, 3): ((0, 0, 1), (2, 2, 2), (0, 3, 1))}
+
+
+def corrupted(q: int, t: int, kind: str) -> np.ndarray:
+    """The cells of grid (q, t) with member j = 1 (grid row 1) corrupted."""
+    cells = grid_of(q, t).cells.copy()
+    n, j = cells.shape[0], 1
+    if kind == "cell_swap":  # two cells of row j, off both diagonals
+        a, b = [c for c in range(n) if c not in (j, n - 1 - j)][:2]
+        cells[j, [a, b]] = cells[j, [b, a]]
+    elif kind == "component_shift":  # component 0 of half the row only
+        cells[j, :n // 2, 0] = (cells[j, :n // 2, 0] + 1) % q
+    elif kind == "broken_diagonal":  # the row's two diagonal cells swapped
+        cells[j, [j, n - 1 - j]] = cells[j, [n - 1 - j, j]]
+    elif kind == "row_exchange":
+        # one OA row (a cell component) exchanged between members j and
+        # j + 1: each stays an OA, as a relabelling, but coverage breaks
+        i = int(np.flatnonzero(cells[j, 0] != cells[j + 1, 0])[0])
+        cells[[j, j + 1], :, i] = cells[[j + 1, j], :, i]
+    elif kind == "member_order":
+        img = construct._all_products(gf.build_field_q(q), np.array(BACK_ONLY[q, t]))
+        order = img.astype(np.int64) @ q ** np.arange(t - 1, -1, -1)
+        assert np.unique(order).size == n
+        cells = cells[order]
+    return cells
+
+
+# what each corruption breaks, by the reference
+BROKEN = {
+    None: [],
+    "cell_swap": ["cols"],
+    "component_shift": ["cols", "cover", "diag", "rows"],
+    "broken_diagonal": ["back", "cols", "diag"],
+    "row_exchange": ["back", "cols", "cover", "diag"],
+    "member_order": ["back"],
+}
+CASES = [(q, t, kind) for q, t in [(3, 2), (5, 2), (5, 3)] for kind in BROKEN
+         if kind != "member_order" or (q, t) in BACK_ONLY]
+
+
+class TestArrayEntryPoints:
+    """_sdloa_ok on the cell view, verify_sdloa on the row family and the
+    exhaustive reference agree on built grids and corrupted ones."""
+
+    @pytest.mark.parametrize("q,t,kind", CASES)
+    def test_paths_agree(self, q, t, kind):
+        cells = grid_of(q, t).cells if kind is None else corrupted(q, t, kind)
+        parts = reference_parts(cells, q, t)
+        assert sorted(p for p, ok in parts.items() if not ok) == BROKEN[kind]
+        verdict = all(parts.values())
+        assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t) == verdict
+        fam = rows_family(dataclasses.replace(grid_of(q, t), cells=cells))
+        assert oa.verify_sdloa(fam, t) == verdict
+        # the large-set entry point alone, on the row orientation
+        row_ls = parts["rows"] and parts["cover"]
+        assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t) == row_ls
+        assert oa.verify_large_set(fam, t) == row_ls == exhaustive_large_set(fam, t)
+
+    def test_row_exchange_passes_the_member_pass(self):
+        # so only the coverage seen-map can reject the row large set
+        cells = corrupted(5, 3, "row_exchange")
+        assert oa._relabelled_members_ok(cells.transpose(0, 2, 1), 5, 3)
+        assert not oa._large_set_ok([cells.transpose(0, 2, 1)], 5, 3)
 
 
 class TestFixtureProperties:

@@ -130,7 +130,54 @@ def _bound(mat, e):
     return mat.shape[0] * int(np.abs(mat.astype(object)).max()) ** e
 
 
+def _sorted_consecutive(sq: MagicSquare) -> bool:
+    """The consecutive-entry check by sorting, kept as the oracle."""
+    flat = np.sort(sq.normalized(), axis=None)
+    return bool(np.array_equal(flat, np.arange(sq.n * sq.n, dtype=np.int64)))
+
+
+def _with(entries, i, j, x):
+    out = entries.copy()
+    out[i, j] = x
+    return out
+
+
+CONSECUTIVE_CASES = {
+    "valid": (lambda e: MagicSquare(e, 2), True),
+    "duplicate": (lambda e: MagicSquare(_with(e, 0, 0, e[0, 1]), 2), False),
+    "negative": (lambda e: MagicSquare(_with(e, 3, 4, -1), 2), False),
+    "equal_to_n_squared": (lambda e: MagicSquare(_with(e, 4, 4, 81), 2), False),
+    "base_shifted": (lambda e: MagicSquare(e + 100, 2, base=100), True),
+    "base_unshifted": (lambda e: MagicSquare(e, 2, base=100), False),
+    "base_wrong_top": (lambda e: MagicSquare(_with(e + 7, 0, 0, 88), 2, base=7), False),
+    "one_by_one": (lambda e: MagicSquare(np.array([[0]]), 1), True),
+    "one_by_one_off": (lambda e: MagicSquare(np.array([[1]]), 1), False),
+}
+
+
+class TestConsecutiveSeenMap:
+    @pytest.mark.parametrize("case", sorted(CONSECUTIVE_CASES))
+    def test_agrees_with_sort(self, golden_cms9, case):
+        build, want = CONSECUTIVE_CASES[case]
+        sq = build(golden_cms9.members[0].entries)
+        rep = verify_ms(sq, 1)
+        assert rep.consecutive_ok == _sorted_consecutive(sq) == want
+        assert ("entries" in {f.kind for f in rep.failures}) != want
+
+
 class TestExactPowerSums:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_row_blocks(self, rows, monkeypatch):
+        # odd orders, some ending in a partial block, so both diagonals
+        # cross block edges; signed entries wide enough that degrees 2-5
+        # wrap int64 and take several moduli
+        rng = np.random.default_rng(rows)
+        for n in (1, 9, 15):
+            mat = rng.integers(-(2**40), 2**40, size=(n, n), dtype=np.int64)
+            monkeypatch.setattr(V, "_BLOCK_ENTRIES", rows * n)
+            for e in range(1, 6):
+                assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+
     def test_permutation_matrix_low_degrees(self):
         rng = np.random.default_rng(0)
         mat = rng.permutation(64 * 64).astype(np.int64).reshape(64, 64) * 2381
