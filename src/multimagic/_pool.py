@@ -1,0 +1,73 @@
+"""One worker pool shared by the per-entry passes (power sums, encoding).
+
+The pool is created on first use, so importing the package starts no
+thread.  Its workers run private kernels only; public functions always
+run on the calling thread.  A call made on a worker runs inline, so
+nested maps cannot deadlock.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_size = usable_cores()
+_executor: ThreadPoolExecutor | None = None
+_lock = threading.Lock()  # guards _size and _executor
+_local = threading.local()
+
+
+def size() -> int:
+    """Number of workers."""
+    return _size
+
+
+def set_size(workers: int) -> None:
+    """Use workers threads from now on; 1 runs every map inline."""
+    global _size, _executor
+    if workers < 1:
+        raise ValueError("the pool needs at least one worker")
+    with _lock:
+        if _executor is not None and workers != _size:
+            _executor.shutdown()
+            _executor = None
+        _size = workers
+
+
+def _mark_worker() -> None:
+    _local.worker = True
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each item, in order, with at most 2 * size()
+    calls submitted and not yet yielded."""
+    global _executor
+    if _size == 1 or getattr(_local, "worker", False):
+        yield from map(fn, items)
+        return
+    with _lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(_size, "multimagic", _mark_worker)
+        executor, workers = _executor, _size
+    window = deque()
+    try:
+        for item in items:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(executor.submit(fn, item))
+        while window:
+            yield window.popleft().result()
+    finally:
+        for future in window:
+            future.cancel()

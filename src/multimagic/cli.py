@@ -12,9 +12,7 @@ import argparse
 import sys
 from math import gcd
 
-import numpy as np
-
-from . import construct, gf, io, linalg, oa, verify
+from . import _pool, construct, gf, io, linalg, oa, verify
 from .errors import ConstructionError, FormatError
 
 EXIT_OK = 0
@@ -43,33 +41,29 @@ def _cmd_search_matrices(args) -> int:
     return EXIT_OK
 
 
+def _check_read_back(path, artifact) -> None:
+    if not io.read_matches(path, artifact):
+        raise ConstructionError("artifact did not round-trip")
+
+
 def _cmd_gen_ms(args) -> int:
     table = gf.build_field_q(args.q)
     progress = (lambda msg: print(f"# {msg}")) if args.verbose else None
     if args.method == "qt":
         sq = construct.build_ms_qt(table, args.t)
     else:
-        sq = construct.build_ms_q2t1(table, args.t, threads=args.threads,
-                                     progress=progress)
+        sq = construct.build_ms_q2t1(table, args.t, progress=progress)
     io.write_ms(args.out, sq)
-    back = io.read_ms(args.out)
-    if not np.array_equal(back.entries, sq.entries):
-        raise ConstructionError("artifact did not round-trip")
+    _check_read_back(args.out, sq)
     print(f"wrote MS({sq.n},{sq.t}) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_gen_cms(args) -> int:
     table = gf.build_field_q(args.q)
-    fam = construct.build_cms_family(table, args.t, threads=args.threads)
+    fam = construct.build_cms_family(table, args.t)
     io.write_cms_bundle(args.out, fam)
-    back = io.read_cms_bundle(args.out)
-    same = all(
-        np.array_equal(a.entries, b.entries)
-        for a, b in zip(back.members, fam.members)
-    )
-    if not same:
-        raise ConstructionError("artifact did not round-trip")
+    _check_read_back(args.out, fam)
     print(f"wrote {fam.m}-CMS({fam.n},{fam.t}) to {args.out}")
     return EXIT_OK
 
@@ -107,11 +101,9 @@ def _cmd_compose(args) -> int:
         a = io.read_ms(args.cms[0])
         fam = io.read_cms_bundle(args.cms[1])
         assign = _infer_block_assignment(a.n, fam.m)
-        sq = construct.cms_compose(a, fam, assign, threads=args.threads)
+        sq = construct.cms_compose(a, fam, assign)
     io.write_ms(args.out, sq)
-    back = io.read_ms(args.out)
-    if not np.array_equal(back.entries, sq.entries):
-        raise ConstructionError("artifact did not round-trip")
+    _check_read_back(args.out, sq)
     print(f"wrote MS({sq.n},{sq.t}) to {args.out}")
     return EXIT_OK
 
@@ -125,7 +117,7 @@ def _cmd_verify_ms(args) -> int:
 
 def _cmd_verify_cms(args) -> int:
     fam = io.read_cms_bundle(args.file)
-    report = verify.verify_cms(fam.members, fam.t, threads=args.threads)
+    report = verify.verify_cms(fam.members, fam.t)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -164,6 +156,18 @@ def _cmd_plan(args) -> int:
     return EXIT_OK if plan.feasible else EXIT_VERIFY_FAIL
 
 
+def _workers(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _add_threads(p) -> None:
+    p.add_argument("--threads", type=_workers, default=None,
+                   help="worker threads for verification and encoding "
+                        "(default: the usable cores)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multimagic",
@@ -188,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--method", choices=("qt", "q2t1"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     p.add_argument("--verbose", action="store_true",
                    help="print pipeline stages as they complete")
     p.set_defaults(func=_cmd_gen_ms)
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     p.set_defaults(func=_cmd_gen_cms)
 
     p = sub.add_parser("compose", help="compose two artifacts into a square")
@@ -207,18 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cms", nargs=2, metavar=("A", "BUNDLE"),
                        help="block composition of a square with a family")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("verify-ms", help="verify a square file")
     p.add_argument("file")
     p.add_argument("--t", type=int, default=None,
                    help="override the degree declared in the file")
+    _add_threads(p)
     p.set_defaults(func=_cmd_verify_ms)
 
     p = sub.add_parser("verify-cms", help="verify a family bundle")
     p.add_argument("file")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     p.set_defaults(func=_cmd_verify_cms)
 
     p = sub.add_parser("verify-oa", help="verify an array family file")
@@ -243,6 +248,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _pool.set_size(getattr(args, "threads", None) or _pool.usable_cores())
     try:
         return args.func(args)
     except FormatError as exc:

@@ -227,8 +227,7 @@ class CmsFamily:
 
 
 def build_cms(cert: MatrixPairCertificate,
-              scheme: TranslationScheme | None = None,
-              threads: int = 1) -> CmsFamily:
+              scheme: TranslationScheme | None = None) -> CmsFamily:
     """One translated grid per (H, H*) pair, each encoded to a square.
 
     Asserts that the grids are strong double large sets and that the
@@ -292,8 +291,7 @@ def build_cms(cert: MatrixPairCertificate,
         bad = [k for k in ("main_diagonal", "back_diagonal") if not checks[k]]
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
 
-    _verified_or_raise(verify.verify_cms(members, t, threads=threads),
-                       "complementary family")
+    _verified_or_raise(verify.verify_cms(members, t), "complementary family")
     return CmsFamily(tuple(members), t, checks)
 
 
@@ -323,14 +321,14 @@ def registered_scheme(table: FieldTable, t: int) -> TranslationScheme | None:
     return TranslationScheme(tuple(zip(_CMS9_H, _CMS9_HSTAR)))
 
 
-def build_cms_family(table: FieldTable, t: int, threads: int = 1) -> CmsFamily:
+def build_cms_family(table: FieldTable, t: int) -> CmsFamily:
     """The gen-cms entry point: fixture pair if registered, else the
     certified scalar search with the H* = d H scheme."""
     cert = registered_pair(table, t)
     if cert is not None:
-        return build_cms(cert, registered_scheme(table, t), threads=threads)
+        return build_cms(cert, registered_scheme(table, t))
     cert = linalg.find_cms_pair(table, t)
-    return build_cms(cert, threads=threads)
+    return build_cms(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +453,12 @@ def _compose_blocks(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> 
     return sq
 
 
-def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment,
-                threads: int = 1) -> MagicSquare:
+def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> MagicSquare:
     """Block (I, J) of the output holds member f(I, J) of the family,
     shifted by n^2 * a[I, J].  Both inputs are verified first."""
     _check_compose_shapes(a, fam, assign)
     _require_ms(a, a.t, "outer square")
-    rep = verify.verify_cms(fam.members, fam.t, threads=threads)
+    rep = verify.verify_cms(fam.members, fam.t)
     if not rep.passed:
         raise ValueError("family fails complementary verification")
     return _compose_blocks(a, fam, assign)
@@ -481,8 +478,7 @@ def build_ms_qt(table: FieldTable, t: int) -> MagicSquare:
     return grid_to_ms(build_sdloa_grid(cert))
 
 
-def build_ms_q2t1(table: FieldTable, t: int, threads: int = 1,
-                  progress=None) -> MagicSquare:
+def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> MagicSquare:
     """Verified MS(q^(2t-1), t): the degree-t grid square block-composed
     with a degree-(t-1) complementary family."""
     if t < 3:
@@ -494,7 +490,7 @@ def build_ms_q2t1(table: FieldTable, t: int, threads: int = 1,
     a = build_ms_qt(table, t)
     say(f"grid square verified (order {a.n}); building the {table.q ** (t - 1)}"
         f"-member complementary family")
-    fam = build_cms_family(table, t - 1, threads=threads)
+    fam = build_cms_family(table, t - 1)
     say("complementary family verified; composing blocks")
     assign = make_block_assignment(table, t, t - 1)
     # a and fam were verified by their constructors just above

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .construct import CmsFamily
 from .errors import FormatError
 from .linalg import MatrixPairCertificate
@@ -52,8 +53,9 @@ _BODY_BYTES = b"0123456789+- \t\n\r"
 _SEPARATORS = (b" ", b"\t", b"\n", b"\r")
 _TOKEN = re.compile(rb"[+-]?[0-9]+")
 _INT64_MAX = 2**63 - 1
-_ENCODE_ENTRIES = 1 << 13   # entries per encoded block (about 64 KB of text)
+_ENCODE_ENTRIES = 1 << 16   # entries being encoded at once, over all workers
 _DECODE_BYTES = 1 << 16     # text bytes read per decoder pass
+_HEADER_BYTES = 1 << 12     # bytes read per try at the header line
 
 
 def _parse_header(line: str, magic: str, keys: tuple[str, ...],
@@ -98,7 +100,7 @@ def _read_header(f) -> tuple[str, bytes]:
     its line break on."""
     parts = []
     while True:
-        more = f.read(_DECODE_BYTES)
+        more = f.read(_HEADER_BYTES)
         ends = [i for i in (more.find(b"\n"), more.find(b"\r")) if i >= 0]
         if ends or not more:
             break
@@ -116,14 +118,30 @@ def _read_header(f) -> tuple[str, bytes]:
 # The integer text codec
 # ---------------------------------------------------------------------------
 
-def _encode(block: np.ndarray) -> bytes:
+def _encode(block: np.ndarray):
     """ASCII text of an integer row block: each row's decimal entries joined
     by single spaces and ended by a newline, the bytes of
-    ``" ".join(map(str, row)) + "\\n"`` for every row."""
+    ``" ".join(map(str, row)) + "\\n"`` for every row, as a bytes-like
+    object."""
     rows, cols = block.shape
     if not block.size:
         return b"\n" * rows
-    flat = np.ascontiguousarray(block, dtype=np.int64).ravel()
+    slots, first = _slots(np.ascontiguousarray(block, dtype=np.int64).ravel(), cols)
+    width = slots.shape[1]
+    # patterns[f]: keep column 0 and columns f.. of a slot
+    patterns = np.arange(width) >= np.arange(width + 1)[:, None]
+    patterns[:, 0] = True
+    keep = patterns.view(np.dtype((np.void, width))).ravel()[first].view(bool)
+    # drop the newline that precedes the block; the extra slot ends its last row
+    return memoryview(slots.ravel()[keep])[1:]
+
+
+def _slots(flat: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The text slots of the entries of rows of cols entries, and the first
+    byte kept of each.  A slot is a multiple of 8 bytes wide: column 0 holds
+    the separator that precedes the entry, sign and digits are
+    right-aligned.  One extra slot holds only the newline that ends the
+    last row."""
     neg = flat < 0
     signed = bool(neg.any())
     if signed:
@@ -134,16 +152,15 @@ def _encode(block: np.ndarray) -> bytes:
     top = int(mag.max())
     mag = mag.astype(np.uint32 if top < 1 << 32 else np.uint64)
     digits = len(str(top))
-    # One slot per entry, a multiple of 8 bytes wide: column 0 holds the
-    # separator that precedes the entry, sign and digits are right-aligned.
     width = (digits + signed) // 8 * 8 + 8
-    first = np.full(flat.size, width - 1, dtype=np.uint8)  # first byte kept
+    first = np.full(flat.size + 1, width - 1, dtype=np.uint8)
+    first[-1] = width
     for d in range(1, digits):
-        first -= mag >= 10**d
+        first[:-1] -= mag >= 10**d
     if signed:
-        first -= neg
-    slots = np.empty((flat.size, width), dtype=np.uint8)
-    pairs = slots.view(np.uint16)
+        first[:-1] -= neg
+    slots = np.empty((flat.size + 1, width), dtype=np.uint8)
+    pairs = slots.view(np.uint16)[:-1]
     rem = np.empty_like(mag)
     for c in range(width // 2 - 1, width // 2 - 1 - (digits + 1) // 2, -1):
         np.divmod(mag, 100, out=(mag, rem))
@@ -153,17 +170,12 @@ def _encode(block: np.ndarray) -> bytes:
         slots[at, first[at]] = ord("-")
     slots[:, 0] = ord(" ")
     slots[::cols, 0] = ord("\n")
-    # patterns[f]: keep column 0 and columns f.. of a slot
-    patterns = np.arange(width) >= np.arange(width)[:, None]
-    patterns[:, 0] = True
-    keep = patterns.view(np.dtype((np.void, width))).ravel()[first].view(bool)
-    # drop the newline that precedes the block, end its last row
-    return slots.ravel()[keep][1:].tobytes() + b"\n"
+    return slots, first
 
 
-def _decode(f, body: bytes, count: int, rows: int, cols: int,
-            split: bool) -> np.ndarray:
-    """The count * rows * cols int64 entries of a text body.
+def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
+    """The count * rows * cols int64 entries of a text body, as an
+    iterator of (position, values) pairs, one per pass.
 
     ``body`` holds the bytes already read past the header, from its line
     break on; the rest is read from binary file f in passes of about
@@ -178,7 +190,12 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
     # every entry takes at least one digit and one separator
     if 2 * total > left:
         raise FormatError(f"body is too short for {total} entries")
-    out = np.empty(total, dtype=np.int64)
+    return _passes(f, body, count, rows, cols, split)
+
+
+def _passes(f, body: bytes, count: int, rows: int, cols: int, split: bool):
+    """The passes of _decode, after its length check."""
+    total = count * rows * cols
     pos = 0       # entries parsed
     line = 0      # tokens on the unfinished line
     run = 0       # lines of the unfinished block
@@ -256,7 +273,7 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
                     if text.lstrip(b"+").lstrip(b"0") != b"9223372036854775807":
                         raise FormatError(f"token {text[:24].decode()} is outside "
                                           "the int64 range")
-            out[pos:pos + n] = vals
+            yield pos, vals
             pos += n
         if not more:
             break
@@ -265,20 +282,46 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int,
         raise FormatError(f"found {blocks} blocks, header says {count}")
     if pos != total:
         raise FormatError(f"body holds {pos} entries, want {total}")
+
+
+def _read_entries(passes, total: int) -> np.ndarray:
+    """The entries of a text body, from the passes of _decode."""
+    out = np.empty(total, dtype=np.int64)
+    for pos, vals in passes:
+        out[pos:pos + vals.size] = vals
     return out
+
+
+def _same(passes, arrays) -> bool:
+    """Whether the passes of _decode match the entries of arrays, all of
+    one size, laid end to end; stops at the first pass that differs."""
+    for pos, vals in passes:
+        at = 0
+        while at < vals.size:
+            k, off = divmod(pos + at, arrays[0].size)
+            take = min(vals.size - at, arrays[k].size - off)
+            if not np.array_equal(vals[at:at + take],
+                                  arrays[k].ravel()[off:off + take]):
+                return False
+            at += take
+    return True
 
 
 def _write_blocks(path, header: str, blocks) -> None:
     """Header line, then each 2-D block's rows, blocks separated by a blank
-    line; encoded a bounded number of entries at a time."""
+    line; encoded on the pool, each worker _ENCODE_ENTRIES / workers
+    entries at a time, and written in order."""
+    pieces = []  # (bytes before the piece, row slice)
+    for i, entries in enumerate(blocks):
+        step = max(1, _ENCODE_ENTRIES // _pool.size() // max(1, entries.shape[1]))
+        for r in range(0, max(1, entries.shape[0]), step):
+            pieces.append((b"\n" if i and not r else b"", entries[r:r + step]))
+    texts = _pool.ordered_map(_encode, [block for _, block in pieces])
     with open(Path(path), "wb") as f:
         f.write(header.encode("ascii"))
-        for i, entries in enumerate(blocks):
-            if i:
-                f.write(b"\n")
-            step = max(1, _ENCODE_ENTRIES // max(1, entries.shape[1]))
-            for r in range(0, entries.shape[0], step):
-                f.write(_encode(entries[r:r + step]))
+        for (lead, _), text in zip(pieces, texts):
+            f.write(lead)
+            f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +367,7 @@ def read_ms(path) -> MagicSquare:
             return _read_binary_ms(f.read())
         head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
         n = head["n"]
-        entries = _decode(f, body, 1, n, n, split=False)
+        entries = _read_entries(_decode(f, body, 1, n, n, split=False), n * n)
     try:
         return MagicSquare(entries.reshape(n, n), head["t"], head["base"])
     except ValueError as exc:
@@ -353,7 +396,8 @@ def read_oa_family(path) -> ArrayFamily:
         count, k, cols = head["count"], head["k"], head["cols"]
         if count < 1:
             raise FormatError("empty family is invalid")
-        entries = _decode(f, body, count, k, cols, split=True)
+        entries = _read_entries(_decode(f, body, count, k, cols, split=True),
+                                count * k * cols)
     members = []
     for b, block in enumerate(entries.reshape(count, k, cols)):
         try:
@@ -372,19 +416,54 @@ def write_cms_bundle(path, fam: CmsFamily) -> None:
                   [member.entries for member in fam.members])
 
 
+def _read_cms_header(line: str) -> dict:
+    head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
+    if head["m"] < 1:
+        raise FormatError("empty bundle is invalid")
+    return head
+
+
 def read_cms_bundle(path) -> CmsFamily:
     with _open(path) as f:
         line, body = _read_header(f)
-        head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
+        head = _read_cms_header(line)
         m, n, t = head["m"], head["n"], head["t"]
-        if m < 1:
-            raise FormatError("empty bundle is invalid")
-        entries = _decode(f, body, m, n, n, split=True)
+        entries = _read_entries(_decode(f, body, m, n, n, split=True), m * n * n)
     try:
         members = tuple(MagicSquare(block, t) for block in entries.reshape(m, n, n))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return CmsFamily(members, t)
+
+
+# ---------------------------------------------------------------------------
+# Read-back checks
+# ---------------------------------------------------------------------------
+
+def read_matches(path, artifact: MagicSquare | CmsFamily) -> bool:
+    """Whether the text square or family bundle at path has the header
+    fields and entries of artifact.  Each decoder pass is compared with
+    the matching slice of artifact's entries, so no decoded copy is held;
+    the whole body is decoded, and a file the matching reader rejects
+    raises the same FormatError."""
+    with _open(path) as f:
+        line, body = _read_header(f)
+        if isinstance(artifact, CmsFamily):
+            head = _read_cms_header(line)
+            want = {"m": artifact.m, "n": artifact.n, "t": artifact.t}
+            arrays = [member.entries for member in artifact.members]
+        else:
+            head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
+            want = {"n": artifact.n, "t": artifact.t, "base": artifact.base}
+            arrays = [artifact.entries]
+        passes = _decode(f, body, head.get("m", 1), head["n"], head["n"],
+                         split="m" in head)
+        same = head == want and _same(passes, arrays)
+        for _ in passes:  # validate the rest of the body
+            pass
+    if head["t"] < 1:
+        raise FormatError("degree must be at least 1")
+    return same
 
 
 # ---------------------------------------------------------------------------

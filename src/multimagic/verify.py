@@ -6,12 +6,22 @@ No floating point anywhere.  Line power sums are taken modulo 2**64
 recombined exactly by the CRT.  Products of residues below 2**31, and
 line sums of n < 2**32 of them, fit in int64.
 
-The residues are summed over row blocks of about a million entries, so no
-temporary is larger than a block.  A row sum lies in one block.  Column
-and diagonal sums add up across blocks in int64: modulo 2**64 the adds
-wrap, which keeps them congruent, and for an odd modulus a column sum of
-n residues stays below n * 2**31.  The CRT needs only congruent residues,
-so it runs once, after the last block.
+One fused pass covers every degree 1..t: the minimum and maximum are
+taken once, and each degree uses the moduli its own bound needs, a
+prefix of those of degree t.  The pass runs over row blocks on the shared
+worker pool (``_pool``); each worker holds a block of about a million
+entries divided by the pool size, so no temporary is larger than that.
+Within a block, powers are built incrementally for each modulus: in place
+modulo 2**64, and x**e = x**(e-1) * x mod m for an odd m.  A row sum lies
+in one block.  Column and diagonal partials are added in block order, on
+the calling thread, in int64: modulo 2**64 the adds wrap, which keeps
+them congruent, and for an odd modulus a column sum of n residues stays
+below n * 2**31.  The CRT needs only congruent residues, so it runs once,
+after the last block, with Garner's digits found in int64.
+``verify_cms`` maps runs of members over the pool, each member one pass
+over degrees 1..t+1, and builds the report on the calling thread.  Workers
+run only private kernels, so results and reports do not depend on the
+pool size.
 
 The consecutive-entry check needs no sort: after a range check, each of
 the n^2 entries marks one byte of an n^2 seen-map, and by pigeonhole n^2
@@ -22,12 +32,13 @@ once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+
+from . import _pool
 
 
 @dataclass(frozen=True)
@@ -195,57 +206,133 @@ def _moduli(bound: int) -> list[int]:
     return moduli
 
 
-def _power_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
-    """x**e mod m by square-and-multiply, for 0 <= x < m < 2**31."""
-    if e == 1:
-        return x
-    half = _power_mod(x * x % m, e // 2, m)
-    return half * x % m if e & 1 else half
-
-
-# Entries per row block of the power sums.
+# Entries per row block of the power sums, split evenly over the pool.
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _line_power_sums(mat: np.ndarray, e: int):
+def _block_sums(mat: np.ndarray, moduli: list[int], needs: list[int],
+                reduce: list[bool], step: int, r0: int):
+    """Residues of the power sums of rows r0..r0+step-1 of mat, the pooled
+    kernel.  For each degree e = 1..len(needs) in turn, and each of its
+    first needs[e-1] moduli, one residue row: the block's row sums
+    (K, rows), column partials (K, n) and diagonal partials (K,) twice,
+    K = sum(needs).  Powers are built incrementally, in place; modulo
+    2**64 they wrap."""
+    n = mat.shape[1]
+    blk = mat[r0:r0 + step]
+    r = np.arange(len(blk))
+    k_of = np.cumsum([0] + needs)  # degree e starts at row k_of[e-1]
+    rows = np.empty((k_of[-1], len(blk)), dtype=np.int64)
+    cols = np.empty((k_of[-1], n), dtype=np.int64)
+    diag = np.empty(k_of[-1], dtype=np.int64)
+    back = np.empty(k_of[-1], dtype=np.int64)
+    for j, m in enumerate(moduli):
+        x = blk % m if reduce[j] else blk
+        p = x
+        for e, need in enumerate(needs, 1):
+            if e > 1:
+                p = p * x if p is x else np.multiply(p, x, out=p)
+                if j:
+                    np.remainder(p, m, out=p)
+            if j < need:
+                k = k_of[e - 1] + j
+                p.sum(axis=1, out=rows[k])
+                p.sum(axis=0, out=cols[k])
+                diag[k] = p[r, r0 + r].sum()
+                back[k] = p[r, n - 1 - r0 - r].sum()
+    return rows, cols, diag, back
+
+
+def _line_power_sums(mat: np.ndarray, top: int) -> list[tuple]:
     """Row sums, column sums, and both diagonal sums of entrywise e-th
-    powers, exact, as Python ints (rows, cols, diag, back).  Each sum lies
-    in [-B, B], B = n * max|x|**e; its residues modulo _moduli(B), summed
-    over row blocks, are recombined by Garner's CRT into (-M/2, M/2], M
-    their product."""
+    powers for every degree e = 1..top, exact, as Python ints: one
+    (rows, cols, diag, back) per degree.  Each degree-e sum lies in
+    [-B, B], B = n * max|x|**e; its residues modulo _moduli(B), summed
+    over row blocks on the pool, are recombined by Garner's CRT into
+    (-M/2, M/2], M their product."""
     n = mat.shape[0]
     lo, hi = int(mat.min(initial=0)), int(mat.max(initial=0))
-    moduli = _moduli(n * max(-lo, hi) ** e)
-    step = max(1, _BLOCK_ENTRIES // max(1, n))
-    residues = []
-    for m in moduli:
-        rows = np.empty(n, dtype=np.int64)
-        cols = np.zeros(n, dtype=np.int64)
-        diag = back = 0
-        for r0 in range(0, n, step):
-            blk = mat[r0:r0 + step]
-            if m == moduli[0]:  # 2**64: int64 wraparound
-                p = blk**e if e > 1 else blk
-            else:
-                p = _power_mod(blk if 0 <= lo and hi < m else blk % m, e, m)
-            r = np.arange(len(blk))
-            rows[r0:r0 + len(blk)] = p.sum(axis=1)
-            cols += p.sum(axis=0)
-            diag += int(p[r, r0 + r].sum())
-            back += int(p[r, n - 1 - r0 - r].sum())
-        residues.append(rows.tolist() + cols.tolist() + [diag, back])
+    needs = [len(_moduli(n * max(-lo, hi) ** e)) for e in range(1, top + 1)]
+    moduli = _moduli(n * max(-lo, hi) ** top)
+    reduce = [j > 0 and not (0 <= lo and hi < m) for j, m in enumerate(moduli)]
+    # each worker holds _BLOCK_ENTRIES / workers entries at a time
+    step = max(1, _BLOCK_ENTRIES // _pool.size() // max(1, n))
+    kernel = partial(_block_sums, mat, moduli, needs, reduce, step)
+    starts = range(0, n, step)
+    rows = np.empty((sum(needs), n), dtype=np.int64)
+    cols = np.zeros((sum(needs), n), dtype=np.int64)
+    diag, back = np.zeros((2, sum(needs)), dtype=np.int64)
+    # column and diagonal partials add up in block order; modulo 2**64
+    # they wrap, which keeps them congruent
+    for r0, (rs, cs, d, b) in zip(starts, _pool.ordered_map(kernel, starts)):
+        rows[:, r0:r0 + rs.shape[1]] = rs
+        cols += cs
+        diag += d
+        back += b
+    residues = np.concatenate((rows, cols, diag[:, None], back[:, None]), axis=1)
+    out, k = [], 0
+    for need in needs:
+        exact = _crt(residues[k:k + need], moduli[:need])
+        out.append((exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]))
+        k += need
+    return out
 
-    steps, product = [], 1
-    for m in moduli:
-        steps.append((m, product, pow(product, -1, m)))
-        product *= m
-    exact = []
-    for digits in zip(*residues):
-        x = 0
-        for r, (m, before, inv) in zip(digits, steps):
-            x += before * ((r - x) * inv % m)
-        exact.append(x - product if 2 * x > product else x)
-    return exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]
+
+def _crt(residues: np.ndarray, moduli: list[int]) -> list[int]:
+    """Per column, the integer in (-M/2, M/2] congruent to residues[j]
+    modulo moduli[j] for every j, M the product of the moduli.  Garner's
+    mixed-radix digits are found in int64, where every product of two
+    values below 2**31 fits; only their weighted sum is formed in Python
+    ints."""
+    digits = [residues[0].view(np.uint64)]  # the residue modulo 2**64
+    for j in range(1, len(moduli)):
+        m = moduli[j]
+        # the digits so far, modulo m: sum of d_i * (M_i mod m), M_i the
+        # product of the moduli before i
+        acc = (digits[0] % np.uint64(m)).astype(np.int64)
+        weight = 2**64 % m
+        for i in range(1, j):
+            acc = (acc + digits[i] * weight) % m
+            weight = weight * moduli[i] % m
+        digits.append((residues[j] - acc) % m * pow(weight, -1, m) % m)
+    values, scale = digits[0].tolist(), 1
+    for d, m in zip(digits[1:], moduli):
+        scale *= m
+        values = [v + scale * x for v, x in zip(values, d.tolist())]
+    scale *= moduli[-1]
+    return [v - scale if 2 * v > scale else v for v in values]
+
+
+def _square_sums(sq: MagicSquare, top: int):
+    """The per-square kernel: whether the entries are consecutive, and the
+    line power sums of the normalised square for degrees 1..top."""
+    n = sq.n
+    norm = sq.normalized()
+    seen = np.zeros(n * n, dtype=bool)
+    if n and 0 <= norm.min() and norm.max() < n * n:
+        seen[norm.ravel()] = True
+    return bool(seen.all()), _line_power_sums(norm, top)
+
+
+def _failures(targets: dict, consecutive_ok: bool, sums,
+              member: int | None = None) -> list[LineFailure]:
+    """Every line whose degree-e sum misses targets[e], degree by degree,
+    then the consecutive-entry failure, if any."""
+    failures = []
+    for (e, target), (rows, cols, diag, back) in zip(targets.items(), sums):
+        for i, s in enumerate(rows):
+            if s != target:
+                failures.append(LineFailure(e, "row", i, s, target, member))
+        for j, s in enumerate(cols):
+            if s != target:
+                failures.append(LineFailure(e, "col", j, s, target, member))
+        if diag != target:
+            failures.append(LineFailure(e, "diag-main", None, diag, target, member))
+        if back != target:
+            failures.append(LineFailure(e, "diag-back", None, back, target, member))
+    if not consecutive_ok:
+        failures.append(LineFailure(0, "entries", member=member))
+    return failures
 
 
 def verify_ms(sq: MagicSquare, t: int | None = None) -> VerifyReport:
@@ -255,43 +342,18 @@ def verify_ms(sq: MagicSquare, t: int | None = None) -> VerifyReport:
         t = sq.t
     if t < 1:
         raise ValueError("degree must be at least 1")
-    n = sq.n
-    norm = sq.normalized()
-    failures: list[LineFailure] = []
-
-    seen = np.zeros(n * n, dtype=bool)
-    if n and 0 <= norm.min() and norm.max() < n * n:
-        seen[norm.ravel()] = True
-    consecutive_ok = bool(seen.all())
-
-    sums = {}
-    for e in range(1, t + 1):
-        target = magic_sum(n, e)
-        sums[e] = target
-        rows, cols, diag, back = _line_power_sums(norm, e)
-        for i, s in enumerate(rows):
-            if s != target:
-                failures.append(LineFailure(e, "row", i, s, target))
-        for j, s in enumerate(cols):
-            if s != target:
-                failures.append(LineFailure(e, "col", j, s, target))
-        if diag != target:
-            failures.append(LineFailure(e, "diag-main", None, diag, target))
-        if back != target:
-            failures.append(LineFailure(e, "diag-back", None, back, target))
-    if not consecutive_ok:
-        failures.append(LineFailure(0, "entries"))
-
+    targets = {e: magic_sum(sq.n, e) for e in range(1, t + 1)}
+    consecutive_ok, sums = _square_sums(sq, t)
     return VerifyReport(
-        order=n,
+        order=sq.n,
         degree=t,
-        magic_sums=sums,
+        magic_sums=targets,
         consecutive_ok=consecutive_ok,
-        failures=tuple(failures),
+        failures=tuple(_failures(targets, consecutive_ok, sums)),
     )
 
 
-def verify_cms(members, t: int | None = None, threads: int = 1) -> VerifyReport:
+def verify_cms(members, t: int | None = None) -> VerifyReport:
     """Check that the members are each MS(n, t) and that the three
     complementary power-sum conditions hold at exponent t+1:
 
@@ -301,7 +363,8 @@ def verify_cms(members, t: int | None = None, threads: int = 1) -> VerifyReport:
 
     Every total must equal m times the degree-(t+1) magic constant.
     Accepts either a family object carrying .members and .t, or an
-    explicit member sequence plus degree.
+    explicit member sequence plus degree.  Members are summed on the
+    pool, degrees 1..t+1 in one pass each.
     """
     if t is None:
         if not hasattr(members, "members"):
@@ -315,40 +378,34 @@ def verify_cms(members, t: int | None = None, threads: int = 1) -> VerifyReport:
         raise ValueError("member orders disagree")
     m_count = len(members)
     e = t + 1
-    target = m_count * magic_sum(n, e)
+    each = {d: magic_sum(n, d) for d in range(1, e)}  # per member
+    sums_at = {**each, e: magic_sum(n, e)}
+    target = m_count * sums_at[e]
 
     failures: list[LineFailure] = []
     consecutive_ok = True
-
-    def _member_report(item):
-        idx, sq = item
-        return idx, verify_ms(sq, t), _line_power_sums(sq.normalized(), e)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_member_report, enumerate(members)))
-    else:
-        results = [_member_report(item) for item in enumerate(members)]
-
     row_tot = [0] * n
     col_tot = [0] * n
     diag_tot = 0
     back_tot = 0
-    sums = {}
-    for idx, rep, (rows, cols, diag, back) in results:
-        sums.update(rep.magic_sums)
-        if not rep.consecutive_ok:
-            consecutive_ok = False
-        for f in rep.failures:
-            failures.append(LineFailure(f.degree, f.kind, f.index, f.got,
-                                        f.want, member=idx))
+    # runs of members of about _BLOCK_ENTRIES / workers entries per task,
+    # as for row blocks, so that small members do not pay a task each
+    per = max(1, _BLOCK_ENTRIES // _pool.size() // max(1, n * n))
+
+    def kernel(run):
+        return [_square_sums(sq, e) for sq in run]
+
+    runs = _pool.ordered_map(kernel, (members[i:i + per] for i in range(0, m_count, per)))
+    for idx, (ok, sums) in enumerate(r for run in runs for r in run):
+        consecutive_ok = consecutive_ok and ok
+        failures += _failures(each, ok, sums[:t], member=idx)
+        rows, cols, diag, back = sums[t]
         for i in range(n):
             row_tot[i] += rows[i]
             col_tot[i] += cols[i]
         diag_tot += diag
         back_tot += back
 
-    sums[e] = magic_sum(n, e)
     for i, s in enumerate(row_tot):
         if s != target:
             failures.append(LineFailure(e, "R1", i, s, target))
@@ -363,7 +420,7 @@ def verify_cms(members, t: int | None = None, threads: int = 1) -> VerifyReport:
     return VerifyReport(
         order=n,
         degree=t,
-        magic_sums=sums,
+        magic_sums=sums_at,
         consecutive_ok=consecutive_ok,
         failures=tuple(failures),
         members=m_count,

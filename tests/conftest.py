@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multimagic import gf, io, oa
+from multimagic import _pool, gf, io, oa
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CMS9 = DATA / "cms9_expected.cms"
@@ -26,6 +26,14 @@ def rows_family(grid) -> oa.ArrayFamily:
     cells of grid row r as its columns."""
     by_row = np.ascontiguousarray(grid.cells.transpose(0, 2, 1))
     return oa.ArrayFamily(tuple(oa.OrthArray(m, grid.table.q, grid.t) for m in by_row))
+
+
+@pytest.fixture
+def pool_size():
+    """A setter of the worker pool's size, restored after the test."""
+    before = _pool.size()
+    yield _pool.set_size
+    _pool.set_size(before)
 
 
 @pytest.fixture(scope="session")

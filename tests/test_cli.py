@@ -1,10 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multimagic import construct, io
+from multimagic import _pool, construct, io
 from multimagic.cli import main
 
 from conftest import GOLDEN_CMS9, GOLDEN_LOA
@@ -91,6 +92,51 @@ class TestGenVerifyLoop:
         err = capsys.readouterr().err
         assert err == "construction failed: Unable to allocate 64.9 GiB for an array\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, writer", [
+        (("gen-ms", "--q", "3", "--t", "2", "--method", "qt"), "write_ms"),
+        (("gen-cms", "--q", "3", "--t", "2"), "write_cms_bundle"),
+    ])
+    def test_read_back_mismatch_is_construction_failure(self, tmp_path, capsys,
+                                                        monkeypatch, argv, writer):
+        real = getattr(io, writer)
+
+        def write_then_flip_last(path, artifact):
+            real(path, artifact)
+            raw = bytearray(Path(path).read_bytes())
+            raw[-2] = ord("1") if raw[-2] != ord("1") else ord("2")
+            Path(path).write_bytes(bytes(raw))
+
+        monkeypatch.setattr(io, writer, write_then_flip_last)
+        monkeypatch.setattr(io, "_DECODE_BYTES", 32)
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 3
+        assert capsys.readouterr().err == "construction failed: artifact did not round-trip\n"
+
+    def test_malformed_read_back_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        real = io.write_ms
+
+        def write_truncated(path, sq):
+            real(path, sq)
+            Path(path).write_bytes(Path(path).read_bytes()[:-20])
+
+        monkeypatch.setattr(io, "write_ms", write_truncated)
+        assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
+                       "--out", str(tmp_path / "x.mms")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_threads_must_be_positive(self, tmp_path, value):
+        assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
+                       "--out", str(tmp_path / "x.mms"), "--threads", value) == 2
+
+    def test_threads_sets_the_pool(self, tmp_path, golden_cms9, pool_size):
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, golden_cms9.members[0])
+        assert run_cli("verify-ms", str(path), "--threads", "3") == 0
+        assert _pool.size() == 3
+        assert run_cli("verify-ms", str(path)) == 0
+        assert _pool.size() == _pool.usable_cores()
 
 
 class TestVerifyCommands:

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from multimagic import construct, gf, io, linalg, oa, verify
+from multimagic.construct import CmsFamily
 from multimagic.errors import FormatError
 from multimagic.verify import MagicSquare
 
@@ -128,6 +131,71 @@ class TestCmsFormat:
         path.write_text("CMS 1 m=1 n=2 t=1\n0 1\n")
         with pytest.raises(FormatError):
             io.read_cms_bundle(path)
+
+
+class TestReadMatches:
+    """The generators' read-back: each decoder pass is compared with the
+    matching slice of the built artifact."""
+
+    @pytest.fixture
+    def square(self, tmp_path):
+        rng = np.random.default_rng(4)
+        sq = MagicSquare(rng.permutation(40 * 40).reshape(40, 40) + 3, 2, base=3)
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, sq)
+        return path, sq
+
+    @staticmethod
+    def _changed(sq, i, j):
+        entries = sq.entries.copy()
+        entries[i, j] += 1
+        return MagicSquare(entries, sq.t, sq.base)
+
+    @pytest.mark.parametrize("chunk", [8, 64, 1 << 16])
+    def test_each_pass_is_compared(self, square, chunk):
+        path, sq = square
+        with mock.patch.object(io, "_DECODE_BYTES", chunk):
+            assert io.read_matches(path, sq)
+            for i, j in ((0, 0), (17, 23), (39, 38), (39, 39)):
+                assert not io.read_matches(path, self._changed(sq, i, j)), (i, j)
+
+    def test_header_fields_are_compared(self, square):
+        path, sq = square
+        for other in (MagicSquare(sq.entries, 3, sq.base),
+                      MagicSquare(sq.entries, sq.t, 4),
+                      MagicSquare(sq.entries[:39, :39], sq.t, sq.base)):
+            assert not io.read_matches(path, other)
+
+    def test_bundles(self, golden_cms9, tmp_path):
+        with mock.patch.object(io, "_DECODE_BYTES", 16):
+            assert io.read_matches(GOLDEN_CMS9, golden_cms9)
+            for k in (0, 4, 8):
+                members = list(golden_cms9.members)
+                members[k] = self._changed(members[k], 8, 8)
+                assert not io.read_matches(GOLDEN_CMS9, CmsFamily(tuple(members), 2))
+        fewer = CmsFamily(golden_cms9.members[:8], 2)
+        assert not io.read_matches(GOLDEN_CMS9, fewer)
+
+    def test_malformed_file_still_raises(self, square, tmp_path):
+        path, sq = square
+        text = path.read_bytes()
+        cases = {
+            "bad byte after a mismatch": text[:-3] + b"x\n",
+            "short body": text[:len(text) // 2],
+            "degree 0": text.replace(b"t=2", b"t=0", 1),
+        }
+        for name, raw in cases.items():
+            bad = tmp_path / "bad.mms"
+            bad.write_bytes(raw)
+            with mock.patch.object(io, "_DECODE_BYTES", 64), \
+                    pytest.raises(FormatError):
+                io.read_matches(bad, self._changed(sq, 0, 0))
+            with pytest.raises(FormatError):
+                io.read_ms(bad)
+
+    def test_wrong_format_raises(self, golden_cms9, tmp_path):
+        with pytest.raises(FormatError):
+            io.read_matches(GOLDEN_CMS9, golden_cms9.members[0])
 
 
 class TestCertificates:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multimagic import construct, gf, linalg, verify
+from multimagic import construct, gf, io, linalg, verify
 
 
 def traced_peak(fn, *args):
@@ -55,3 +55,13 @@ def test_compose_writes_its_output_directly(f5):
     out, peak = traced_peak(construct._compose_blocks, a, fam, assign)
     assert out.n == 3125
     assert peak <= 2 * out.entries.nbytes
+
+
+def test_read_back_in_place(tmp_path):
+    n = 625
+    sq = verify.MagicSquare(np.random.default_rng(1).permutation(n * n).reshape(n, n), 2)
+    path = tmp_path / "sq.mms"
+    io.write_ms(path, sq)
+    same, peak = traced_peak(io.read_matches, path, sq)
+    assert same
+    assert peak <= 0.25 * sq.entries.nbytes

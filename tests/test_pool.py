@@ -1,0 +1,296 @@
+"""The shared worker pool: its map, and agreement of every pooled pass
+with the serial run, on built and corrupted inputs."""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+import threading
+import time
+
+import pytest
+
+from multimagic import _pool, cli, construct, io, linalg, verify
+from multimagic.errors import ConstructionError, FormatError
+from multimagic.verify import MagicSquare, verify_cms, verify_ms
+
+from conftest import GOLDEN_CMS9
+from text_oracle import text_rows
+
+POOL_SIZES = (1, 2, 3)
+BLOCK_ROWS = (1, 2, 3, 7)
+TRACED = ("gf", "linalg", "construct", "oa", "verify", "io")
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("size", POOL_SIZES)
+    def test_results_in_order(self, pool_size, size):
+        pool_size(size)
+
+        def slow_square(i):
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        assert list(_pool.ordered_map(slow_square, range(40))) == [i * i for i in range(40)]
+
+    @pytest.mark.parametrize("size", (2, 3))
+    def test_window_is_bounded(self, pool_size, size):
+        pool_size(size)
+        consumed = [0]
+        ahead = []
+
+        def record(i):
+            ahead.append(i - consumed[0])
+            return i
+
+        for _ in _pool.ordered_map(record, range(50)):
+            time.sleep(0.0005)
+            consumed[0] += 1
+        assert len(ahead) == 50
+        assert max(ahead) <= 2 * size - 1
+
+    def test_size_one_runs_on_the_caller(self, pool_size):
+        pool_size(1)
+        seen = list(_pool.ordered_map(lambda i: threading.current_thread(), range(5)))
+        assert all(t is threading.current_thread() for t in seen)
+
+    def test_nested_map_runs_inline_on_the_worker(self, pool_size):
+        pool_size(2)
+
+        def outer(i):
+            me = threading.current_thread()
+            inner = list(_pool.ordered_map(lambda j: threading.current_thread(), range(4)))
+            return me, inner
+
+        for me, inner in _pool.ordered_map(outer, range(6)):
+            assert me is not threading.main_thread()
+            assert all(t is me for t in inner)
+
+    def test_worker_exception_reaches_the_caller(self, pool_size):
+        pool_size(2)
+
+        def fail_at_3(i):
+            if i == 3:
+                raise ConstructionError("three")
+            return i
+
+        got = []
+        with pytest.raises(ConstructionError, match="three"):
+            for x in _pool.ordered_map(fail_at_3, range(10)):
+                got.append(x)
+        assert got == [0, 1, 2]
+
+    def test_sizes(self, pool_size):
+        assert _pool.usable_cores() >= 1
+        with pytest.raises(ValueError):
+            pool_size(0)
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, multimagic; "
+                "print(threading.active_count())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# Agreement across pool sizes and block sizes
+# ---------------------------------------------------------------------------
+
+def _configs():
+    return [(size, rows) for size in POOL_SIZES for rows in BLOCK_ROWS]
+
+
+@pytest.fixture(scope="module")
+def ms125(f5):
+    """MS(125, 3), encoded without the verifier under test."""
+    grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
+    return construct.grid_to_ms(grid, check=False)
+
+
+def _corruptions(sq: MagicSquare) -> dict:
+    e = sq.entries
+    swapped = e.copy()
+    swapped[0, 0], swapped[3, 5] = swapped[3, 5], swapped[0, 0]
+    changed = e.copy()
+    changed[7, 11] += 1
+    negative = e.copy()
+    negative[2, 9] = -5
+    return {
+        "built": sq,
+        "swapped": MagicSquare(swapped, sq.t),
+        "changed": MagicSquare(changed, sq.t),
+        "negative": MagicSquare(negative, sq.t),
+        "based": MagicSquare(e + 1000, sq.t, base=1000),
+        "misbased": MagicSquare(e + 1000, sq.t, base=999),
+    }
+
+
+def _oracle_failures(sq: MagicSquare, t: int) -> list:
+    """(degree, kind, index, got) of every failed line, from Python ints."""
+    n = sq.n
+    norm = sq.normalized().astype(object)
+    out = []
+    for e in range(1, t + 1):
+        p = norm**e
+        target = verify.magic_sum(n, e)
+        lines = ([("row", i, sum(p[i, :])) for i in range(n)]
+                 + [("col", j, sum(p[:, j])) for j in range(n)]
+                 + [("diag-main", None, sum(p[i, i] for i in range(n))),
+                    ("diag-back", None, sum(p[i, n - 1 - i] for i in range(n)))])
+        out += [(e, kind, i, s) for kind, i, s in lines if s != target]
+    return out
+
+
+class TestVerifyAgreement:
+    def test_verify_ms(self, ms125, pool_size, monkeypatch):
+        squares = _corruptions(ms125)
+        oracle = {name: _oracle_failures(sq, 3) for name, sq in squares.items()}
+        assert oracle["built"] == oracle["based"] == []
+        assert oracle["swapped"] and oracle["changed"] and oracle["negative"]
+        want = None
+        for size, rows in _configs():
+            pool_size(size)
+            monkeypatch.setattr(verify, "_BLOCK_ENTRIES", rows * ms125.n)
+            got = {}
+            for name, sq in squares.items():
+                rep = verify_ms(sq, 3)
+                lines = [(f.degree, f.kind, f.index, f.got) for f in rep.failures
+                         if f.kind != "entries"]
+                assert lines == oracle[name], (size, rows, name)
+                got[name] = (rep.summary(), rep.failures)
+            assert got["built"][0].endswith("verdict=pass")
+            assert got["based"][0].endswith("verdict=pass")
+            want = want or got
+            assert got == want, (size, rows)
+
+    def test_verify_cms(self, golden_cms9, pool_size, monkeypatch):
+        members = list(golden_cms9.members)
+        bad = members[3].entries.copy()
+        bad[0, 1], bad[4, 6] = bad[4, 6], bad[0, 1]
+        corrupted = members[:3] + [MagicSquare(bad, 2)] + members[4:]
+        want = None
+        for size, rows in _configs():
+            pool_size(size)
+            # rows members of 81 entries per task
+            monkeypatch.setattr(verify, "_BLOCK_ENTRIES", rows * size * 81)
+            good, broken = verify_cms(members, 2), verify_cms(corrupted, 2)
+            assert good.passed and not broken.passed
+            assert {f.member for f in broken.failures} >= {3}
+            got = [(r.summary(), r.failures) for r in (good, broken)]
+            want = want or got
+            assert got == want, (size, rows)
+
+
+def test_stress_more_workers_than_cores(ms125, pool_size, monkeypatch, tmp_path):
+    """Four workers with a short switch interval give the serial reports
+    and bytes."""
+    squares = _corruptions(ms125)
+    pool_size(1)
+    want = [verify_ms(sq, 3) for sq in squares.values()]
+    io.write_ms(tmp_path / "serial.mms", ms125)
+    pool_size(4)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 4 * ms125.n)
+    monkeypatch.setattr(io, "_ENCODE_ENTRIES", 4 * ms125.n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert [verify_ms(sq, 3) for sq in squares.values()] == want
+            io.write_ms(tmp_path / "pooled.mms", ms125)
+            assert ((tmp_path / "pooled.mms").read_bytes()
+                    == (tmp_path / "serial.mms").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestWriterAgreement:
+    def test_square_bytes(self, ms125, pool_size, monkeypatch, tmp_path):
+        want = b"MMS 1 n=125 t=3 base=0\n" + text_rows(ms125.entries)
+        path = tmp_path / "sq.mms"
+        for size, rows in _configs():
+            pool_size(size)
+            monkeypatch.setattr(io, "_ENCODE_ENTRIES", rows * size * ms125.n)
+            io.write_ms(path, ms125)
+            assert path.read_bytes() == want, (size, rows)
+
+    def test_bundle_bytes(self, golden_cms9, pool_size, monkeypatch, tmp_path):
+        path = tmp_path / "fam.cms"
+        for size, rows in _configs():
+            pool_size(size)
+            monkeypatch.setattr(io, "_ENCODE_ENTRIES", rows * size * 9)
+            io.write_cms_bundle(path, golden_cms9)
+            assert path.read_bytes() == GOLDEN_CMS9.read_bytes(), (size, rows)
+
+
+# ---------------------------------------------------------------------------
+# Errors raised on a worker, and public functions kept off the workers
+# ---------------------------------------------------------------------------
+
+KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode")}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("exc, code", [
+    (FormatError("bad text"), 2),
+    (ConstructionError("bad build"), 3),
+    (MemoryError("Unable to allocate 1.00 TiB for an array"), 3),
+])
+def test_worker_errors_keep_exit_codes(kernel, exc, code, tmp_path, monkeypatch,
+                                       capsys, pool_size):
+    module, name = KERNELS[kernel]
+    ran_on = []
+
+    def failing(*args):
+        ran_on.append(threading.current_thread())
+        raise exc
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "x.mms"
+    assert cli.main(["gen-ms", "--q", "3", "--t", "2", "--method", "qt",
+                     "--out", str(out), "--threads", "2"]) == code
+    assert ran_on and threading.main_thread() not in ran_on
+    err = capsys.readouterr().err
+    prefix = "error: " if code == 2 else "construction failed: "
+    assert err == prefix + str(exc) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-ms", "--q", "5", "--t", "3", "--method", "q2t1"],
+    ["gen-cms", "--q", "5", "--t", "2"],
+])
+def test_public_functions_stay_on_the_main_thread(argv, tmp_path, monkeypatch,
+                                                  pool_size):
+    """Wrap every public function of the traced modules, as an outside-in
+    tracer does, and check that none of them runs on a worker."""
+    mods = [importlib.import_module(f"multimagic.{m}") for m in TRACED]
+    keys = [set(vars(mod)) for mod in mods]
+    calls = []
+    for mod in mods:
+        for attr, fn in list(vars(mod).items()):
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != mod.__name__):
+                continue
+
+            def wrapper(*args, _fn=fn, _name=f"{mod.__name__}.{attr}", **kwargs):
+                calls.append((_name, threading.current_thread()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, attr, wrapper)
+    kernel_threads = []
+    real = verify._block_sums
+
+    def spy(*args):
+        kernel_threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_block_sums", spy)
+    out = tmp_path / "artifact"
+    assert cli.main([*argv, "--out", str(out), "--threads", "2"]) == 0
+    assert calls
+    off_main = [name for name, t in calls if t is not threading.main_thread()]
+    assert off_main == []
+    assert any(t is not threading.main_thread() for t in kernel_threads)
+    assert [set(vars(mod)) for mod in mods] == keys

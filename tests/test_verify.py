@@ -126,6 +126,11 @@ def _reference_sums(mat, e):
     )
 
 
+def _reference_all(mat, top):
+    """_reference_sums for every degree 1..top."""
+    return [_reference_sums(mat, e) for e in range(1, top + 1)]
+
+
 def _bound(mat, e):
     return mat.shape[0] * int(np.abs(mat.astype(object)).max()) ** e
 
@@ -176,13 +181,13 @@ class TestExactPowerSums:
             mat = rng.integers(-(2**40), 2**40, size=(n, n), dtype=np.int64)
             monkeypatch.setattr(V, "_BLOCK_ENTRIES", rows * n)
             for e in range(1, 6):
-                assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+                assert V._line_power_sums(mat, e) == _reference_all(mat, e)
 
     def test_permutation_matrix_low_degrees(self):
         rng = np.random.default_rng(0)
         mat = rng.permutation(64 * 64).astype(np.int64).reshape(64, 64) * 2381
         for e in (1, 2, 3, 4):
-            assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+            assert V._line_power_sums(mat, e) == _reference_all(mat, e)
 
     def test_largest_in_scope_width(self):
         # entries of an order-16807 square at degree 3, the widest point
@@ -192,27 +197,27 @@ class TestExactPowerSums:
         mat = rng.integers(top - 10**6, top, size=(48, 48), dtype=np.int64)
         mat[0, :] = top
         assert len(V._moduli(_bound(mat, 3))) == 2
-        assert V._line_power_sums(mat, 3) == _reference_sums(mat, 3)
+        assert V._line_power_sums(mat, 3) == _reference_all(mat, 3)
 
     def test_order_3125_values_degree5(self):
         rng = np.random.default_rng(2)
         mat = rng.integers(0, 3125**2, size=(40, 40), dtype=np.int64)
         mat[np.arange(40), np.arange(40)] = 3125**2 - 1
         assert len(V._moduli(_bound(mat, 5))) > 2
-        assert V._line_power_sums(mat, 5) == _reference_sums(mat, 5)
+        assert V._line_power_sums(mat, 5) == _reference_all(mat, 5)
 
     @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 9])
     def test_negative_entries(self, e):
         rng = np.random.default_rng(e)
         mat = rng.integers(-(3125**2), 3125**2, size=(24, 24), dtype=np.int64)
         mat[5, 7] = -(3125**2)
-        assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+        assert V._line_power_sums(mat, e) == _reference_all(mat, e)
 
     def test_degree_12_needs_many_moduli(self):
         rng = np.random.default_rng(3)
         mat = rng.integers(-(2**30), 2**31, size=(16, 16), dtype=np.int64)
         assert len(V._moduli(_bound(mat, 12))) > 10
-        assert V._line_power_sums(mat, 12) == _reference_sums(mat, 12)
+        assert V._line_power_sums(mat, 12) == _reference_all(mat, 12)
 
     @pytest.mark.parametrize("e, top, count", [
         (2, 2**31 - 1, 1), (2, 2**31, 2), (1, 2**62 - 1, 1), (1, 2**62, 2)])
@@ -222,7 +227,7 @@ class TestExactPowerSums:
         for sign in (1, -1):
             mat = np.full((2, 2), sign * top, dtype=np.int64)
             assert len(V._moduli(_bound(mat, e))) == count
-            assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+            assert V._line_power_sums(mat, e) == _reference_all(mat, e)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -232,7 +237,7 @@ class TestExactPowerSums:
         st.integers(1, 8),
     )
     def test_matches_reference_property(self, mat, e):
-        assert V._line_power_sums(mat, e) == _reference_sums(mat, e)
+        assert V._line_power_sums(mat, e) == _reference_all(mat, e)
 
 
 class TestVerifyCms:
@@ -269,9 +274,11 @@ class TestVerifyCms:
         assert not rep.passed
         assert r_kinds & {"R1", "R2", "R3-main", "R3-back"}
 
-    def test_threads_deterministic(self, golden_cms9):
-        a = verify_cms(golden_cms9.members, 2, threads=1)
-        b = verify_cms(golden_cms9.members, 2, threads=4)
+    def test_threads_deterministic(self, golden_cms9, pool_size):
+        pool_size(1)
+        a = verify_cms(golden_cms9.members, 2)
+        pool_size(4)
+        b = verify_cms(golden_cms9.members, 2)
         assert a == b
 
     def test_mismatched_orders(self, golden_cms9):
