@@ -1,4 +1,5 @@
-"""One worker pool shared by the per-entry passes (power sums, encoding).
+"""One worker pool shared by the per-entry passes (power sums, grid
+gather, column codes, text encoding and decoding).
 
 The pool is created on first use, so importing the package starts no
 thread.  Its workers run private kernels only; public functions always
@@ -22,6 +23,10 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# The most workers a pool may have: ordered_map keeps 2 * size() calls
+# submitted, each of which may start a thread.
+MAX_WORKERS = 256
+
 _size = usable_cores()
 _executor: ThreadPoolExecutor | None = None
 _lock = threading.Lock()  # guards _size and _executor
@@ -36,13 +41,20 @@ def size() -> int:
 def set_size(workers: int) -> None:
     """Use workers threads from now on; 1 runs every map inline."""
     global _size, _executor
-    if workers < 1:
-        raise ValueError("the pool needs at least one worker")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"the pool takes 1 to {MAX_WORKERS} workers, not {workers}")
     with _lock:
         if _executor is not None and workers != _size:
             _executor.shutdown()
             _executor = None
         _size = workers
+
+
+def blocks(count: int, per_item: int, budget: int) -> range:
+    """Starts of the blocks that split count items of per_item entries
+    each, a block holding budget / size() entries or, if that is less,
+    one item; the step of the range is the block length."""
+    return range(0, count, max(1, budget // _size // max(1, per_item)))
 
 
 def _mark_worker() -> None:
@@ -71,3 +83,10 @@ def ordered_map(fn, items):
     finally:
         for future in window:
             future.cancel()
+
+
+def each(fn, items) -> None:
+    """Call fn(item) for each item, on the pool, for its effect; return
+    when every call has returned."""
+    for _ in ordered_map(fn, items):
+        pass

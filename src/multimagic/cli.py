@@ -159,12 +159,15 @@ def _cmd_plan(args) -> int:
 def _workers(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    if int(text) > _pool.MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"more than {_pool.MAX_WORKERS} threads: {text}")
     return int(text)
 
 
 def _add_threads(p) -> None:
     p.add_argument("--threads", type=_workers, default=None,
-                   help="worker threads for verification and encoding "
+                   help="worker threads for the grid passes, verification, "
+                        f"encoding and decoding, 1 to {_pool.MAX_WORKERS} "
                         "(default: the usable cores)")
 
 

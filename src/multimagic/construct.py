@@ -17,10 +17,11 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import linalg, oa, verify
+from . import _pool, linalg, oa, verify
 from .errors import ConstructionError
 from .gf import FieldTable, prime_power
 from .linalg import FMatrix, MatrixPairCertificate
@@ -129,13 +130,30 @@ class SdloaGrid:
         return self.cells.shape[0]
 
 
+# Cells gathered at once, over all workers.
+_GATHER_ENTRIES = 1 << 18
+
+
+def _gather(cells: np.ndarray, add: np.ndarray, e1x: np.ndarray, e2y: np.ndarray,
+            step: int, r0: int) -> None:
+    """Fill grid rows r0..r0+step-1 of cells, the pooled kernel of
+    _base_cells; add is the flat addition table, e1x holds q * E1 X."""
+    rows = slice(r0, r0 + step)
+    np.take(add, e1x[rows, None, :] + e2y[None, :, :], out=cells[rows], mode="clip")
+
+
 def _base_cells(cert: MatrixPairCertificate) -> np.ndarray:
+    """The (N, N, 2t) cells E1 X + E2 Y, gathered from the flat addition
+    table one row block at a time on the pool."""
     table = cert.table
-    e1 = _np_of(cert.e1)
-    e2 = _np_of(cert.e2)
-    e1x = _all_products(table, e1)
-    e2y = _all_products(table, e2)
-    return table.add_table[e1x[:, None, :], e2y[None, :, :]]
+    e1x = _all_products(table, _np_of(cert.e1)).astype(np.intp) * table.q
+    e2y = _all_products(table, _np_of(cert.e2)).astype(np.intp)
+    n, k = e2y.shape
+    cells = np.empty((n, n, k), dtype=table.add_table.dtype)
+    starts = _pool.blocks(n, n * k, _GATHER_ENTRIES)
+    _pool.each(partial(_gather, cells, table.add_table.ravel(), e1x, e2y, starts.step),
+               starts)
+    return cells
 
 
 def _require_pair_flags(cert: MatrixPairCertificate) -> None:

@@ -19,6 +19,9 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
 * Values are parsed by numpy's C text parser after the bytes are
   validated.  That parser saturates every out-of-range token to
   INT64_MAX, so each parsed INT64_MAX is checked against its token text.
+* The body is read in pieces cut at separators.  Each piece is validated
+  and parsed on the worker pool, and the pieces are stitched in file
+  order, so a file raises the errors of a serial read, in its order.
 
 Readers raise ``FormatError`` on any payload that breaks these rules or
 whose dimensions disagree with its header, and on unknown header keys.
@@ -46,15 +49,26 @@ _OA_MAGIC = "OAF"
 _CMS_MAGIC = "CMS"
 _VERSION = "1"
 
-# "%02d" % i for i = 0..99, each two-byte string read as one uint16
-_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
-                       dtype=np.uint16)
+
+def _digit_quads() -> np.ndarray:
+    """"%04d" % i for i = 0..9999, each four-byte string read as one
+    uint32: the two-digit strings of i // 100 and i % 100 side by side."""
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
+                          dtype=np.uint16)
+    quads = np.empty((100, 100, 2), dtype=np.uint16)
+    quads[..., 0] = pairs[:, None]
+    quads[..., 1] = pairs
+    return quads.view(np.uint32).ravel()
+
+
+_QUADS = _digit_quads()
 _BODY_BYTES = b"0123456789+- \t\n\r"
 _SEPARATORS = (b" ", b"\t", b"\n", b"\r")
 _TOKEN = re.compile(rb"[+-]?[0-9]+")
 _INT64_MAX = 2**63 - 1
 _ENCODE_ENTRIES = 1 << 16   # entries being encoded at once, over all workers
-_DECODE_BYTES = 1 << 16     # text bytes read per decoder pass
+_DECODE_BYTES = 1 << 18     # most text bytes decoded in one piece
+_DECODE_MIN = 1 << 14       # fewest, unless _DECODE_BYTES is less
 _HEADER_BYTES = 1 << 12     # bytes read per try at the header line
 
 
@@ -140,8 +154,8 @@ def _slots(flat: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The text slots of the entries of rows of cols entries, and the first
     byte kept of each.  A slot is a multiple of 8 bytes wide: column 0 holds
     the separator that precedes the entry, sign and digits are
-    right-aligned.  One extra slot holds only the newline that ends the
-    last row."""
+    right-aligned, written four digits at a time from _QUADS.  One extra
+    slot holds only the newline that ends the last row."""
     neg = flat < 0
     signed = bool(neg.any())
     if signed:
@@ -160,11 +174,13 @@ def _slots(flat: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
     if signed:
         first[:-1] -= neg
     slots = np.empty((flat.size + 1, width), dtype=np.uint8)
-    pairs = slots.view(np.uint16)[:-1]
+    quads = slots.view(np.uint32)[:-1]
+    groups = range(width // 4 - 1, width // 4 - 1 - (digits + 3) // 4, -1)
     rem = np.empty_like(mag)
-    for c in range(width // 2 - 1, width // 2 - 1 - (digits + 1) // 2, -1):
-        np.divmod(mag, 100, out=(mag, rem))
-        np.take(_PAIRS, rem, out=pairs[:, c], mode="clip")
+    for c in groups[:-1]:
+        np.divmod(mag, 10_000, out=(mag, rem))
+        np.take(_QUADS, rem, out=quads[:, c], mode="clip")
+    np.take(_QUADS, mag, out=quads[:, groups[-1]], mode="clip")  # mag < 10^4
     if signed:
         at = np.flatnonzero(neg)
         slots[at, first[at]] = ord("-")
@@ -175,13 +191,14 @@ def _slots(flat: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
     """The count * rows * cols int64 entries of a text body, as an
-    iterator of (position, values) pairs, one per pass.
+    iterator of (position, values) pairs, one per piece.
 
     ``body`` holds the bytes already read past the header, from its line
-    break on; the rest is read from binary file f in passes of about
-    ``_DECODE_BYTES``, each cut after its last separator so that no token
-    spans two passes.  With ``split``, blank lines separate count blocks
-    of rows lines each; without it they are ignored.
+    break on; the rest is read from binary file f in pieces of about
+    1/64 of the body per worker, within [_DECODE_MIN, _DECODE_BYTES]
+    bytes, each cut after its last separator so that no token spans two
+    pieces.  With ``split``, blank lines separate count blocks of rows
+    lines each; without it they are ignored.
     """
     total = count * rows * cols
     here = f.tell()
@@ -190,52 +207,91 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
     # every entry takes at least one digit and one separator
     if 2 * total > left:
         raise FormatError(f"body is too short for {total} entries")
-    return _passes(f, body, count, rows, cols, split)
+    size = min(_DECODE_BYTES, max(_DECODE_MIN, left // (64 * _pool.size())))
+    return _stitch(_pieces(f, body, size), count, rows, cols, split)
 
 
-def _passes(f, body: bytes, count: int, rows: int, cols: int, split: bool):
-    """The passes of _decode, after its length check."""
+def _pieces(f, body: bytes, size: int):
+    """The text body as (data, cut) pieces, reading f size bytes at a time:
+    data starts with a separator, the tokens before data[cut] are whole,
+    and those from cut on begin the next piece.  The last piece ends with
+    a newline added after the file's last byte, and cut == len(data)."""
+    carry = body
+    while True:
+        parts = [carry]
+        while True:
+            more = f.read(size)
+            parts.append(more)
+            last = max(more.rfind(sep) for sep in _SEPARATORS)
+            if last >= 0 or not more:
+                break  # else a token longer than one read
+        if not more:
+            parts.append(b"\n")  # the last line ends with the file
+        data = b"".join(parts)
+        cut = len(data) - len(more) + last if more else len(data)
+        yield data, cut
+        if not more:
+            return
+        carry = data[cut:]
+
+
+def _scan(piece: tuple[bytes, int]):
+    """(per_line, values, error, last) of one (data, cut) piece, the
+    pooled kernel of _stitch.  per_line counts the tokens before the
+    first line break, between breaks and after the last; values are the
+    parsed tokens; error is the message of a token outside the int64
+    range, else None; last marks the final piece.  A byte or sign error
+    raises: the pool raises it in piece order, after every earlier piece
+    was checked.  The range error is returned, since the caller's count
+    and row checks on the same piece come first."""
+    data, cut = piece
+    # byte classes: token bytes, separators, nothing else
+    if data.translate(None, _BODY_BYTES):
+        raise FormatError("body holds a byte other than a digit, sign, "
+                          "space, tab or line break")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    b = buf[:cut]  # b[0] is a separator, buf[cut] one too unless at the end
+    if b"+" in data or b"-" in data:
+        at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+        after = buf[at + 1]
+        if ((b[at - 1] > 32).any() or (after < ord("0")).any()
+                or (after > ord("9")).any()):
+            raise FormatError("a sign must start a token and precede a digit")
+    tok = b > 32  # every separator byte is at most b" "
+    starts = np.empty(cut, dtype=bool)  # starts[i]: a token starts at b[i]
+    starts[0] = False
+    np.less(tok[:-1], tok[1:], out=starts[1:])
+    breaks = np.flatnonzero(b == 10)
+    if b"\r" in data:
+        cr = np.flatnonzero(b == 13)
+        breaks = np.union1d(breaks, cr[buf[cr + 1] != 10])
+    # tokens before the first break, between breaks, after the last
+    bounds = np.concatenate(([0], breaks))
+    per_line = np.add.reduceat(starts.view(np.uint8), bounds, dtype=np.uint32)
+    vals = np.fromstring(data, dtype=np.int64, count=int(per_line.sum()), sep=" ")
+    # the parser saturates every out-of-range token to INT64_MAX
+    error = None
+    hits = np.flatnonzero(vals == _INT64_MAX)
+    if hits.size:
+        for at in np.flatnonzero(starts)[hits].tolist():
+            text = _TOKEN.match(data, at).group()
+            if text.lstrip(b"+").lstrip(b"0") != b"9223372036854775807":
+                error = f"token {text[:24].decode()} is outside the int64 range"
+                break
+    return per_line, vals, error, cut == len(data)
+
+
+def _stitch(pieces, count: int, rows: int, cols: int, split: bool):
+    """The (position, values) pairs of _decode: the pieces scanned on the
+    pool and stitched in file order.  Line counts carry across pieces;
+    row shapes, block runs and totals are checked here."""
     total = count * rows * cols
     pos = 0       # entries parsed
     line = 0      # tokens on the unfinished line
     run = 0       # lines of the unfinished block
     blocks = 0    # finished blocks
-    parts = [body]  # unparsed bytes; each part but the first lacks a separator
-    while True:
-        more = f.read(_DECODE_BYTES)
-        if more and max(more.rfind(sep) for sep in _SEPARATORS) < 0:
-            parts.append(more)  # a token longer than one read
-            continue
-        data = b"".join(parts) + more
-        if more:
-            cut = max(data.rfind(sep) for sep in _SEPARATORS)
-        else:
-            data += b"\n"  # the last line ends with the file
-            cut = len(data)
-        # byte classes: token bytes, separators, nothing else
-        if data.translate(None, _BODY_BYTES):
-            raise FormatError("body holds a byte other than a digit, sign, "
-                              "space, tab or line break")
-        buf = np.frombuffer(data, dtype=np.uint8)
-        b = buf[:cut]  # b[0] is a separator, buf[cut] one too unless at the end
-        if b"+" in data or b"-" in data:
-            at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
-            after = buf[at + 1]
-            if ((b[at - 1] > 32).any() or (after < ord("0")).any()
-                    or (after > ord("9")).any()):
-                raise FormatError("a sign must start a token and precede a digit")
-        tok = b > 32  # every separator byte is at most b" "
-        starts = np.empty(cut, dtype=bool)  # starts[i]: a token starts at b[i]
-        starts[0] = False
-        np.less(tok[:-1], tok[1:], out=starts[1:])
-        breaks = np.flatnonzero(b == 10)
-        if b"\r" in data:
-            cr = np.flatnonzero(b == 13)
-            breaks = np.union1d(breaks, cr[buf[cr + 1] != 10])
-        # tokens before the first break, between breaks, after the last
-        bounds = np.concatenate(([0], breaks))
-        per_line = np.add.reduceat(starts.view(np.uint8), bounds, dtype=np.uint32)
-        n = int(per_line.sum())
+    for per_line, vals, error, last in _pool.ordered_map(_scan, pieces):
+        n = vals.size
         if pos + n > total:
             raise FormatError(f"body holds more than {total} entries")
         per_line[0] += line
@@ -257,45 +313,35 @@ def _passes(f, body: bytes, count: int, rows: int, cols: int, split: bool):
                 else:
                     sizes = []
                     run += per_line.size
-                if not more and run:
+                if last and run:
                     sizes.append(run)
                 for size in sizes:
                     if size != rows:
                         raise FormatError(f"block {blocks} has {size} rows, want {rows}")
                     blocks += 1
+        if error:
+            raise FormatError(error)
         if n:
-            vals = np.fromstring(data, dtype=np.int64, count=n, sep=" ")
-            # the parser saturates every out-of-range token to INT64_MAX
-            hits = np.flatnonzero(vals == _INT64_MAX)
-            if hits.size:
-                for at in np.flatnonzero(starts)[hits].tolist():
-                    text = _TOKEN.match(data, at).group()
-                    if text.lstrip(b"+").lstrip(b"0") != b"9223372036854775807":
-                        raise FormatError(f"token {text[:24].decode()} is outside "
-                                          "the int64 range")
             yield pos, vals
             pos += n
-        if not more:
-            break
-        parts = [data[cut:]]
     if split and blocks != count:
         raise FormatError(f"found {blocks} blocks, header says {count}")
     if pos != total:
         raise FormatError(f"body holds {pos} entries, want {total}")
 
 
-def _read_entries(passes, total: int) -> np.ndarray:
-    """The entries of a text body, from the passes of _decode."""
+def _read_entries(pieces, total: int) -> np.ndarray:
+    """The entries of a text body, from the pieces of _decode."""
     out = np.empty(total, dtype=np.int64)
-    for pos, vals in passes:
+    for pos, vals in pieces:
         out[pos:pos + vals.size] = vals
     return out
 
 
-def _same(passes, arrays) -> bool:
-    """Whether the passes of _decode match the entries of arrays, all of
-    one size, laid end to end; stops at the first pass that differs."""
-    for pos, vals in passes:
+def _same(pieces, arrays) -> bool:
+    """Whether the pieces of _decode match the entries of arrays, all of
+    one size, laid end to end; stops at the first piece that differs."""
+    for pos, vals in pieces:
         at = 0
         while at < vals.size:
             k, off = divmod(pos + at, arrays[0].size)
@@ -313,9 +359,9 @@ def _write_blocks(path, header: str, blocks) -> None:
     entries at a time, and written in order."""
     pieces = []  # (bytes before the piece, row slice)
     for i, entries in enumerate(blocks):
-        step = max(1, _ENCODE_ENTRIES // _pool.size() // max(1, entries.shape[1]))
-        for r in range(0, max(1, entries.shape[0]), step):
-            pieces.append((b"\n" if i and not r else b"", entries[r:r + step]))
+        starts = _pool.blocks(max(1, entries.shape[0]), entries.shape[1], _ENCODE_ENTRIES)
+        for r in starts:
+            pieces.append((b"\n" if i and not r else b"", entries[r:r + starts.step]))
     texts = _pool.ordered_map(_encode, [block for _, block in pieces])
     with open(Path(path), "wb") as f:
         f.write(header.encode("ascii"))
@@ -442,7 +488,7 @@ def read_cms_bundle(path) -> CmsFamily:
 
 def read_matches(path, artifact: MagicSquare | CmsFamily) -> bool:
     """Whether the text square or family bundle at path has the header
-    fields and entries of artifact.  Each decoder pass is compared with
+    fields and entries of artifact.  Each decoded piece is compared with
     the matching slice of artifact's entries, so no decoded copy is held;
     the whole body is decoded, and a file the matching reader rejects
     raises the same FormatError."""
@@ -456,10 +502,10 @@ def read_matches(path, artifact: MagicSquare | CmsFamily) -> bool:
             head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
             want = {"n": artifact.n, "t": artifact.t, "base": artifact.base}
             arrays = [artifact.entries]
-        passes = _decode(f, body, head.get("m", 1), head["n"], head["n"],
+        pieces = _decode(f, body, head.get("m", 1), head["n"], head["n"],
                          split="m" in head)
-        same = head == want and _same(passes, arrays)
-        for _ in passes:  # validate the rest of the body
+        same = head == want and _same(pieces, arrays)
+        for _ in pieces:  # validate the rest of the body
             pass
     if head["t"] < 1:
         raise FormatError("degree must be at least 1")

@@ -11,8 +11,9 @@ tally, one column code, one coverage seen-map and one member pass:
   exact.  In-scope arrays have at most 2t <= 20 rows.
 * Distinct columns are found by a lexicographic column sort, exact for
   any v^k.  Column codes are base-v int64, exact while v^k < 2^63
-  (column_codes raises ValueError beyond); a large set holds v^k columns
-  in memory, so its codes are always in range.
+  (column_codes raises ValueError beyond), built by a Horner pass per
+  block of slabs on the worker pool; a large set holds v^k columns in
+  memory, so its codes are always in range.
 * Coverage: the family holds exactly v^k columns (checked first, a
   ValueError otherwise), and each column code marks one byte of a v^k
   seen-map.  By pigeonhole, v^k codes that mark all v^k bytes hit each
@@ -33,10 +34,14 @@ public verify_* functions wrap them for OrthArray families.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+
+from . import _pool
+
 
 def _check_strength(k: int, n: int, v: int, t: int) -> None:
     """Raise ValueError unless a k x n array over v symbols can have strength t."""
@@ -139,16 +144,32 @@ def _strength_ok(stack: np.ndarray, v: int, t: int) -> bool:
     return True
 
 
+# Entries coded at once, over all workers, in the column-code pass.
+_CODE_ENTRIES = 1 << 20
+
+
 def _column_codes(stack: np.ndarray, v: int) -> np.ndarray:
-    """Base-v int64 column codes of a (..., k, N) stack, row 0 least significant."""
-    k = stack.shape[-2]
+    """Base-v int64 column codes of a (..., k, N) stack, row 0 least
+    significant: an in-place Horner pass per block of slabs, on the pool."""
+    k, n = stack.shape[-2:]
     if v**k >= 2**63:
         raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
-    codes = np.zeros(stack.shape[:-2] + stack.shape[-1:], dtype=np.int64)
-    for i in reversed(range(k)):
-        codes *= v
-        codes += stack[..., i, :]
-    return codes
+    slabs = stack.reshape(math.prod(stack.shape[:-2]), k, n)
+    codes = np.empty((slabs.shape[0], n), dtype=np.int64)
+    starts = _pool.blocks(slabs.shape[0], k * n, _CODE_ENTRIES)
+    _pool.each(partial(_horner, codes, slabs, v, starts.step), starts)
+    return codes.reshape(stack.shape[:-2] + (n,))
+
+
+def _horner(codes: np.ndarray, slabs: np.ndarray, v: int, step: int, s0: int) -> None:
+    """Codes of slabs s0..s0+step-1 of a (count, k, N) stack, in place,
+    the pooled kernel of _column_codes."""
+    blk = slabs[s0:s0 + step]
+    out = codes[s0:s0 + step]
+    out[...] = blk[:, -1]
+    for i in reversed(range(blk.shape[1] - 1)):
+        out *= v
+        out += blk[:, i]
 
 
 def _distinct_columns(stack: np.ndarray) -> bool:

@@ -256,9 +256,8 @@ def _line_power_sums(mat: np.ndarray, top: int) -> list[tuple]:
     moduli = _moduli(n * max(-lo, hi) ** top)
     reduce = [j > 0 and not (0 <= lo and hi < m) for j, m in enumerate(moduli)]
     # each worker holds _BLOCK_ENTRIES / workers entries at a time
-    step = max(1, _BLOCK_ENTRIES // _pool.size() // max(1, n))
-    kernel = partial(_block_sums, mat, moduli, needs, reduce, step)
-    starts = range(0, n, step)
+    starts = _pool.blocks(n, n, _BLOCK_ENTRIES)
+    kernel = partial(_block_sums, mat, moduli, needs, reduce, starts.step)
     rows = np.empty((sum(needs), n), dtype=np.int64)
     cols = np.zeros((sum(needs), n), dtype=np.int64)
     diag, back = np.zeros((2, sum(needs)), dtype=np.int64)
@@ -390,12 +389,12 @@ def verify_cms(members, t: int | None = None) -> VerifyReport:
     back_tot = 0
     # runs of members of about _BLOCK_ENTRIES / workers entries per task,
     # as for row blocks, so that small members do not pay a task each
-    per = max(1, _BLOCK_ENTRIES // _pool.size() // max(1, n * n))
+    starts = _pool.blocks(m_count, n * n, _BLOCK_ENTRIES)
 
     def kernel(run):
         return [_square_sums(sq, e) for sq in run]
 
-    runs = _pool.ordered_map(kernel, (members[i:i + per] for i in range(0, m_count, per)))
+    runs = _pool.ordered_map(kernel, (members[i:i + starts.step] for i in starts))
     for idx, (ok, sums) in enumerate(r for run in runs for r in run):
         consecutive_ok = consecutive_ok and ok
         failures += _failures(each, ok, sums[:t], member=idx)

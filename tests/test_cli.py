@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,15 @@ class TestGenVerifyLoop:
             assert proc.returncode == 0, proc.stderr
             assert "verdict=pass" in proc.stdout
 
+    def test_python_dash_m(self, capsys):
+        argv = ["plan", "--q", "7", "--t", "3", "--m", "8"]
+        assert run_cli(*argv) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "multimagic", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+
     def test_gen_ms_verbose_stages(self, tmp_path, capsys):
         out = tmp_path / "m3125.mms"
         assert run_cli("gen-ms", "--q", "5", "--t", "3", "--method", "q2t1",
@@ -129,6 +140,15 @@ class TestGenVerifyLoop:
     def test_threads_must_be_positive(self, tmp_path, value):
         assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
                        "--out", str(tmp_path / "x.mms"), "--threads", value) == 2
+
+    def test_threads_above_the_ceiling(self, tmp_path, capsys, pool_size):
+        before = (threading.active_count(), _pool.size())
+        for value in (_pool.MAX_WORKERS + 1, 100_000):
+            assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
+                           "--out", str(tmp_path / "x.mms"), "--threads", str(value)) == 2
+            assert f"more than {_pool.MAX_WORKERS} threads" in capsys.readouterr().err
+        assert (threading.active_count(), _pool.size()) == before
+        assert not (tmp_path / "x.mms").exists()
 
     def test_threads_sets_the_pool(self, tmp_path, golden_cms9, pool_size):
         path = tmp_path / "sq.mms"

@@ -378,7 +378,9 @@ class TestDifferential:
         fmt, raw, entries = case
         path = _write(tmp_path, raw)
         old = verdict(ORACLES[fmt], path)
-        with mock.patch.object(io, "_DECODE_BYTES", chunk):
+        # header reads of at most chunk bytes leave the body to the pieces
+        with mock.patch.object(io, "_DECODE_BYTES", chunk), \
+                mock.patch.object(io, "_HEADER_BYTES", min(chunk, io._HEADER_BYTES)):
             new = verdict(READERS[fmt], path)
         assert new[0] == "ok" and np.array_equal(new[1], entries), (raw, new)
         # the previous square reader ended the header at "\n" only
@@ -392,7 +394,9 @@ class TestDifferential:
         raw = mutated(raw, where, byte, how)
         path = _write(tmp_path, raw)
         old = verdict(ORACLES[fmt], path)
-        with mock.patch.object(io, "_DECODE_BYTES", chunk):
+        # header reads of at most chunk bytes leave the body to the pieces
+        with mock.patch.object(io, "_DECODE_BYTES", chunk), \
+                mock.patch.object(io, "_HEADER_BYTES", min(chunk, io._HEADER_BYTES)):
             new = verdict(READERS[fmt], path)
         if new[0] == "error":
             assert new[1] == "FormatError"
@@ -402,6 +406,52 @@ class TestDifferential:
                 assert rules, (raw, old, new)
             else:
                 assert "line breaks" in rules, (raw, old, new)
+
+
+def decoded(fmt, path):
+    """The entries read from path, as lists, and the read-back verdict on
+    them (squares and bundles), or the FormatError message."""
+    try:
+        obj = READERS[fmt](path)
+        return entries_of(obj).tolist(), fmt == "OAF" or io.read_matches(path, obj)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestPoolSizes:
+    """Pieces scanned on one to three workers give the values, or the
+    FormatError message, of the pieces scanned on the calling thread."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=NO_FIXTURE_CHECK)
+    @given(well_formed(), st.integers(0, 10**6), MUTANT_BYTES,
+           st.sampled_from(["keep", "replace", "insert", "delete"]),
+           st.sampled_from([1, 2, 7, None]))
+    def test_corpus(self, tmp_path, pool_size, case, where, byte, how, chunk):
+        fmt, raw, _ = case
+        if how != "keep":
+            raw = mutated(raw, where, byte, how)
+        path = _write(tmp_path, raw)
+        got = []
+        # a one-byte header read leaves the whole body to the pieces
+        with mock.patch.object(io, "_DECODE_BYTES", chunk or io._DECODE_BYTES), \
+                mock.patch.object(io, "_HEADER_BYTES", 1 if chunk else io._HEADER_BYTES):
+            for size in (1, 2, 3):
+                pool_size(size)
+                got.append(decoded(fmt, path))
+        assert got[1] == got[0] and got[2] == got[0], (raw, got)
+        assert isinstance(got[0], str) or got[0][1]
+
+    def test_long_body(self, tmp_path, pool_size):
+        rng = np.random.default_rng(5)
+        sq = MagicSquare(rng.integers(-10**12, 10**12, (300, 300)), 1)
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, sq)
+        for chunk in (1 << 10, io._DECODE_BYTES):
+            with mock.patch.object(io, "_DECODE_BYTES", chunk):
+                for size in (1, 2, 3):
+                    pool_size(size)
+                    assert np.array_equal(io.read_ms(path).entries, sq.entries)
+                    assert io.read_matches(path, sq)
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,21 @@ class TestArrayEntryPoints:
         assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t) == row_ls
         assert oa.verify_large_set(fam, t) == row_ls == exhaustive_large_set(fam, t)
 
+    @pytest.mark.parametrize("q,t,kind", CASES)
+    def test_pool_sizes_agree(self, q, t, kind, pool_size, monkeypatch):
+        cells = grid_of(q, t).cells if kind is None else corrupted(q, t, kind)
+        fam = rows_family(dataclasses.replace(grid_of(q, t), cells=cells))
+        verdict = not BROKEN[kind]
+        row_ls = not {"rows", "cover"} & set(BROKEN[kind])
+        n, _, k = cells.shape
+        for size in (1, 2, 3):
+            pool_size(size)
+            # two slabs per block, so every pool splits the column codes
+            monkeypatch.setattr(oa, "_CODE_ENTRIES", 2 * size * k * n)
+            assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t) == verdict, size
+            assert oa.verify_sdloa(fam, t) == verdict, size
+            assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t) == row_ls, size
+
     def test_row_exchange_passes_the_member_pass(self):
         # so only the coverage seen-map can reject the row large set
         cells = corrupted(5, 3, "row_exchange")

@@ -9,9 +9,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from multimagic import _pool, cli, construct, io, linalg, verify
+from multimagic import _pool, cli, construct, io, linalg, oa, verify
 from multimagic.errors import ConstructionError, FormatError
 from multimagic.verify import MagicSquare, verify_cms, verify_ms
 
@@ -85,6 +86,19 @@ class TestOrderedMap:
         assert _pool.usable_cores() >= 1
         with pytest.raises(ValueError):
             pool_size(0)
+
+    def test_size_has_a_ceiling(self, pool_size):
+        before = (threading.active_count(), _pool.size())
+        for workers in (_pool.MAX_WORKERS + 1, 100_000):
+            with pytest.raises(ValueError, match=str(_pool.MAX_WORKERS)):
+                pool_size(workers)
+        assert (threading.active_count(), _pool.size()) == before
+
+    def test_blocks(self, pool_size):
+        pool_size(2)
+        assert _pool.blocks(10, 3, 12) == range(0, 10, 2)
+        assert _pool.blocks(10, 100, 12) == range(0, 10, 1)  # at least one item
+        assert _pool.blocks(5, 0, 4) == range(0, 5, 2)
 
     def test_import_starts_no_thread(self):
         code = ("import threading, multimagic; "
@@ -206,6 +220,33 @@ def test_stress_more_workers_than_cores(ms125, pool_size, monkeypatch, tmp_path)
         sys.setswitchinterval(interval)
 
 
+class TestGridAgreement:
+    """The cell gather and the column codes, in blocks of any size on any
+    pool, give the whole-array results."""
+
+    def test_cells_and_codes(self, f5, pool_size, monkeypatch):
+        cert = linalg.find_sdloa_pair(f5, 3)
+        table = cert.table
+        e1x = construct._all_products(table, construct._np_of(cert.e1))
+        e2y = construct._all_products(table, construct._np_of(cert.e2))
+        want_cells = table.add_table[e1x[:, None, :], e2y[None, :, :]]
+        n, _, k = want_cells.shape
+        members = want_cells.transpose(0, 2, 1)  # (N, k, N), a strided view
+        want_codes = (want_cells.astype(np.int64) * 5 ** np.arange(k)).sum(axis=2)
+        for size, rows in _configs():
+            pool_size(size)
+            monkeypatch.setattr(construct, "_GATHER_ENTRIES", rows * size * n * k)
+            monkeypatch.setattr(oa, "_CODE_ENTRIES", rows * size * n * k)
+            cells = construct._base_cells(cert)
+            assert cells.dtype == want_cells.dtype
+            assert np.array_equal(cells, want_cells), (size, rows)
+            # one code path for a stack of any leading shape
+            assert np.array_equal(oa._column_codes(members, 5), want_codes)
+            assert np.array_equal(oa._column_codes(members[7], 5), want_codes[7])
+            assert np.array_equal(oa._column_codes(members.reshape(5, 25, k, n), 5),
+                                  want_codes.reshape(5, 25, n))
+
+
 class TestWriterAgreement:
     def test_square_bytes(self, ms125, pool_size, monkeypatch, tmp_path):
         want = b"MMS 1 n=125 t=3 base=0\n" + text_rows(ms125.entries)
@@ -229,7 +270,9 @@ class TestWriterAgreement:
 # Errors raised on a worker, and public functions kept off the workers
 # ---------------------------------------------------------------------------
 
-KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode")}
+KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode"),
+           "decode": (io, "_scan"), "gather": (construct, "_gather"),
+           "codes": (oa, "_horner")}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
