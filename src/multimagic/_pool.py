@@ -61,9 +61,9 @@ def _mark_worker() -> None:
     _local.worker = True
 
 
-def ordered_map(fn, items):
-    """Yield fn(item) for each item, in order, with at most 2 * size()
-    calls submitted and not yet yielded."""
+def ordered_map(fn, items, limit: int = 2 * MAX_WORKERS):
+    """Yield fn(item) for each item, in order, with at most
+    min(limit, 2 * size()) calls submitted and not yet yielded."""
     global _executor
     if _size == 1 or getattr(_local, "worker", False):
         yield from map(fn, items)
@@ -71,11 +71,11 @@ def ordered_map(fn, items):
     with _lock:
         if _executor is None:
             _executor = ThreadPoolExecutor(_size, "multimagic", _mark_worker)
-        executor, workers = _executor, _size
+        executor, depth = _executor, min(limit, 2 * _size)
     window = deque()
     try:
         for item in items:
-            if len(window) == 2 * workers:
+            if len(window) == depth:
                 yield window.popleft().result()
             window.append(executor.submit(fn, item))
         while window:

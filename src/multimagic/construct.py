@@ -66,14 +66,6 @@ def _all_products(table: FieldTable, mat: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _matvec(table: FieldTable, mat: np.ndarray, vec) -> np.ndarray:
-    """mat @ vec over GF(q) for one vector; returns int16 of length k."""
-    acc = np.zeros(mat.shape[0], dtype=np.int16)
-    for j, w in enumerate(vec):
-        acc = table.add_table[acc, table.mul_table[mat[:, j], int(w)]]
-    return acc
-
-
 def _verified_or_raise(report: verify.VerifyReport, what: str) -> None:
     """Raise ConstructionError naming the first four failures, if any."""
     if not report.passed:
@@ -178,13 +170,12 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     return SdloaGrid(cert.table, cert.t, cells, cert)
 
 
-def grid_to_ms(grid: SdloaGrid, check: bool = True) -> MagicSquare:
+def grid_to_ms(grid: SdloaGrid) -> MagicSquare:
     """Encode each cell as sum(component_l * q**l) and verify the square."""
     # the cell encoding is the base-q column code of the row-orientation
     # members: one in-place Horner pass over the 2t component planes
     sq = MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
-    if check:
-        _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
+    _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
     return sq
 
 
@@ -202,6 +193,9 @@ class TranslationScheme:
         n = q**t
         if len(self.pairs) != n:
             raise ValueError(f"scheme has {len(self.pairs)} pairs, needs {n}")
+        for i, (h, star) in enumerate(self.pairs):
+            if len(h) != t or len(star) != t:
+                raise ValueError(f"pair {i} (H={h}, H*={star}) needs vectors of length {t}")
         hs = [vec_to_index(h, q) for h, _ in self.pairs]
         if hs != list(range(n)):
             raise ValueError("H components must be every vector in index order")
@@ -244,16 +238,36 @@ class CmsFamily:
         return self.members[0].n
 
 
+def _covers(codes: np.ndarray) -> bool:
+    """The codes mark every value 0..codes.size-1, so each exactly once."""
+    seen = np.zeros(codes.size, dtype=bool)
+    seen[codes.ravel()] = True  # a contiguous copy indexes faster
+    return bool(seen.all())
+
+
 def build_cms(cert: MatrixPairCertificate,
               scheme: TranslationScheme | None = None) -> CmsFamily:
-    """One translated grid per (H, H*) pair, each encoded to a square.
+    """One member per (H, H*) pair, each an index permutation of grid 0's
+    square.
 
-    Asserts that the grids are strong double large sets and that the
-    cross-member row and column families are large sets.  The two
-    cross-member diagonal families are additionally required on the
-    default (H* = d H) route, where the certificate guarantees them; an
-    explicit scheme records their outcome instead, and the family-level
-    power-sum verification is the final gate either way.
+    E1 and E2 are linear, so cell(X + H, Y + H*) = cell(X, Y) + E1 H +
+    E2 H*: member s is square0[rows_s][:, cols_s], with rows_s[X] the
+    index of X + H_s and cols_s[Y] that of Y + H*_s, and no translated
+    grid is built.  Grid 0 is checked as a strong double large set, and
+    that check covers every translated grid and every row and column
+    family.  A translated grid's rows and columns are grid 0's reordered,
+    and its diagonal selections are grid 0's plus the constant E1 H +
+    E2 H*, a per-component level permutation that keeps strength t.  As
+    the H and the H* run over every vector, row family X holds every row
+    of grid 0, so its codes are square0's entries, and so do column
+    family Y's.  Only the two diagonal families can fail: each is a
+    large set iff its m * N = N^2 codes cover 0..N^2-1, the encoding
+    being a bijection and, by pigeonhole, no member repeating a column.
+
+    The two diagonal families are required on the default (H* = d H)
+    route, where the certificate guarantees them; an explicit scheme
+    records their outcome instead, and the family-level power-sum
+    verification is the final gate either way.
     """
     table = cert.table
     t = cert.t
@@ -266,49 +280,23 @@ def build_cms(cert: MatrixPairCertificate,
                              "supply a scheme explicitly")
         scheme = default_scheme(table, t, cert.d)
     scheme.validate(q, t)
-    _require_pair_flags(cert)
+    grid = build_sdloa_grid(cert)
 
-    e1 = _np_of(cert.e1)
-    e2 = _np_of(cert.e2)
-    base = _base_cells(cert)
-    shifts = [
-        table.add_table[_matvec(table, e1, h), _matvec(table, e2, hs)]
-        for h, hs in scheme.pairs
-    ]
-
-    members = []
-    for i, k_shift in enumerate(shifts):
-        cells = table.add_table[base, k_shift[None, None, :]]
-        if not oa._sdloa_ok(cells.transpose(0, 2, 1), q, t):
-            raise ConstructionError(
-                f"translated grid {i} failed strong-double-large-set verification"
-            )
-        # verify_cms below checks every member at degree t
-        members.append(grid_to_ms(SdloaGrid(table, t, cells, cert), check=False))
-
-    shift_planes = np.stack(shifts)[:, :, None]  # (members, 2t, 1)
-
-    def _large_set(cell_block: np.ndarray) -> bool:
-        """Cells (N, 2t) of one line, translated by every shift: member s
-        of the family is the (2t, N) array cell_block.T + shift s."""
-        stack = table.add_table[cell_block.T[None], shift_planes]
-        return oa._large_set_ok([stack], q, t)
-
-    for x in range(n):
-        if not _large_set(base[x]):
-            raise ConstructionError(f"row family X={x} is not a large set")
-    for y in range(n):
-        if not _large_set(base[:, y]):
-            raise ConstructionError(f"column family Y={y} is not a large set")
+    # (m, 2, N, t) vectors X + H_s and Y + H*_s, then their indices
+    sums = table.add_table[_digit_matrix(q, t), np.array(scheme.pairs)[:, :, None]]
+    rows, cols = (sums @ q ** np.arange(t - 1, -1, -1)).transpose(1, 0, 2)
+    square0 = oa._column_codes(grid.cells.transpose(0, 2, 1), q)
+    stack = square0[rows[:, :, None], cols[:, None, :]]  # (m, N, N)
 
     ar = np.arange(n)
-    checks = {"rows": True, "columns": True}
-    checks["main_diagonal"] = _large_set(base[ar, ar])
-    checks["back_diagonal"] = _large_set(base[ar, n - 1 - ar])
-    if require_diagonals and not (checks["main_diagonal"] and checks["back_diagonal"]):
-        bad = [k for k in ("main_diagonal", "back_diagonal") if not checks[k]]
+    checks = {"rows": True, "columns": True,
+              "main_diagonal": _covers(stack[:, ar, ar]),
+              "back_diagonal": _covers(stack[:, ar, n - 1 - ar])}
+    bad = [k for k, ok in checks.items() if not ok]
+    if require_diagonals and bad:
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
 
+    members = [MagicSquare(member, t) for member in stack]
     _verified_or_raise(verify.verify_cms(members, t), "complementary family")
     return CmsFamily(tuple(members), t, checks)
 

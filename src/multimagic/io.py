@@ -195,10 +195,12 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
 
     ``body`` holds the bytes already read past the header, from its line
     break on; the rest is read from binary file f in pieces of about
-    1/64 of the body per worker, within [_DECODE_MIN, _DECODE_BYTES]
-    bytes, each cut after its last separator so that no token spans two
+    1/64 of the body (whatever the worker count, as the pieces fix which
+    error is raised first), within [_DECODE_MIN, _DECODE_BYTES] bytes, cut
+    after a separator so that no token spans two pieces.  The pieces in
+    flight on the pool hold at most about 1/32 of the body, or two
     pieces.  With ``split``, blank lines separate count blocks of rows
-    lines each; without it they are ignored.
+    lines each; else ignored.
     """
     total = count * rows * cols
     here = f.tell()
@@ -207,8 +209,9 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
     # every entry takes at least one digit and one separator
     if 2 * total > left:
         raise FormatError(f"body is too short for {total} entries")
-    size = min(_DECODE_BYTES, max(_DECODE_MIN, left // (64 * _pool.size())))
-    return _stitch(_pieces(f, body, size), count, rows, cols, split)
+    size = min(_DECODE_BYTES, max(_DECODE_MIN, left // 64))
+    scanned = _pool.ordered_map(_scan, _pieces(f, body, size), max(2, left // 32 // size))
+    return _stitch(scanned, count, rows, cols, split)
 
 
 def _pieces(f, body: bytes, size: int):
@@ -237,7 +240,7 @@ def _pieces(f, body: bytes, size: int):
 
 def _scan(piece: tuple[bytes, int]):
     """(per_line, values, error, last) of one (data, cut) piece, the
-    pooled kernel of _stitch.  per_line counts the tokens before the
+    pooled kernel of _decode.  per_line counts the tokens before the
     first line break, between breaks and after the last; values are the
     parsed tokens; error is the message of a token outside the int64
     range, else None; last marks the final piece.  A byte or sign error
@@ -257,23 +260,22 @@ def _scan(piece: tuple[bytes, int]):
         if ((b[at - 1] > 32).any() or (after < ord("0")).any()
                 or (after > ord("9")).any()):
             raise FormatError("a sign must start a token and precede a digit")
-    tok = b > 32  # every separator byte is at most b" "
-    starts = np.empty(cut, dtype=bool)  # starts[i]: a token starts at b[i]
-    starts[0] = False
-    np.less(tok[:-1], tok[1:], out=starts[1:])
+    # token start offsets (b[0] is a separator, and every separator byte
+    # is at most b" ")
+    starts = np.flatnonzero((b[:-1] <= 32) & (b[1:] > 32)) + 1
     breaks = np.flatnonzero(b == 10)
     if b"\r" in data:
         cr = np.flatnonzero(b == 13)
         breaks = np.union1d(breaks, cr[buf[cr + 1] != 10])
     # tokens before the first break, between breaks, after the last
-    bounds = np.concatenate(([0], breaks))
-    per_line = np.add.reduceat(starts.view(np.uint8), bounds, dtype=np.uint32)
+    per_line = np.diff(np.searchsorted(starts, np.concatenate(([0], breaks))),
+                       append=starts.size)
     vals = np.fromstring(data, dtype=np.int64, count=int(per_line.sum()), sep=" ")
     # the parser saturates every out-of-range token to INT64_MAX
     error = None
     hits = np.flatnonzero(vals == _INT64_MAX)
     if hits.size:
-        for at in np.flatnonzero(starts)[hits].tolist():
+        for at in starts[hits].tolist():
             text = _TOKEN.match(data, at).group()
             if text.lstrip(b"+").lstrip(b"0") != b"9223372036854775807":
                 error = f"token {text[:24].decode()} is outside the int64 range"
@@ -281,16 +283,16 @@ def _scan(piece: tuple[bytes, int]):
     return per_line, vals, error, cut == len(data)
 
 
-def _stitch(pieces, count: int, rows: int, cols: int, split: bool):
-    """The (position, values) pairs of _decode: the pieces scanned on the
-    pool and stitched in file order.  Line counts carry across pieces;
+def _stitch(scanned, count: int, rows: int, cols: int, split: bool):
+    """The (position, values) pairs of _decode: the _scan results of the
+    pieces, stitched in file order.  Line counts carry across pieces;
     row shapes, block runs and totals are checked here."""
     total = count * rows * cols
     pos = 0       # entries parsed
     line = 0      # tokens on the unfinished line
     run = 0       # lines of the unfinished block
     blocks = 0    # finished blocks
-    for per_line, vals, error, last in _pool.ordered_map(_scan, pieces):
+    for per_line, vals, error, last in scanned:
         n = vals.size
         if pos + n > total:
             raise FormatError(f"body holds more than {total} entries")

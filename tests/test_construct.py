@@ -22,6 +22,7 @@ from multimagic.construct import (
 from multimagic.errors import ConstructionError
 from multimagic.linalg import FMatrix
 
+import cms_oracle
 from conftest import rows_family
 
 E1_ROWS = ((1, 0), (0, 1), (1, 1), (2, 1))
@@ -166,21 +167,16 @@ class TestBuildCms:
             build_cms(cert, TranslationScheme(tuple(pairs)))
 
     def test_bad_member_caught_by_family_gate(self, f5, monkeypatch):
-        # members are encoded without their own check; verify_cms must
+        # members are not power-sum checked one by one; verify_cms must
         # still refuse a member whose degree-t line sums fail
-        encode = construct.grid_to_ms
-        encoded = []
+        gate = verify.verify_cms
 
-        def corrupt_fourth(grid, check=True):
-            sq = encode(grid, check)
-            encoded.append(sq)
-            if len(encoded) != 4:
-                return sq
-            bad = sq.entries.copy()
+        def corrupt_fourth(members, t):
+            bad = members[3].entries
             bad[0, 0], bad[1, 2] = bad[1, 2], bad[0, 0]
-            return verify.MagicSquare(bad, sq.t)
+            return gate(members, t)
 
-        monkeypatch.setattr(construct, "grid_to_ms", corrupt_fourth)
+        monkeypatch.setattr(verify, "verify_cms", corrupt_fourth)
         with pytest.raises(ConstructionError,
                            match=r"^complementary family failed verification: "
                                  r"row 0 degree 1 \(member 3\)"):
@@ -196,10 +192,120 @@ class TestBuildCms:
         with pytest.raises(ValueError):
             build_cms(cert, dupl)
 
+    def test_scheme_vectors_of_wrong_length(self, f5):
+        # a leading 0 keeps every index in range, so only the length
+        # check tells these vectors from the t-component ones
+        cert = linalg.find_cms_pair(f5, 2)
+        good = construct.default_scheme(f5, 2, cert.d)
+        longer = TranslationScheme(tuple(((0, *h), (0, *hs)) for h, hs in good.pairs))
+        with pytest.raises(ValueError, match=r"^pair 0 \(H=\(0, 0, 0\), H\*=\(0, 0, 0\)\) "
+                                             r"needs vectors of length 2$"):
+            build_cms(cert, longer)
+
     def test_missing_d_needs_scheme(self, f3):
         cert = construct.registered_pair(f3, 2)
         with pytest.raises(ValueError):
             build_cms(cert)
+
+
+def outcome(build, cert, scheme=None):
+    """(members, family checks) of a family build, or (error type, message)."""
+    try:
+        fam = build(cert, scheme)
+    except (ConstructionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.stack([m.entries for m in fam.members]), fam.family_checks
+
+
+def assert_matches_oracle(cert, scheme=None):
+    got = outcome(build_cms, cert, scheme)
+    want = outcome(cms_oracle.build_cms, cert, scheme)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    return want
+
+
+def random_scheme(q: int, t: int, seed: int) -> TranslationScheme:
+    """H in index order, H* a seeded random permutation of all vectors."""
+    perm = np.random.default_rng(seed).permutation(q**t)
+    return TranslationScheme(tuple((index_to_vec(j, q, t), index_to_vec(int(s), q, t))
+                                   for j, s in enumerate(perm)))
+
+
+class TestFamilyFromGridZero:
+    """build_cms derives every member from grid 0 by index permutation; the
+    oracle materialises and checks every translated grid and family."""
+
+    def test_fixture_scheme(self, f3):
+        members, checks = assert_matches_oracle(construct.registered_pair(f3, 2),
+                                                construct.registered_scheme(f3, 2))
+        assert not checks["main_diagonal"] and not checks["back_diagonal"]
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_default_scheme(self, f5, t):
+        members, checks = assert_matches_oracle(linalg.find_cms_pair(f5, t))
+        assert members.shape == (5**t, 5**t, 5**t) and all(checks.values())
+
+    def test_random_explicit_schemes(self, f5):
+        cert = linalg.find_cms_pair(f5, 2)
+        kinds = set()
+        for seed in range(20):
+            want = assert_matches_oracle(cert, random_scheme(5, 2, seed))
+            kinds.add(want[0] if isinstance(want[0], type) else "built")
+        assert kinds == {ConstructionError}  # all refused by the family gate
+
+    def test_diagonal_verdicts_behind_a_passing_gate(self, f5, monkeypatch):
+        # with the power-sum gate passing everything, every scheme returns
+        # a family, so the recorded diagonal verdicts are compared too;
+        # H* = H fails only the main diagonal, H* = -H only the back one
+        monkeypatch.setattr(verify, "verify_cms",
+                            lambda members, t: verify.VerifyReport(members[0].n, t))
+        cert = linalg.find_cms_pair(f5, 2)
+        schemes = [random_scheme(5, 2, seed) for seed in range(20)]
+        schemes += [construct.default_scheme(f5, 2, d) for d in range(1, 5)]
+        verdicts = set()
+        for scheme in schemes:
+            _, checks = assert_matches_oracle(cert, scheme)
+            verdicts.add((checks["main_diagonal"], checks["back_diagonal"]))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("d, bad", [(1, "main_diagonal"), (4, "back_diagonal")])
+    def test_default_route_requires_the_diagonals(self, f5, monkeypatch, d, bad):
+        # the certificate's scalar would pass; H* = d H with another d
+        # breaks one diagonal family, which the default route refuses
+        scheme = construct.default_scheme
+        monkeypatch.setattr(construct, "default_scheme",
+                            lambda table, t, _: scheme(table, t, d))
+        want = assert_matches_oracle(linalg.find_cms_pair(f5, 2))
+        assert want == (ConstructionError, f"diagonal families are not large sets: ['{bad}']")
+
+    def test_covers(self):
+        assert construct._covers(np.array([[3, 1], [0, 2]]))
+        assert not construct._covers(np.array([[3, 1], [1, 2]]))
+
+    def test_one_grid_check_and_no_family_check(self, f5, monkeypatch):
+        calls = {"sdloa": 0, "large_set": 0}
+        inside = []
+        sdloa_ok, large_set_ok = oa._sdloa_ok, oa._large_set_ok
+
+        def count_sdloa(*args):
+            calls["sdloa"] += 1
+            inside.append(True)
+            try:
+                return sdloa_ok(*args)
+            finally:
+                inside.pop()
+
+        def count_large_set(*args):
+            calls["large_set"] += not inside  # the grid check runs one
+            return large_set_ok(*args)
+
+        monkeypatch.setattr(oa, "_sdloa_ok", count_sdloa)
+        monkeypatch.setattr(oa, "_large_set_ok", count_large_set)
+        build_cms(linalg.find_cms_pair(f5, 3))
+        assert calls == {"sdloa": 1, "large_set": 0}
 
 
 class TestProductCompose:

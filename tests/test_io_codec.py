@@ -441,6 +441,24 @@ class TestPoolSizes:
         assert got[1] == got[0] and got[2] == got[0], (raw, got)
         assert isinstance(got[0], str) or got[0][1]
 
+    def test_two_defects_give_one_message(self, tmp_path, pool_size):
+        # a short row near byte 20,000 and a stray byte near byte 40,000:
+        # the piece size does not depend on the worker count, so every
+        # pool size reports the defect the serial scan reports first
+        n = 700
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, MagicSquare(np.arange(n * n).reshape(n, n), 1))
+        raw = bytearray(path.read_bytes())
+        end = raw.index(b"\n", 20_000)
+        del raw[raw.rindex(b" ", 0, end):end]  # the row's last entry
+        at = raw.index(b" ", 40_000) + 1
+        raw[at] = ord("x")
+        path.write_bytes(bytes(raw))
+        for size in (1, 2, 3):
+            pool_size(size)
+            with pytest.raises(FormatError, match="^body holds a byte other than"):
+                io.read_ms(path)
+
     def test_long_body(self, tmp_path, pool_size):
         rng = np.random.default_rng(5)
         sq = MagicSquare(rng.integers(-10**12, 10**12, (300, 300)), 1)

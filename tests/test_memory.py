@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multimagic import construct, gf, io, linalg, verify
+from multimagic import construct, gf, io, linalg, oa, verify
 
 
 def traced_peak(fn, *args):
@@ -35,12 +35,13 @@ def test_grid_check_in_place(cert625):
 
 def test_encode_by_horner(cert625):
     grid = construct.build_sdloa_grid(cert625)
-    sq, peak = traced_peak(construct.grid_to_ms, grid, False)
-    assert peak <= 1.25 * sq.entries.nbytes
+    codes, peak = traced_peak(oa._column_codes, grid.cells.transpose(0, 2, 1), grid.table.q)
+    assert peak <= 1.25 * codes.nbytes
 
 
 def test_verify_in_row_blocks(cert625, monkeypatch):
-    sq = construct.grid_to_ms(construct.build_sdloa_grid(cert625), check=False)
+    grid = construct.build_sdloa_grid(cert625)
+    sq = verify.MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
     rep, peak = traced_peak(verify.verify_ms, sq, 2)
     assert rep.passed
@@ -65,3 +66,9 @@ def test_read_back_in_place(tmp_path):
     same, peak = traced_peak(io.read_matches, path, sq)
     assert same
     assert peak <= 0.25 * sq.entries.nbytes
+
+
+def test_read_back_in_place_at_four_workers(tmp_path, pool_size):
+    # the pieces in flight are bounded by bytes, not by the worker count
+    pool_size(4)
+    test_read_back_in_place(tmp_path)

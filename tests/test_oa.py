@@ -325,9 +325,9 @@ class TestSdloaShortcut:
         assert_paths_agree(fam, 2)
 
     def test_cms_cross_member_families_are_relabellings(self, f5):
-        # build_cms checks the family of row x (and column y) of every
-        # translated grid as a large set; those members are translates of
-        # member 0, so the relabelling pass proves all of them
+        # the family of row x (and column y) of every member of a built
+        # family is a large set; its members are translates of member 0,
+        # so the relabelling pass proves all of them
         cms = construct.build_cms(linalg.find_cms_pair(f5, 2))
         digits = 5 ** np.arange(4)[:, None]
         squares = np.stack([m.normalized() for m in cms.members])

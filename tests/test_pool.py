@@ -51,6 +51,21 @@ class TestOrderedMap:
         assert len(ahead) == 50
         assert max(ahead) <= 2 * size - 1
 
+    def test_window_argument_caps_it(self, pool_size):
+        pool_size(3)
+        consumed = [0]
+        ahead = []
+
+        def record(i):
+            ahead.append(i - consumed[0])
+            return i
+
+        for i in _pool.ordered_map(record, range(50), 2):
+            assert i == consumed[0]
+            consumed[0] += 1
+        assert len(ahead) == 50
+        assert max(ahead) <= 1
+
     def test_size_one_runs_on_the_caller(self, pool_size):
         pool_size(1)
         seen = list(_pool.ordered_map(lambda i: threading.current_thread(), range(5)))
@@ -121,7 +136,7 @@ def _configs():
 def ms125(f5):
     """MS(125, 3), encoded without the verifier under test."""
     grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
-    return construct.grid_to_ms(grid, check=False)
+    return MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
 
 
 def _corruptions(sq: MagicSquare) -> dict:
