@@ -5,6 +5,9 @@ vector grids over GF(q) and verifies every claimed combinatorial
 property with exact integer arithmetic.
 """
 
+# Built, or loaded from the cache, at import: the first read or write
+# then pays no compile.
+from . import _codec  # noqa: F401
 from .construct import (
     BlockAssignment,
     CmsFamily,

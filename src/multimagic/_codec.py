@@ -1,0 +1,110 @@
+"""The compiled text codec: ``_codec.c``, built with cffi in API mode.
+
+The extension is built on first import into the per-user cache
+(``$XDG_CACHE_HOME/multimagic``, else ``~/.cache/multimagic``), in a
+directory named by checksums of the C source, its declarations, the compiler
+flags and the Python ABI; later imports load it from there.  A build goes
+to a temporary directory that is renamed into place, so concurrent first
+imports do not see a half-written module.  There is no pure-Python
+fallback: without gcc and cffi the import fails.
+
+The package imports this module, so that ``import multimagic`` pays the
+compile once rather than the first read or write.  cffi releases the
+interpreter lock during each call, so the codec scales on the worker pool.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import zlib
+from pathlib import Path
+
+_NAME = "_multimagic_codec"
+_SOURCE = Path(__file__).with_name("_codec.c")
+_DECLARATIONS = """
+#define BAD_BYTE ...
+#define BAD_SIGN ...
+int check(const char *text, size_t size, size_t cut, size_t *counts);
+int parse(const char *text, size_t size, size_t cut, int64_t *values,
+          size_t n_values, int64_t *lines, size_t n_lines, size_t *bad);
+size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out);
+"""
+_FLAGS = ("-O3", "-shared", "-fPIC")
+_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
+
+
+def _cache() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "multimagic"
+
+
+def _key(source: bytes) -> str:
+    import _cffi_backend  # the extension's runtime
+
+    abi = (f"{sys.implementation.cache_tag} {_SUFFIX} {_cffi_backend.__version__} "
+           f"{_FLAGS} {_DECLARATIONS}")
+    # zlib's two checksums, not hashlib, which would load OpenSSL (3 MB)
+    data = source + abi.encode()
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
+def _compile(c_file: Path, module: Path) -> None:
+    """Compile the C that cffi emitted into the extension module."""
+    import subprocess
+    import sysconfig
+
+    done = subprocess.run(["gcc", *_FLAGS, "-I", sysconfig.get_paths()["include"],
+                           "-o", str(module), str(c_file)],
+                          capture_output=True, text=True, errors="replace")
+    if done.returncode:
+        raise ImportError(f"gcc failed:\n{done.stderr}")
+
+
+def _build(source: bytes, where: Path) -> None:
+    import shutil
+    import tempfile
+
+    from cffi import FFI
+    from cffi.recompiler import make_c_source
+
+    ffi = FFI()
+    ffi.cdef(_DECLARATIONS)
+    where.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix="build-", dir=where.parent))
+    try:
+        c_file = tmp / f"{_NAME}.c"
+        make_c_source(ffi, _NAME, source.decode("ascii"), str(c_file))
+        _compile(c_file, tmp / f"{_NAME}{_SUFFIX}")
+        c_file.unlink()
+        try:
+            os.replace(tmp, where)
+        except OSError:
+            if not (where / f"{_NAME}{_SUFFIX}").is_file():
+                raise
+            # another process put its build in place first
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _load():
+    """The extension module, built first if the cache lacks it."""
+    source = _SOURCE.read_bytes()
+    where = _cache() / f"codec-{_key(source)}"
+    module = where / f"{_NAME}{_SUFFIX}"
+    if not module.is_file():
+        try:
+            _build(source, where)
+        except (ImportError, OSError) as exc:
+            raise ImportError(f"multimagic builds its text codec with gcc and cffi "
+                              f"into {where}: {exc}") from exc
+    spec = importlib.util.spec_from_file_location(_NAME, module)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
+_module = _load()
+ffi, lib = _module.ffi, _module.lib

@@ -3,12 +3,14 @@
 Exit codes: 0 success or verified, 1 verified-false, 2 usage error,
 3 construction failure, running out of memory included.  Generation
 commands self-verify before writing and re-read their own artifact
-through the file formats as a final consistency check.
+through the file formats as a final consistency check; the artifact
+reaches its ``--out`` path only after that check passes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import gcd
 
@@ -41,9 +43,19 @@ def _cmd_search_matrices(args) -> int:
     return EXIT_OK
 
 
-def _check_read_back(path, artifact) -> None:
-    if not io.read_matches(path, artifact):
-        raise ConstructionError("artifact did not round-trip")
+def _write_checked(write, path, artifact) -> None:
+    """Write artifact to path + ".tmp" and rename it to path only once its
+    read-back matches, so that path never holds an unverified artifact;
+    the temporary file is removed on any failure."""
+    tmp = f"{path}.tmp"
+    try:
+        write(tmp, artifact)
+        if not io.read_matches(tmp, artifact):
+            raise ConstructionError("artifact did not round-trip")
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def _cmd_gen_ms(args) -> int:
@@ -53,8 +65,7 @@ def _cmd_gen_ms(args) -> int:
         sq = construct.build_ms_qt(table, args.t)
     else:
         sq = construct.build_ms_q2t1(table, args.t, progress=progress)
-    io.write_ms(args.out, sq)
-    _check_read_back(args.out, sq)
+    _write_checked(io.write_ms, args.out, sq)
     print(f"wrote MS({sq.n},{sq.t}) to {args.out}")
     return EXIT_OK
 
@@ -62,8 +73,7 @@ def _cmd_gen_ms(args) -> int:
 def _cmd_gen_cms(args) -> int:
     table = gf.build_field_q(args.q)
     fam = construct.build_cms_family(table, args.t)
-    io.write_cms_bundle(args.out, fam)
-    _check_read_back(args.out, fam)
+    _write_checked(io.write_cms_bundle, args.out, fam)
     print(f"wrote {fam.m}-CMS({fam.n},{fam.t}) to {args.out}")
     return EXIT_OK
 
@@ -102,8 +112,7 @@ def _cmd_compose(args) -> int:
         fam = io.read_cms_bundle(args.cms[1])
         assign = _infer_block_assignment(a.n, fam.m)
         sq = construct.cms_compose(a, fam, assign)
-    io.write_ms(args.out, sq)
-    _check_read_back(args.out, sq)
+    _write_checked(io.write_ms, args.out, sq)
     print(f"wrote MS({sq.n},{sq.t}) to {args.out}")
     return EXIT_OK
 

@@ -53,6 +53,7 @@ class TestGenVerifyLoop:
         out = tmp_path / "c.cms"
         assert run_cli("gen-cms", "--q", "3", "--t", "2", "--out", str(out)) == 0
         assert out.read_bytes() == GOLDEN_CMS9.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cms"]  # no temporary left
         assert run_cli("verify-cms", str(out)) == 0
 
     def test_verify_in_separate_process(self, tmp_path):
@@ -121,8 +122,11 @@ class TestGenVerifyLoop:
 
         monkeypatch.setattr(io, writer, write_then_flip_last)
         monkeypatch.setattr(io, "_DECODE_BYTES", 32)
-        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 3
+        out = tmp_path / "x"
+        assert run_cli(*argv, "--out", str(out)) == 3
         assert capsys.readouterr().err == "construction failed: artifact did not round-trip\n"
+        # the unverified artifact reaches neither the path nor its temporary
+        assert not out.exists() and not (tmp_path / "x.tmp").exists()
 
     def test_malformed_read_back_is_usage_error(self, tmp_path, capsys, monkeypatch):
         real = io.write_ms
@@ -132,9 +136,11 @@ class TestGenVerifyLoop:
             Path(path).write_bytes(Path(path).read_bytes()[:-20])
 
         monkeypatch.setattr(io, "write_ms", write_truncated)
+        out = tmp_path / "x.mms"
         assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
-                       "--out", str(tmp_path / "x.mms")) == 2
+                       "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not (tmp_path / "x.mms.tmp").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_threads_must_be_positive(self, tmp_path, value):

@@ -1,12 +1,14 @@
 """The integer text codec shared by the MMS, OAF and CMS formats: byte
-identity with the row-join writer, agreement with the previous readers,
-the exact int64 range, the row-shape rule, fuzzing and memory bounds."""
+identity with the row-join writer, agreement with the previous readers
+and with the numpy codec the compiled kernel replaced, the exact int64
+range, the row-shape rule, fuzzing and memory bounds."""
 
 import os
 import re
 import tempfile
 import threading
 import tracemalloc
+from io import BytesIO
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import codec_oracle
 import text_oracle as oracle
 from conftest import GOLDEN_CMS9, GOLDEN_LOA
 from multimagic import io
@@ -425,7 +428,7 @@ class TestPoolSizes:
     @settings(max_examples=200, deadline=None, suppress_health_check=NO_FIXTURE_CHECK)
     @given(well_formed(), st.integers(0, 10**6), MUTANT_BYTES,
            st.sampled_from(["keep", "replace", "insert", "delete"]),
-           st.sampled_from([1, 2, 7, None]))
+           st.sampled_from([1, 2, 7, 32, None]))
     def test_corpus(self, tmp_path, pool_size, case, where, byte, how, chunk):
         fmt, raw, _ = case
         if how != "keep":
@@ -438,13 +441,15 @@ class TestPoolSizes:
             for size in (1, 2, 3):
                 pool_size(size)
                 got.append(decoded(fmt, path))
-        assert got[1] == got[0] and got[2] == got[0], (raw, got)
+            with mock.patch.object(io, "_scan", codec_oracle._scan):
+                want = decoded(fmt, path)
+        assert got == [want] * 3, (raw, got, want)
         assert isinstance(got[0], str) or got[0][1]
 
-    def test_two_defects_give_one_message(self, tmp_path, pool_size):
-        # a short row near byte 20,000 and a stray byte near byte 40,000:
-        # the piece size does not depend on the worker count, so every
-        # pool size reports the defect the serial scan reports first
+    @staticmethod
+    def two_defects(tmp_path):
+        """An order-700 square file with a short row near byte 20,000 and a
+        stray byte near byte 40,000."""
         n = 700
         path = tmp_path / "sq.mms"
         io.write_ms(path, MagicSquare(np.arange(n * n).reshape(n, n), 1))
@@ -454,10 +459,33 @@ class TestPoolSizes:
         at = raw.index(b" ", 40_000) + 1
         raw[at] = ord("x")
         path.write_bytes(bytes(raw))
-        for size in (1, 2, 3):
-            pool_size(size)
-            with pytest.raises(FormatError, match="^body holds a byte other than"):
-                io.read_ms(path)
+        return path
+
+    @staticmethod
+    def raises_alike(path, pool_size, message):
+        """Reading path raises message at pool sizes 1 to 3, with the
+        kernel's scan and with the numpy scan it replaced."""
+        for scan in (io._scan, codec_oracle._scan):
+            for size in (1, 2, 3):
+                pool_size(size)
+                with mock.patch.object(io, "_scan", scan), \
+                        pytest.raises(FormatError) as caught:
+                    io.read_ms(path)
+                assert str(caught.value) == message, (scan, size)
+
+    def test_two_defects_give_one_message(self, tmp_path, pool_size):
+        # the piece size does not depend on the worker count, so every
+        # pool size reports the defect the serial scan reports first; one
+        # default piece holds both defects, and its byte check comes first
+        self.raises_alike(self.two_defects(tmp_path), pool_size,
+                          "body holds a byte other than a digit, sign, space, "
+                          "tab or line break")
+
+    def test_two_defects_in_32_byte_pieces(self, tmp_path, pool_size):
+        # the piece holding the short row comes before the stray byte's
+        with mock.patch.object(io, "_DECODE_BYTES", 32):
+            self.raises_alike(self.two_defects(tmp_path), pool_size,
+                              "a row holds 699 entries, want 700")
 
     def test_long_body(self, tmp_path, pool_size):
         rng = np.random.default_rng(5)
@@ -470,6 +498,102 @@ class TestPoolSizes:
                     pool_size(size)
                     assert np.array_equal(io.read_ms(path).entries, sq.entries)
                     assert io.read_matches(path, sq)
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernel against the numpy codec it replaced
+# ---------------------------------------------------------------------------
+
+def scanned(scan, piece):
+    """A piece's (per_line, values, error, last), as lists, or the message
+    of the FormatError that scanning it raises."""
+    try:
+        per_line, values, error, last = scan(piece)
+    except FormatError as exc:
+        return str(exc)
+    return per_line.tolist(), values.tolist(), error, last
+
+
+def pieces_of(raw: bytes, size: int) -> list:
+    """The (data, cut) pieces into which _decode cuts a body that starts
+    with the header's line break, reading size bytes at a time."""
+    return list(io._pieces(BytesIO(raw[1:]), raw[:1], size))
+
+
+BOUNDARIES = [INT64_MIN - 1, INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX,
+              INT64_MAX + 1]
+MALFORMED = ["+", "-", "--5", "+-5", "-+5", "5-", "5+", "1-2", "+5-", "++"]
+
+
+@st.composite
+def token(draw):
+    """A token: small, int64, at or one past an int64 bound, of 20 to 30
+    digits, or malformed; with leading zeros and a "+" at times."""
+    kind = draw(st.sampled_from(["small", "int64", "boundary", "long", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED))
+    x = draw({"small": st.integers(-20, 20), "int64": INT64,
+              "boundary": st.sampled_from(BOUNDARIES),
+              "long": st.integers(10**19, 10**30) | st.integers(-(10**30), -(10**19))}[kind])
+    sign = "-" if x < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + "0" * draw(st.sampled_from([0, 0, 1, 3, 24])) + str(abs(x))
+
+
+@st.composite
+def bodies(draw):
+    """Body bytes from the header's line break on: tokens and separators,
+    "-0" and malformed tokens among them, with at most one byte after
+    the first replaced, inserted or deleted."""
+    parts = [draw(st.sampled_from(["\n", "\r", "\r\n"]))]
+    for tok in draw(st.lists(token() | st.just("-0"), max_size=24)):
+        parts += [tok, draw(st.sampled_from([" ", "  ", "\t", "\n", "\r", "\r\n",
+                                             "\n\r", " \t\r\n", "\r\r"]))]
+    raw = "".join(parts).encode("ascii")
+    how = draw(st.sampled_from(["keep", "replace", "insert", "delete"]))
+    if how != "keep" and len(raw) > 1:
+        raw = raw[:1] + mutated(raw[1:], draw(st.integers(0, 10**6)),
+                                draw(MUTANT_BYTES), how)
+    return raw
+
+
+class TestKernel:
+    @settings(max_examples=600, deadline=None)
+    @given(bodies(), st.sampled_from([1, 2, 3, 5, 8, 32, 1 << 16]))
+    def test_pieces_scan_as_the_numpy_codec(self, raw, size):
+        for piece in pieces_of(raw, size):
+            assert scanned(io._scan, piece) == scanned(codec_oracle._scan, piece), piece
+
+    @pytest.mark.parametrize("piece", [
+        (b"\n1 2\n3 x", 4),                    # a stray byte past the cut
+        (b"\n1 2\n3 4\x0b", 6),
+        (b"\n1 -2\n3 -", 5),                   # a lone sign past the cut
+        b"\n5\r6\r\n7\n\r8\r\r9\n",           # bare "\r" and "\r\n" breaks
+        b"\n1\r\n", b"\r\n1\r\n", (b"\r1\r\n2", 2),
+        b"\n-0 +0 -00 +007\n",
+        b"\n-\n", b"\n+ 5\n", b"\n--5\n", b"\n5-\n", b"\n1-2\n",
+        b"\n9223372036854775807 -9223372036854775808\n",
+        b"\n9223372036854775808 -9223372036854775809\n",
+        b"\n1 -9223372036854775809 9223372036854775808\n",
+        b"\n+" + b"0" * 30 + b"9223372036854775807 " + b"9" * 40 + b"\n",
+        b"\n", (b"\n 12 ", 4),
+    ])
+    def test_edge_pieces(self, piece):
+        # a bytes piece is the last one, which ends with a line break
+        piece = (piece, len(piece)) if isinstance(piece, bytes) else piece
+        assert scanned(io._scan, piece) == scanned(codec_oracle._scan, piece)
+
+    def test_first_out_of_range_token_is_named(self):
+        piece = b"\n1 -99999999999999999999 1" + b"8" * 30 + b"\n"
+        assert io._scan((piece, len(piece)))[2] \
+            == "token -99999999999999999999 is outside the int64 range"
+
+    def test_encodes_full_range_blocks(self):
+        block = np.random.default_rng(7).integers(INT64_MIN, INT64_MAX, (64, 37),
+                                                  dtype=np.int64, endpoint=True)
+        block[0, :6] = [INT64_MIN, INT64_MAX, 0, -1, 1, -(10**18)]
+        assert io._encode(block) == oracle.text_rows(block)
+        assert io._encode(block) == codec_oracle._encode(block)
+        assert io._encode(block[:, ::3]) == oracle.text_rows(block[:, ::3])
 
 
 # ---------------------------------------------------------------------------
