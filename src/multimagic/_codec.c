@@ -1,10 +1,12 @@
-/* The integer text codec of the MMS, OAF and CMS bodies (see io.py).
+/* The compiled kernels of multimagic, built by _codec.py: the integer
+ * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
+ * member pass of the large-set and SDLOA checks (see oa.py).
  *
- * A body token is [+-]?[0-9]+ within the int64 range; tokens are
- * separated by spaces, tabs and line breaks, and a line break is "\n",
- * "\r\n" or a bare "\r".  A piece of a body is (data, size, cut): data[0]
- * is a separator, the tokens that start before data[cut] end before it,
- * and the bytes from cut on begin the next piece.
+ * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
+ * tokens are separated by spaces, tabs and line breaks, and a line break
+ * is "\n", "\r\n" or a bare "\r".  A piece of a body is (data, size,
+ * cut): data[0] is a separator, the tokens that start before data[cut]
+ * end before it, and the bytes from cut on begin the next piece.
  *
  * decode is two calls: check() validates a piece and counts its tokens
  * and line breaks, so that the caller can size the outputs exactly, and
@@ -231,4 +233,98 @@ size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out)
         *p++ = '\n';
     }
     return (size_t)(p - out);
+}
+
+/* ---------------------------------------------------------------------
+ * The member pass of the large-set and SDLOA checks (see oa.py).
+ *
+ * A stack holds count members, each k x n over the symbols 0..v-1, read
+ * in place through byte strides: entry (m, i, j) is at byte
+ * m * sm + i * si + j * sj of data, an int16, or an int64 if wide.  For
+ * each member m of first..last-1 and each of its columns j, members():
+ *   - writes codes[m * n + j], the column's base-v code, row 0 least
+ *     significant;
+ *   - if seen, marks seen[code] (a relaxed atomic byte store, as blocks
+ *     of members run on several threads) when every entry of the column
+ *     lies in 0..v-1, so that code < v^k;
+ *   - if rows, clears rows_ok[m] unless entry (m, i, j) equals
+ *     rows[(m * k + i) * v + entry (0, i, j)] for every i: member m is
+ *     then member 0 with each row i relabelled by the images in rows;
+ *   - if cols, clears cols_ok[j] (relaxed atomic) unless entry (m, i, j)
+ *     equals cols[(j * k + i) * v + entry (m, i, 0)] for every i: column
+ *     slab j (entry (i, m) = entry (m, i, j)) is then column slab 0 with
+ *     each row relabelled by the images in cols.
+ * The image tables are contiguous, of the entries' width.  An entry
+ * outside 0..v-1 clears rows_ok[m] and cols_ok[j] and marks nothing.
+ * The caller passes rows only if member 0, and cols only if column 0 of
+ * every member, lies in 0..v-1, so that every table index is in bounds,
+ * and needs v^k < 2^63, so that k <= MAX_ROWS.
+ * ------------------------------------------------------------------- */
+
+#define MAX_ROWS 63
+
+static inline int64_t entry(const char *data, int wide, ptrdiff_t at)
+{
+    return wide ? *(const int64_t *)(data + at) : *(const int16_t *)(data + at);
+}
+
+static inline __attribute__((always_inline)) void
+pass(const char *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
+     size_t first, size_t last, size_t k, size_t n, int64_t v, int64_t *codes,
+     unsigned char *seen, const char *rows, unsigned char *rows_ok,
+     const char *cols, unsigned char *cols_ok)
+{
+    const uint64_t uv = (uint64_t)v;
+    const ptrdiff_t width = wide ? 8 : 2, table = (ptrdiff_t)k * v * width;
+    ptrdiff_t col0[MAX_ROWS];
+    uint64_t power[MAX_ROWS];
+    power[0] = 1;
+    for (size_t i = 1; i < k; i++)
+        power[i] = power[i - 1] * uv;
+    for (size_t m = first; m < last; m++) {
+        const char *member = data + (ptrdiff_t)m * sm;
+        const char *img = rows ? rows + (ptrdiff_t)m * table : NULL;
+        if (cols)  /* offsets of column slab 0's symbols in the tables */
+            for (size_t i = 0; i < k; i++)
+                col0[i] = ((ptrdiff_t)i * v + entry(member, wide, (ptrdiff_t)i * si)) * width;
+        unsigned bad = 0;
+        for (size_t j = 0; j < n; j++) {
+            const ptrdiff_t jo = (ptrdiff_t)j * sj;
+            const char *cimg = cols ? cols + (ptrdiff_t)j * table : NULL;
+            uint64_t code = 0;
+            unsigned out = 0, rbad = 0, cbad = 0;
+            for (size_t i = 0; i < k; i++) {
+                const ptrdiff_t at = jo + (ptrdiff_t)i * si;
+                int64_t x = entry(member, wide, at);
+                out |= (uint64_t)x >= uv;
+                code += (uint64_t)x * power[i];
+                if (rows)
+                    rbad |= x != entry(img, wide, ((ptrdiff_t)i * v + entry(data, wide, at)) * width);
+                if (cols)
+                    cbad |= x != entry(cimg, wide, col0[i]);
+            }
+            codes[m * n + j] = (int64_t)code;
+            if (seen && !out)
+                __atomic_store_n(seen + code, 1, __ATOMIC_RELAXED);
+            if (cols && (cbad | out))
+                __atomic_store_n(cols_ok + j, 0, __ATOMIC_RELAXED);
+            bad |= rbad | out;
+        }
+        if (rows && bad)
+            rows_ok[m] = 0;
+    }
+}
+
+void members(const void *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
+             size_t first, size_t last, size_t k, size_t n, int64_t v, int64_t *codes,
+             unsigned char *seen, const void *rows, unsigned char *rows_ok,
+             const void *cols, unsigned char *cols_ok)
+{
+    /* one specialised copy of the pass per entry width */
+    if (wide)
+        pass(data, 1, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
+             cols, cols_ok);
+    else
+        pass(data, 0, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
+             cols, cols_ok);
 }

@@ -1,16 +1,21 @@
-"""The compiled text codec: ``_codec.c``, built with cffi in API mode.
+"""The compiled kernels: ``_codec.c``, built with cffi in API mode.
 
-The extension is built on first import into the per-user cache
-(``$XDG_CACHE_HOME/multimagic``, else ``~/.cache/multimagic``), in a
-directory named by checksums of the C source, its declarations, the compiler
-flags and the Python ABI; later imports load it from there.  A build goes
-to a temporary directory that is renamed into place, so concurrent first
-imports do not see a half-written module.  There is no pure-Python
+The library holds the text codec of io.py and the member pass of the
+large-set and SDLOA checks in oa.py.  It is built on first import into the
+per-user cache (``$XDG_CACHE_HOME/multimagic``, else
+``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by
+the interpreter's cache tag and by checksums of the C source, its
+declarations, the compiler flags and the Python ABI; later imports load it
+from there.  A build goes to a temporary directory that is renamed into
+place, so concurrent first imports do not see a half-written module; after
+a build, the other ``codec-<abi>-*`` directories of the same interpreter
+tag are removed, as their sources are stale.  There is no pure-Python
 fallback: without gcc and cffi the import fails.
 
 The package imports this module, so that ``import multimagic`` pays the
-compile once rather than the first read or write.  cffi releases the
-interpreter lock during each call, so the codec scales on the worker pool.
+compile once rather than the first check, read or write.  cffi releases
+the interpreter lock during each call, so the kernels scale on the worker
+pool.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ int check(const char *text, size_t size, size_t cut, size_t *counts);
 int parse(const char *text, size_t size, size_t cut, int64_t *values,
           size_t n_values, int64_t *lines, size_t n_lines, size_t *bad);
 size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out);
+void members(const void *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
+             size_t first, size_t last, size_t k, size_t n, int64_t v, int64_t *codes,
+             unsigned char *seen, const void *rows, unsigned char *rows_ok,
+             const void *cols, unsigned char *cols_ok);
 """
 _FLAGS = ("-O3", "-shared", "-fPIC")
 _SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -89,17 +98,27 @@ def _build(source: bytes, where: Path) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _prune(where: Path) -> None:
+    """Remove every build for this interpreter tag but the one at where."""
+    import shutil
+
+    for old in where.parent.glob(f"codec-{sys.implementation.cache_tag}-*"):
+        if old != where:
+            shutil.rmtree(old, ignore_errors=True)
+
+
 def _load():
     """The extension module, built first if the cache lacks it."""
     source = _SOURCE.read_bytes()
-    where = _cache() / f"codec-{_key(source)}"
+    where = _cache() / f"codec-{sys.implementation.cache_tag}-{_key(source)}"
     module = where / f"{_NAME}{_SUFFIX}"
     if not module.is_file():
         try:
             _build(source, where)
         except (ImportError, OSError) as exc:
-            raise ImportError(f"multimagic builds its text codec with gcc and cffi "
+            raise ImportError(f"multimagic builds its C kernels with gcc and cffi "
                               f"into {where}: {exc}") from exc
+        _prune(where)
     spec = importlib.util.spec_from_file_location(_NAME, module)
     loaded = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(loaded)

@@ -43,6 +43,16 @@ def _cmd_search_matrices(args) -> int:
     return EXIT_OK
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before anything is built, an --out that cannot be written:
+    an existing directory, or a path whose parent directory is missing."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
+
+
 def _write_checked(write, path, artifact) -> None:
     """Write artifact to path + ".tmp" and rename it to path only once its
     read-back matches, so that path never holds an unverified artifact;
@@ -59,6 +69,7 @@ def _write_checked(write, path, artifact) -> None:
 
 
 def _cmd_gen_ms(args) -> int:
+    _check_out(args.out)
     table = gf.build_field_q(args.q)
     progress = (lambda msg: print(f"# {msg}")) if args.verbose else None
     if args.method == "qt":
@@ -71,6 +82,7 @@ def _cmd_gen_ms(args) -> int:
 
 
 def _cmd_gen_cms(args) -> int:
+    _check_out(args.out)
     table = gf.build_field_q(args.q)
     fam = construct.build_cms_family(table, args.t)
     _write_checked(io.write_cms_bundle, args.out, fam)
@@ -103,6 +115,7 @@ def _infer_block_assignment(table_order: int, member_count: int):
 
 
 def _cmd_compose(args) -> int:
+    _check_out(args.out)
     if args.product:
         a = io.read_ms(args.product[0])
         b = io.read_ms(args.product[1])
@@ -243,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--large-set", action="store_true")
     group.add_argument("--sdloa", action="store_true")
+    _add_threads(p)
     p.set_defaults(func=_cmd_verify_oa)
 
     p = sub.add_parser("plan", help="plan a composite order q^m at degree t")

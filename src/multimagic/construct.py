@@ -116,6 +116,7 @@ class SdloaGrid:
     t: int
     cells: np.ndarray  # (N, N, 2t) element labels
     cert: MatrixPairCertificate
+    codes: np.ndarray  # (N, N) base-q cell codes, component 0 least significant
 
     @property
     def n(self) -> int:
@@ -164,17 +165,18 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     large set before returning."""
     _require_pair_flags(cert)
     cells = _base_cells(cert)
-    # member r of the row orientation is grid row r, checked in place
-    if not oa._sdloa_ok(cells.transpose(0, 2, 1), cert.table.q, cert.t):
+    # member r of the row orientation is grid row r, checked in place; the
+    # check's column codes are the cell codes
+    ok, codes = oa._sdloa_ok(cells.transpose(0, 2, 1), cert.table.q, cert.t)
+    if not ok:
         raise ConstructionError("grid failed strong-double-large-set verification")
-    return SdloaGrid(cert.table, cert.t, cells, cert)
+    return SdloaGrid(cert.table, cert.t, cells, cert, codes)
 
 
 def grid_to_ms(grid: SdloaGrid) -> MagicSquare:
     """Encode each cell as sum(component_l * q**l) and verify the square."""
-    # the cell encoding is the base-q column code of the row-orientation
-    # members: one in-place Horner pass over the 2t component planes
-    sq = MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
+    # the cell codes were computed by the grid check
+    sq = MagicSquare(grid.codes, grid.t)
     _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
     return sq
 
@@ -285,7 +287,7 @@ def build_cms(cert: MatrixPairCertificate,
     # (m, 2, N, t) vectors X + H_s and Y + H*_s, then their indices
     sums = table.add_table[_digit_matrix(q, t), np.array(scheme.pairs)[:, :, None]]
     rows, cols = (sums @ q ** np.arange(t - 1, -1, -1)).transpose(1, 0, 2)
-    square0 = oa._column_codes(grid.cells.transpose(0, 2, 1), q)
+    square0 = grid.codes
     stack = square0[rows[:, :, None], cols[:, None, :]]  # (m, N, N)
 
     ar = np.arange(n)

@@ -2,7 +2,7 @@
 
 Every check runs on a (count, k, N) stack of members, which may be a
 strided view (a grid's cells are checked in place), through one subset
-tally, one column code, one coverage seen-map and one member pass:
+tally and one member pass:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -10,37 +10,50 @@ tally, one column code, one coverage seen-map and one member pass:
   does not divide fails untallied), so v^t <= N < 2^53 keeps the codes
   exact.  In-scope arrays have at most 2t <= 20 rows.
 * Distinct columns are found by a lexicographic column sort, exact for
-  any v^k.  Column codes are base-v int64, exact while v^k < 2^63
-  (column_codes raises ValueError beyond), built by a Horner pass per
-  block of slabs on the worker pool; a large set holds v^k columns in
-  memory, so its codes are always in range.
+  any v^k.
+* The member pass is the compiled kernel ``members`` of _codec.c, run
+  over blocks of members on the worker pool with the interpreter lock
+  released.  It reads the stack once, in place (int16 or int64 entries;
+  other integer types are converted once), and per column writes its
+  base-v int64 code, row 0 least significant, exact while v^k < 2^63
+  (column_codes raises ValueError beyond; a large set holds v^k columns
+  in memory, so its codes are always in range).  The large-set and SDLOA
+  checks hand these codes back: for a grid they are the cell codes, the
+  square itself.
 * Coverage: the family holds exactly v^k columns (checked first, a
-  ValueError otherwise), and each column code marks one byte of a v^k
-  seen-map.  By pigeonhole, v^k codes that mark all v^k bytes hit each
-  byte exactly once, so "every byte marked" is the same verdict as "every
-  count equal to 1" at one byte per code instead of eight.
+  ValueError otherwise), and the member pass marks each column code in a
+  v^k byte seen-map (relaxed atomic stores, as blocks run concurrently).
+  By pigeonhole, v^k codes that mark all v^k bytes hit each byte exactly
+  once, so "every byte marked" is the same verdict as "every count equal
+  to 1" at one byte per code instead of eight.
 * Members: only member 0 is always tallied.  A member with
   member[i, j] = sigma_i(member_0[i, j]) for injective per-row maps
   sigma_i needs no tally: sigma carries the t-tuples of any row subset
   injectively to t-tuples and distinct columns to distinct columns, so
-  its tuple counts are those of member 0 permuted.  This check is exact,
-  field-free and O(N k) per member; a member that fails it is tallied
-  exhaustively, so the verdict is the full tally's on every input.
+  its tuple counts are those of member 0 permuted.  The sigma_i are read
+  from first occurrences (_images) and checked injective in numpy; the
+  member pass checks every entry against them, and for the SDLOA check
+  checks each column slab against column slab 0 in the same read.  This
+  check is exact, field-free and O(N k) per member; a member or slab it
+  does not prove, one holding a symbol outside 0..v-1 included, is
+  tallied exhaustively, so the verdict is the full tally's on every
+  input.
 
-The private entry points _large_set_ok and _sdloa_ok take stacks; the
-public verify_* functions wrap them for OrthArray families.
+The private entry points _large_set_ok and _sdloa_ok take stacks and
+return the verdict with the column codes; the public verify_* functions
+wrap them for OrthArray families.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from . import _pool
+from ._codec import ffi as _ffi, lib as _lib
 
 
 def _check_strength(k: int, n: int, v: int, t: int) -> None:
@@ -144,34 +157,6 @@ def _strength_ok(stack: np.ndarray, v: int, t: int) -> bool:
     return True
 
 
-# Entries coded at once, over all workers, in the column-code pass.
-_CODE_ENTRIES = 1 << 20
-
-
-def _column_codes(stack: np.ndarray, v: int) -> np.ndarray:
-    """Base-v int64 column codes of a (..., k, N) stack, row 0 least
-    significant: an in-place Horner pass per block of slabs, on the pool."""
-    k, n = stack.shape[-2:]
-    if v**k >= 2**63:
-        raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
-    slabs = stack.reshape(math.prod(stack.shape[:-2]), k, n)
-    codes = np.empty((slabs.shape[0], n), dtype=np.int64)
-    starts = _pool.blocks(slabs.shape[0], k * n, _CODE_ENTRIES)
-    _pool.each(partial(_horner, codes, slabs, v, starts.step), starts)
-    return codes.reshape(stack.shape[:-2] + (n,))
-
-
-def _horner(codes: np.ndarray, slabs: np.ndarray, v: int, step: int, s0: int) -> None:
-    """Codes of slabs s0..s0+step-1 of a (count, k, N) stack, in place,
-    the pooled kernel of _column_codes."""
-    blk = slabs[s0:s0 + step]
-    out = codes[s0:s0 + step]
-    out[...] = blk[:, -1]
-    for i in reversed(range(blk.shape[1] - 1)):
-        out *= v
-        out += blk[:, i]
-
-
 def _distinct_columns(stack: np.ndarray) -> bool:
     """No slab of a (count, k, N) stack repeats a column: the columns are
     sorted lexicographically within each slab and neighbours compared."""
@@ -189,7 +174,7 @@ def _stack_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
 
 def column_codes(arr: OrthArray) -> np.ndarray:
     """Base-v integer code of every full column; ValueError when v^k >= 2^63."""
-    return _column_codes(arr.entries, arr.v)
+    return _member_pass(arr.entries[None], arr.v)[0][0]
 
 
 def verify_oa(arr: OrthArray) -> bool:
@@ -202,48 +187,108 @@ def is_simple(arr: OrthArray) -> bool:
     return _distinct_columns(arr.entries[None])
 
 
-# Entries per chunk of members in the relabelling and coverage passes;
-# keeps their temporaries, and the copy of the members sent to the tally,
-# to a few tens of MB whatever the family size.
+# Entries per chunk of members sent to the exhaustive tally; keeps the
+# copy of the members it tallies to a few tens of MB whatever the family
+# size.
 _CHUNK_ENTRIES = 8_000_000
 
-
-def _relabelled(blk: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Mask over the slabs of a (c, k, n) block: True where the slab is a
-    per-row relabelling of ref (k, n), i.e. slab[i, j] = sigma_i(ref[i, j])
-    for an injective sigma_i on the symbols of ref's row i."""
-    ok = np.ones(blk.shape[0], dtype=bool)
-    for i in range(ref.shape[0]):
-        _, first, inv = np.unique(ref[i], return_index=True, return_inverse=True)
-        row = blk[:, i, :]
-        sigma = row[:, first]  # image of each symbol of ref's row i
-        ok &= np.all(sigma[:, inv] == row, axis=1)
-        srt = np.sort(sigma, axis=1)
-        ok &= np.all(srt[:, 1:] != srt[:, :-1], axis=1)
-    return ok
+# Entries read at once, over all workers, in the member pass.
+_CODE_ENTRIES = 1 << 20
 
 
-def _relabelled_members_ok(members: np.ndarray, v: int, t: int) -> bool:
-    """Simple-OA check for every slab of a (count, k, n) stack: slab 0 by
-    exhaustive tally, the rest by relabelling of slab 0 or, failing that,
-    by exhaustive tally."""
-    count, k, n = members.shape
-    if not _stack_members_ok(members[:1], v, t):
+def _images(slabs: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relabelling tables of an (S, k, L) stack against its slab 0, whose
+    entries lie in 0..v-1: images[s, i, a] = slabs[s, i, j] at the first j
+    with slabs[0, i, j] == a, the map sigma_i of slab s taken from first
+    occurrences, contiguous and of the stack's dtype; and a mask over the
+    slabs, True where every sigma_i is injective on the symbols of slab
+    0's row i.  Symbols absent from a row get distinct negative images."""
+    ref = slabs[0]
+    k, size = ref.shape
+    first = np.full((k, v), size, dtype=np.intp)
+    for i, row in enumerate(ref):
+        symbols, pos = np.unique(row, return_index=True)
+        first[i, symbols] = pos
+    absent = first == size
+    images = np.ascontiguousarray(slabs[:, np.arange(k)[:, None], np.where(absent, 0, first)])
+    images[:, absent] = -1 - np.nonzero(absent)[1]
+    srt = np.sort(images, axis=2)
+    return images, np.all(srt[:, :, 1:] != srt[:, :, :-1], axis=(1, 2))
+
+
+def _in_range(entries: np.ndarray, v: int) -> bool:
+    return entries.size == 0 or (entries.min() >= 0 and entries.max() < v)
+
+
+def _buffer(kind: str, arr: np.ndarray | None):
+    return _ffi.NULL if arr is None else _ffi.from_buffer(kind, arr)
+
+
+def _pass_block(head: tuple, tail: tuple, step: int, count: int, first: int) -> None:
+    """Members first..first+step-1 through the kernel, the pooled body of
+    _member_pass."""
+    _lib.members(*head, first, min(first + step, count), *tail)
+
+
+def _member_pass(stack: np.ndarray, v: int, seen: np.ndarray | None = None,
+                 columns: bool = False):
+    """One pass of the compiled kernel over a (count, k, N) stack, read in
+    place if its entries are int16 or int64 (else converted once), in
+    blocks of members on the pool.  Returns the (count, N) base-v column
+    codes, row 0 least significant, and two masks, None unless asked for:
+
+    * with seen (a v^k uint8 seen-map), each column code is marked in it,
+      and rows is True where the member is proved a per-row relabelling
+      of member 0 (sigma from first occurrences, see _images);
+    * with columns, cols is True where column slab j (entry (i, m) =
+      stack[m, i, j]) is proved one of column slab 0.
+
+    A member or slab holding a symbol outside 0..v-1 is never proved, and
+    its columns are not marked.  ValueError when v^k >= 2^63."""
+    count, k, n = stack.shape
+    if max(v, 2)**k >= 2**63:  # also bounds k for the kernel
+        raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
+    wide = stack.dtype != np.int16
+    data = np.asarray(stack, dtype=np.int64) if wide else stack
+    codes = np.empty((count, n), dtype=np.int64)
+    rows = cols = row_images = col_images = None
+    if seen is not None:
+        rows = np.zeros(count, dtype=bool)
+        if count and _in_range(data[0], v):
+            row_images, rows[:] = _images(data, v)
+    if columns:
+        cols = np.zeros(n, dtype=bool)
+        if n and _in_range(data[:, :, 0], v):
+            col_images, cols[:] = _images(data.transpose(2, 1, 0), v)
+    head = (_ffi.cast("void *", data.ctypes.data), wide, *data.strides)
+    tail = (k, n, v, _buffer("int64_t[]", codes), _buffer("unsigned char[]", seen),
+            _buffer("char[]", row_images), _buffer("unsigned char[]", rows),
+            _buffer("char[]", col_images), _buffer("unsigned char[]", cols))
+    starts = _pool.blocks(count, k * n, _CODE_ENTRIES)
+    _pool.each(partial(_pass_block, head, tail, starts.step, count), starts)
+    return codes, rows, cols
+
+
+def _members_ok(stack: np.ndarray, proved: np.ndarray, v: int, t: int) -> bool:
+    """Simple-OA check for every slab of a (count, k, N) stack: slab 0 by
+    exhaustive tally, every other slab the mask proved leaves unproved by
+    exhaustive tally, in chunks."""
+    count, k, n = stack.shape
+    if not _stack_members_ok(stack[:1], v, t):
         return False
-    ref = np.ascontiguousarray(members[0])
+    rest = np.flatnonzero(~proved[1:]) + 1
     chunk = max(1, _CHUNK_ENTRIES // (k * n))
-    for s0 in range(1, count, chunk):
-        blk = members[s0:s0 + chunk]
-        if not _stack_members_ok(blk[~_relabelled(blk, ref)], v, t):
-            return False
-    return True
+    return all(_stack_members_ok(stack[rest[s0:s0 + chunk]], v, t)
+               for s0 in range(0, rest.size, chunk))
 
 
-def _large_set_ok(stacks: list[np.ndarray], v: int, t: int) -> bool:
+def _large_set_ok(stacks: list[np.ndarray], v: int, t: int, columns: bool = False):
     """Large-set check on (count, k, N) member stacks sharing k (one per
     column count), entries in 0..v-1: every member a simple OA of strength
     t, and the columns cover every k-tuple exactly once; ValueError if
-    their shapes cannot."""
+    their shapes cannot.  Returns (verdict, one (column codes, column-slab
+    mask) pair per stack), from the member pass, the mask None unless
+    columns."""
     if t < 1:
         raise ValueError("strength must be at least 1")
     k = stacks[0].shape[1]
@@ -253,16 +298,15 @@ def _large_set_ok(stacks: list[np.ndarray], v: int, t: int) -> bool:
         raise ValueError(f"family holds {total} columns but a large set needs v^k={full}")
     for s in stacks:
         _check_strength(k, s.shape[2], v, t)
-    if not all(_relabelled_members_ok(s, v, t) for s in stacks):
-        return False
     # the full columns mark a v^k seen-map; by pigeonhole, all marked
     # means each k-tuple covered exactly once (see the module docstring)
-    seen = np.zeros(full, dtype=bool)
+    seen = np.zeros(full, dtype=np.uint8)
+    ok, passes = True, []
     for s in stacks:
-        chunk = max(1, _CHUNK_ENTRIES // (k * s.shape[2]))
-        for s0 in range(0, s.shape[0], chunk):
-            seen[_column_codes(s[s0:s0 + chunk], v).ravel()] = True
-    return bool(seen.all())
+        codes, rows, cols = _member_pass(s, v, seen, columns)
+        passes.append((codes, cols))
+        ok = ok and _members_ok(s, rows, v, t)
+    return ok and bool(seen.all()), passes
 
 
 def verify_large_set(fam: ArrayFamily, t: int) -> bool:
@@ -275,7 +319,7 @@ def verify_large_set(fam: ArrayFamily, t: int) -> bool:
     groups: dict[int, list[np.ndarray]] = {}
     for m in fam.members:
         groups.setdefault(m.n_cols, []).append(m.entries)
-    return _large_set_ok([np.stack(group) for group in groups.values()], fam.v, t)
+    return _large_set_ok([np.stack(group) for group in groups.values()], fam.v, t)[0]
 
 
 def _diagonals(members: np.ndarray) -> np.ndarray:
@@ -297,15 +341,17 @@ def diagonal_selections(fam: ArrayFamily) -> tuple[OrthArray, OrthArray]:
     return OrthArray(d, fam.v, members[0].t), OrthArray(d_back, fam.v, members[0].t)
 
 
-def _sdloa_ok(members: np.ndarray, v: int, t: int) -> bool:
+def _sdloa_ok(members: np.ndarray, v: int, t: int):
     """SDLOA check on an (N, k, N) member stack with N * N = v^k and
     entries in 0..v-1, which may be a view: a large set in the row
-    orientation, the member pass in the column orientation (whose columns
-    are the same multiset, so coverage needs no second count), and both
-    diagonal selections tallied at strength t."""
-    return (_large_set_ok([members], v, t)
-            and _relabelled_members_ok(members.transpose(2, 1, 0), v, t)
-            and _strength_ok(_diagonals(members), v, t))
+    orientation, whose member pass also proves column slabs, the column
+    orientation's unproved slabs tallied (its columns are the same
+    multiset, so coverage needs no second count), and both diagonal
+    selections tallied at strength t.  Returns (verdict, the (N, N)
+    row-orientation column codes)."""
+    ok, [(codes, cols)] = _large_set_ok([members], v, t, True)
+    return (ok and _members_ok(members.transpose(2, 1, 0), cols, v, t)
+            and _strength_ok(_diagonals(members), v, t)), codes
 
 
 def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
@@ -321,4 +367,4 @@ def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
         raise ValueError(f"need N={n} members, got {count}")
     if count * n != fam.v**fam.k:
         raise ValueError("member count x columns must equal v^k")
-    return _sdloa_ok(np.stack([m.entries for m in fam.members]), fam.v, t)
+    return _sdloa_ok(np.stack([m.entries for m in fam.members]), fam.v, t)[0]

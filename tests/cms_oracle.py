@@ -47,7 +47,7 @@ def build_cms(cert, scheme=None) -> CmsFamily:
     members = []
     for i, shift in enumerate(shifts):
         cells = table.add_table[base, shift[None, None, :]]
-        if not oa.verify_sdloa(rows_family(SdloaGrid(table, t, cells, cert)), t):
+        if not oa.verify_sdloa(rows_family(SdloaGrid(table, t, cells, cert, None)), t):
             raise ConstructionError(
                 f"translated grid {i} failed strong-double-large-set verification")
         members.append(MagicSquare(cells.astype(np.int64) @ weights, t))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multimagic import _pool, construct, io
+from multimagic import _pool, construct, gf, io
 from multimagic.cli import main
 
 from conftest import GOLDEN_CMS9, GOLDEN_LOA
@@ -106,6 +106,32 @@ class TestGenVerifyLoop:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["gen-ms", "gen-cms", "compose"])
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                    golden_cms9, command, where):
+        squares = [tmp_path / "a.mms", tmp_path / "b.mms"]
+        for path, sq in zip(squares, golden_cms9.members):
+            io.write_ms(path, sq)
+        started = []
+        monkeypatch.setattr(gf, "build_field_q", lambda *a: started.append(a))
+        monkeypatch.setattr(io, "read_ms", lambda *a: started.append(a))
+        argv = {"gen-ms": ["gen-ms", "--q", "5", "--t", "3", "--method", "qt"],
+                "gen-cms": ["gen-cms", "--q", "3", "--t", "2"],
+                "compose": ["compose", "--product", *map(str, squares)]}[command]
+        if where == "directory":
+            out = tmp_path / "out"
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "x.out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and str(out) in err
+        assert not started
+        assert not Path(f"{out}.tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["a.mms", "b.mms"] + (["out"] if where == "directory" else []))
+
     @pytest.mark.parametrize("argv, writer", [
         (("gen-ms", "--q", "3", "--t", "2", "--method", "qt"), "write_ms"),
         (("gen-cms", "--q", "3", "--t", "2"), "write_cms_bundle"),
@@ -202,6 +228,27 @@ class TestVerifyCommands:
         io.write_oa_family(path, oam.ArrayFamily(golden_loa.members[0:9]))
         assert run_cli("verify-oa", str(path), "--large-set") == 0
         assert run_cli("verify-oa", str(path), "--sdloa") == 0
+
+    def test_verify_oa_threads(self, tmp_path, golden_loa, capsys, pool_size, monkeypatch):
+        from multimagic import oa as oam
+        good = tmp_path / "nine.oaf"
+        io.write_oa_family(good, oam.ArrayFamily(golden_loa.members[0:9]))
+        bad_entries = golden_loa.members[3].entries.copy()
+        bad_entries[1, 2] = (bad_entries[1, 2] + 1) % 3
+        members = list(golden_loa.members[0:9])
+        members[3] = oam.OrthArray(bad_entries, 3, 2)
+        bad = tmp_path / "corrupt.oaf"
+        io.write_oa_family(bad, oam.ArrayFamily(tuple(members)))
+        monkeypatch.setattr(oam, "_CODE_ENTRIES", 36)  # one member a block
+        for path, want in ((good, 0), (bad, 1)):
+            for mode in ([], ["--large-set"], ["--sdloa"]):
+                runs = []
+                for threads in ("1", "3"):
+                    code = run_cli("verify-oa", str(path), *mode, "--threads", threads)
+                    runs.append((code, capsys.readouterr().out))
+                    assert _pool.size() == int(threads)
+                assert runs[0] == runs[1] and runs[0][0] == want, (path, mode)
+        assert run_cli("verify-oa", str(good), "--threads", "0") == 2
 
     def test_verify_oa_corrupt_member(self, tmp_path, golden_loa):
         from multimagic import oa as oam

@@ -1,8 +1,10 @@
-"""The build cache of the compiled text codec: one compile per source,
-reuse on later imports, a rebuild when the source changes, and no
-half-built module left behind."""
+"""The build cache of the compiled kernels: one compile per source, reuse
+on later imports, a rebuild that replaces the stale build of the same
+interpreter when the source changes, and no half-built module left
+behind."""
 
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,10 +47,36 @@ def test_changed_source_rebuilds(tmp_path, compiles, monkeypatch):
     changed = tmp_path / "_codec.c"
     changed.write_bytes(_codec._SOURCE.read_bytes() + b"/* changed */\n")
     monkeypatch.setattr(_codec, "_SOURCE", changed)
-    _codec._load()
+    loaded = _codec._load()
     assert len(compiles) == 2
     assert compiles[0].parent.name != compiles[1].parent.name
-    assert len(list((tmp_path / "multimagic").iterdir())) == 2
+    # the stale build of this interpreter is removed, the new one kept
+    assert [p.name for p in (tmp_path / "multimagic").iterdir()] \
+        == [Path(loaded.__file__).parent.name]
+
+
+def test_rebuild_keeps_other_interpreters_builds(tmp_path, compiles, monkeypatch):
+    first = Path(_codec._load().__file__).parent
+    tag = sys.implementation.cache_tag
+    assert first.name.startswith(f"codec-{tag}-")
+    cache = tmp_path / "multimagic"
+    others = [cache / "codec-otherpy-311-0123456789abcdef",
+              cache / f"codec-{tag}x-0123456789abcdef",
+              cache / "codec-0123456789abcdef"]  # named before the tag was added
+    for other in others:
+        other.mkdir()
+        (other / "module.so").write_bytes(b"")
+    changed = tmp_path / "_codec.c"
+    changed.write_bytes(_codec._SOURCE.read_bytes() + b"/* changed */\n")
+    monkeypatch.setattr(_codec, "_SOURCE", changed)
+    second = Path(_codec._load().__file__).parent
+    assert len(compiles) == 2
+    assert sorted(p.name for p in cache.iterdir()) \
+        == sorted([second.name] + [other.name for other in others])
+    assert all((other / "module.so").is_file() for other in others)
+    # a later load of the same source builds nothing and removes nothing
+    assert Path(_codec._load().__file__).parent == second
+    assert len(compiles) == 2 and len(list(cache.iterdir())) == 4
 
 
 def test_failed_build_names_the_tools(tmp_path, monkeypatch):

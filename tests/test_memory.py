@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multimagic import construct, gf, io, linalg, oa, verify
+from multimagic import construct, gf, io, linalg, verify
 
 
 def traced_peak(fn, *args):
@@ -34,14 +34,18 @@ def test_grid_check_in_place(cert625):
 
 
 def test_encode_by_horner(cert625):
-    grid = construct.build_sdloa_grid(cert625)
-    codes, peak = traced_peak(oa._column_codes, grid.cells.transpose(0, 2, 1), grid.table.q)
-    assert peak <= 1.25 * codes.nbytes
+    # the cell codes come out of the grid check, inside its bound, and
+    # become the square without a copy
+    grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
+    want = (grid.cells.astype(np.int64) * grid.table.q ** np.arange(grid.cells.shape[2])).sum(axis=2)
+    assert np.array_equal(grid.codes, want)
+    assert peak <= 2.5 * grid.cells.nbytes
+    assert verify.MagicSquare(grid.codes, grid.t).entries is grid.codes
 
 
 def test_verify_in_row_blocks(cert625, monkeypatch):
     grid = construct.build_sdloa_grid(cert625)
-    sq = verify.MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
+    sq = verify.MagicSquare(grid.codes, grid.t)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
     rep, peak = traced_peak(verify.verify_ms, sq, 2)
     assert rep.passed

@@ -10,7 +10,26 @@ from hypothesis import strategies as st
 
 from multimagic import construct, gf, linalg, oa
 
+import oa_oracle
 from conftest import rows_family
+
+
+def kernel_rows(stack: np.ndarray, v: int) -> np.ndarray:
+    """The member pass's mask of members proved relabellings of member 0."""
+    return oa._member_pass(stack, v, np.zeros(v ** stack.shape[1], dtype=np.uint8))[1]
+
+
+def kernel_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
+    """Every slab a simple OA, by the member pass and its fallback tally."""
+    return oa._members_ok(stack, kernel_rows(stack, v), v, t)
+
+
+def relabelled(stack: np.ndarray, s: int, v: int) -> bool:
+    """Member s is proved a relabelling of member 0, by the kernel and by
+    the numpy pass of the oracle alike."""
+    proved = bool(kernel_rows(stack, v)[s])
+    assert proved == oa_oracle._relabelled(stack[s:s + 1], stack[0])[0]
+    return proved
 
 
 def recount_oracle(arr: oa.OrthArray) -> bool:
@@ -82,12 +101,19 @@ class TestChunks:
     def test_relabelling_pass_spans_chunks(self, a_arrays, monkeypatch):
         member = a_arrays[0].entries
         monkeypatch.setattr(oa, "_CHUNK_ENTRIES", 2 * member.size)  # two members a chunk
+        monkeypatch.setattr(oa, "_CODE_ENTRIES", member.size)  # one member a block
         stack = np.repeat(member[None], 7, axis=0)
         stack[1:, 0] = (stack[1:, 0] + 1) % 3  # relabelled row 0
-        assert oa._relabelled_members_ok(stack, 3, 2)
+        assert kernel_rows(stack, 3).all()
+        assert kernel_members_ok(stack, 3, 2)
+        # columns permuted: simple OAs, but no relabellings, so all six
+        # are tallied, three chunks of two
+        stack[1:] = stack[1:, :, [4, 5, 2, 6, 3, 8, 7, 0, 1]]
+        assert not kernel_rows(stack, 3)[1:].any()
+        assert kernel_members_ok(stack, 3, 2)
         j = int(np.argmax(member[0] != member[0, 0]))
         stack[-1, 0, [0, j]] = stack[-1, 0, [j, 0]]  # no relabelling, no OA
-        assert not oa._relabelled_members_ok(stack, 3, 2)
+        assert not kernel_members_ok(stack, 3, 2)
 
 
 class TestIsSimple:
@@ -246,11 +272,13 @@ def exhaustive_sdloa(fam: oa.ArrayFamily, t: int) -> bool:
 
 
 def assert_paths_agree(fam: oa.ArrayFamily, t: int) -> bool:
-    """The relabelling pass and the exhaustive tally agree per orientation,
-    and verify_sdloa agrees with the reference; returns the verdict."""
+    """The member pass with its fallback tally, the oracle's numpy pass and
+    the exhaustive tally agree per orientation, and verify_sdloa agrees
+    with the reference; returns the verdict."""
     stack = np.stack([m.entries for m in fam.members])
     for members in (stack, stack.transpose(2, 1, 0)):
-        assert (oa._relabelled_members_ok(members, fam.v, t)
+        assert (kernel_members_ok(members, fam.v, t)
+                == oa_oracle._relabelled_members_ok(members, fam.v, t)
                 == oa._stack_members_ok(np.ascontiguousarray(members), fam.v, t))
     verdict = oa.verify_sdloa(fam, t)
     assert verdict == exhaustive_sdloa(fam, t)
@@ -283,7 +311,8 @@ class TestSdloaShortcut:
         fam = built_grid(q, t)
         stack = np.stack([m.entries for m in fam.members])
         # translated members are all relabellings: no member falls back
-        assert oa._relabelled(stack, stack[0]).all()
+        assert kernel_rows(stack, q).all()
+        assert oa_oracle._relabelled(stack, stack[0]).all()
         assert assert_paths_agree(fam, t)
 
     def test_random_row_bijection_is_relabelling(self):
@@ -295,7 +324,7 @@ class TestSdloaShortcut:
             row[:] = rng.permutation(fam.v)[row]
         fam = with_member(fam, s, entries)
         stack = np.stack([m.entries for m in fam.members])
-        assert oa._relabelled(stack[s:s + 1], stack[0]).all()
+        assert relabelled(stack, s, fam.v)
         assert oa._stack_members_ok(stack[s:s + 1], fam.v, 2)
         assert_paths_agree(fam, 2)
 
@@ -308,7 +337,7 @@ class TestSdloaShortcut:
         row[0], row[j] = row[j], row[0]
         fam = with_member(fam, s, entries)
         stack = np.stack([m.entries for m in fam.members])
-        assert not oa._relabelled(stack[s:s + 1], stack[0]).any()
+        assert not relabelled(stack, s, fam.v)
         assert not assert_paths_agree(fam, 2)
 
     def test_column_permutation_falls_back_to_true_member(self):
@@ -320,8 +349,8 @@ class TestSdloaShortcut:
         entries = fam.members[s].entries[:, cols]
         fam = with_member(fam, s, entries)
         stack = np.stack([m.entries for m in fam.members])
-        assert not oa._relabelled(stack[s:s + 1], stack[0]).any()
-        assert oa._relabelled_members_ok(stack, fam.v, 2)
+        assert not relabelled(stack, s, fam.v)
+        assert kernel_members_ok(stack, fam.v, 2)
         assert_paths_agree(fam, 2)
 
     def test_cms_cross_member_families_are_relabellings(self, f5):
@@ -334,7 +363,8 @@ class TestSdloaShortcut:
         for lines in (squares.transpose(1, 0, 2), squares.transpose(2, 0, 1)):
             for line in lines:  # (members, N): line x of every square
                 stack = line[:, None, :] // digits % 5
-                assert oa._relabelled(stack, stack[0]).all()
+                assert kernel_rows(stack, 5).all()
+                assert oa_oracle._relabelled(stack, stack[0]).all()
                 fam = oa.ArrayFamily(tuple(oa.OrthArray(m, 5, 2) for m in stack))
                 assert oa.verify_large_set(fam, 2) and exhaustive_large_set(fam, 2)
 
@@ -396,7 +426,7 @@ class TestSdloaShortcut:
             if kind == 5:
                 fam = with_member(fam, s2, other)
             stack = np.stack([m.entries for m in fam.members])
-            rows_ok[kind, oa._relabelled_members_ok(stack, q, 2)] += 1
+            rows_ok[kind, kernel_members_ok(stack, q, 2)] += 1
             assert_paths_agree(fam, 2)
             assert oa.verify_large_set(fam, 2) == exhaustive_large_set(fam, 2)
         # relabelled and column-permuted members pass the row pass,
@@ -475,12 +505,12 @@ class TestArrayEntryPoints:
         parts = reference_parts(cells, q, t)
         assert sorted(p for p, ok in parts.items() if not ok) == BROKEN[kind]
         verdict = all(parts.values())
-        assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t) == verdict
+        assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t)[0] == verdict
         fam = rows_family(dataclasses.replace(grid_of(q, t), cells=cells))
         assert oa.verify_sdloa(fam, t) == verdict
         # the large-set entry point alone, on the row orientation
         row_ls = parts["rows"] and parts["cover"]
-        assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t) == row_ls
+        assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t)[0] == row_ls
         assert oa.verify_large_set(fam, t) == row_ls == exhaustive_large_set(fam, t)
 
     @pytest.mark.parametrize("q,t,kind", CASES)
@@ -492,17 +522,18 @@ class TestArrayEntryPoints:
         n, _, k = cells.shape
         for size in (1, 2, 3):
             pool_size(size)
-            # two slabs per block, so every pool splits the column codes
+            # two slabs per block, so every pool splits the member pass
             monkeypatch.setattr(oa, "_CODE_ENTRIES", 2 * size * k * n)
-            assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t) == verdict, size
+            assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t)[0] == verdict, size
             assert oa.verify_sdloa(fam, t) == verdict, size
-            assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t) == row_ls, size
+            assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t)[0] == row_ls, size
 
     def test_row_exchange_passes_the_member_pass(self):
         # so only the coverage seen-map can reject the row large set
         cells = corrupted(5, 3, "row_exchange")
-        assert oa._relabelled_members_ok(cells.transpose(0, 2, 1), 5, 3)
-        assert not oa._large_set_ok([cells.transpose(0, 2, 1)], 5, 3)
+        assert kernel_rows(cells.transpose(0, 2, 1), 5).all()
+        assert kernel_members_ok(cells.transpose(0, 2, 1), 5, 3)
+        assert not oa._large_set_ok([cells.transpose(0, 2, 1)], 5, 3)[0]
 
 
 class TestFixtureProperties:

@@ -136,7 +136,7 @@ def _configs():
 def ms125(f5):
     """MS(125, 3), encoded without the verifier under test."""
     grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
-    return MagicSquare(oa._column_codes(grid.cells.transpose(0, 2, 1), grid.table.q), grid.t)
+    return MagicSquare(grid.codes, grid.t)
 
 
 def _corruptions(sq: MagicSquare) -> dict:
@@ -255,11 +255,12 @@ class TestGridAgreement:
             cells = construct._base_cells(cert)
             assert cells.dtype == want_cells.dtype
             assert np.array_equal(cells, want_cells), (size, rows)
-            # one code path for a stack of any leading shape
-            assert np.array_equal(oa._column_codes(members, 5), want_codes)
-            assert np.array_equal(oa._column_codes(members[7], 5), want_codes[7])
-            assert np.array_equal(oa._column_codes(members.reshape(5, 25, k, n), 5),
-                                  want_codes.reshape(5, 25, n))
+            # one code path: the member pass, for the grid check and a
+            # single array alike
+            assert np.array_equal(oa._member_pass(members, 5)[0], want_codes)
+            assert np.array_equal(oa._sdloa_ok(members, 5, 3)[1], want_codes)
+            assert np.array_equal(oa.column_codes(oa.OrthArray(members[7], 5, 3)),
+                                  want_codes[7])
 
 
 class TestWriterAgreement:
@@ -287,7 +288,7 @@ class TestWriterAgreement:
 
 KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode"),
            "decode": (io, "_scan"), "gather": (construct, "_gather"),
-           "codes": (oa, "_horner")}
+           "codes": (oa, "_pass_block")}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
