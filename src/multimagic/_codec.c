@@ -1,6 +1,7 @@
 /* The compiled kernels of multimagic, built by _codec.py: the integer
  * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
- * member pass of the large-set and SDLOA checks (see oa.py).
+ * grid gather and the member pass of the large-set and SDLOA checks (see
+ * oa.py).
  *
  * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
  * tokens are separated by spaces, tabs and line breaks, and a line break
@@ -236,19 +237,44 @@ size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out)
 }
 
 /* ---------------------------------------------------------------------
+ * The grid gather of the SDLOA check (see oa.py).
+ *
+ * Entry (s, j, i) of a gathered block, at out[(s * n + j) * k + i], is
+ * table[a[s * k + i] + b[j * k + i]], for s < count, j < n and i < k:
+ * a grid's cells E1 X + E2 Y, read from the flat addition table with a
+ * holding q * E1 X, or with a and b swapped, its column orientation.  The
+ * caller checks that every sum indexes the table.
+ * ------------------------------------------------------------------- */
+
+void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t *b,
+            size_t n, size_t k, int16_t *out)
+{
+    for (size_t s = 0; s < count; s++) {
+        const int64_t *as = a + s * k;
+        for (size_t j = 0; j < n; j++) {
+            const int64_t *bj = b + j * k;
+            for (size_t i = 0; i < k; i++)
+                *out++ = table[as[i] + bj[i]];
+        }
+    }
+}
+
+/* ---------------------------------------------------------------------
  * The member pass of the large-set and SDLOA checks (see oa.py).
  *
- * A stack holds count members, each k x n over the symbols 0..v-1, read
- * in place through byte strides: entry (m, i, j) is at byte
- * m * sm + i * si + j * sj of data, an int16, or an int64 if wide.  For
- * each member m of first..last-1 and each of its columns j, members():
+ * A block holds members first..last-1 of a stack of members, each k x n
+ * over the symbols 0..v-1, read in place through byte strides: entry
+ * (m, i, j) is at byte (m - first) * sm + i * si + j * sj of data, an
+ * int16, or an int64 if wide.  ref is member 0 of the stack, laid out
+ * with the same strides si and sj; it need not lie in the block.  For
+ * each member m of the block and each of its columns j, members():
  *   - writes codes[m * n + j], the column's base-v code, row 0 least
  *     significant;
  *   - if seen, marks seen[code] (a relaxed atomic byte store, as blocks
  *     of members run on several threads) when every entry of the column
  *     lies in 0..v-1, so that code < v^k;
  *   - if rows, clears rows_ok[m] unless entry (m, i, j) equals
- *     rows[(m * k + i) * v + entry (0, i, j)] for every i: member m is
+ *     rows[(m * k + i) * v + ref entry (i, j)] for every i: member m is
  *     then member 0 with each row i relabelled by the images in rows;
  *   - if cols, clears cols_ok[j] (relaxed atomic) unless entry (m, i, j)
  *     equals cols[(j * k + i) * v + entry (m, i, 0)] for every i: column
@@ -269,9 +295,9 @@ static inline int64_t entry(const char *data, int wide, ptrdiff_t at)
 }
 
 static inline __attribute__((always_inline)) void
-pass(const char *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
-     size_t first, size_t last, size_t k, size_t n, int64_t v, int64_t *codes,
-     unsigned char *seen, const char *rows, unsigned char *rows_ok,
+pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
+     ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
+     int64_t *codes, unsigned char *seen, const char *rows, unsigned char *rows_ok,
      const char *cols, unsigned char *cols_ok)
 {
     const uint64_t uv = (uint64_t)v;
@@ -282,7 +308,7 @@ pass(const char *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
     for (size_t i = 1; i < k; i++)
         power[i] = power[i - 1] * uv;
     for (size_t m = first; m < last; m++) {
-        const char *member = data + (ptrdiff_t)m * sm;
+        const char *member = data + (ptrdiff_t)(m - first) * sm;
         const char *img = rows ? rows + (ptrdiff_t)m * table : NULL;
         if (cols)  /* offsets of column slab 0's symbols in the tables */
             for (size_t i = 0; i < k; i++)
@@ -299,7 +325,7 @@ pass(const char *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
                 out |= (uint64_t)x >= uv;
                 code += (uint64_t)x * power[i];
                 if (rows)
-                    rbad |= x != entry(img, wide, ((ptrdiff_t)i * v + entry(data, wide, at)) * width);
+                    rbad |= x != entry(img, wide, ((ptrdiff_t)i * v + entry(ref, wide, at)) * width);
                 if (cols)
                     cbad |= x != entry(cimg, wide, col0[i]);
             }
@@ -315,16 +341,16 @@ pass(const char *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
     }
 }
 
-void members(const void *data, int wide, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
-             size_t first, size_t last, size_t k, size_t n, int64_t v, int64_t *codes,
-             unsigned char *seen, const void *rows, unsigned char *rows_ok,
+void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
+             ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
+             int64_t *codes, unsigned char *seen, const void *rows, unsigned char *rows_ok,
              const void *cols, unsigned char *cols_ok)
 {
     /* one specialised copy of the pass per entry width */
     if (wide)
-        pass(data, 1, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
+        pass(data, ref, 1, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
              cols, cols_ok);
     else
-        pass(data, 0, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
+        pass(data, ref, 0, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
              cols, cols_ok);
 }

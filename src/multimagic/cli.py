@@ -132,7 +132,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_verify_ms(args) -> int:
     sq = io.read_ms(args.file)
-    report = verify.verify_ms(sq, args.t if args.t else sq.t)
+    report = verify.verify_ms(sq, sq.t if args.t is None else args.t)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

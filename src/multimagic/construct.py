@@ -17,11 +17,10 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from . import _pool, linalg, oa, verify
+from . import linalg, oa, verify
 from .errors import ConstructionError
 from .gf import FieldTable, prime_power
 from .linalg import FMatrix, MatrixPairCertificate
@@ -108,45 +107,37 @@ def build_loa(e: FMatrix, e1_cols: int, t: int) -> oa.ArrayFamily:
     return fam
 
 
+def _grid_stack(cert: MatrixPairCertificate) -> oa._GridStack:
+    """The grid's row orientation, never held whole: member r is grid
+    row r, entry (r, i, c) component i of cell(X_r, Y_c) = E1 X_r +
+    E2 Y_c, read from the flat addition table."""
+    table = cert.table
+    e1x = _all_products(table, _np_of(cert.e1)).astype(np.int64) * table.q
+    e2y = _all_products(table, _np_of(cert.e2))
+    return oa._GridStack(table.add_table.ravel(), e1x, e2y)
+
+
 @dataclass(frozen=True)
 class SdloaGrid:
-    """A q^t x q^t grid of 2t-component cells, plus its provenance."""
+    """A q^t x q^t grid of 2t-component cells E1 X + E2 Y, plus its
+    provenance.  Only the cell codes are held: the cells themselves are
+    read block by block by the grid check and gathered whole only on
+    request, by cells."""
 
     table: FieldTable
     t: int
-    cells: np.ndarray  # (N, N, 2t) element labels
     cert: MatrixPairCertificate
     codes: np.ndarray  # (N, N) base-q cell codes, component 0 least significant
 
     @property
     def n(self) -> int:
-        return self.cells.shape[0]
+        return self.codes.shape[0]
 
-
-# Cells gathered at once, over all workers.
-_GATHER_ENTRIES = 1 << 18
-
-
-def _gather(cells: np.ndarray, add: np.ndarray, e1x: np.ndarray, e2y: np.ndarray,
-            step: int, r0: int) -> None:
-    """Fill grid rows r0..r0+step-1 of cells, the pooled kernel of
-    _base_cells; add is the flat addition table, e1x holds q * E1 X."""
-    rows = slice(r0, r0 + step)
-    np.take(add, e1x[rows, None, :] + e2y[None, :, :], out=cells[rows], mode="clip")
-
-
-def _base_cells(cert: MatrixPairCertificate) -> np.ndarray:
-    """The (N, N, 2t) cells E1 X + E2 Y, gathered from the flat addition
-    table one row block at a time on the pool."""
-    table = cert.table
-    e1x = _all_products(table, _np_of(cert.e1)).astype(np.intp) * table.q
-    e2y = _all_products(table, _np_of(cert.e2)).astype(np.intp)
-    n, k = e2y.shape
-    cells = np.empty((n, n, k), dtype=table.add_table.dtype)
-    starts = _pool.blocks(n, n * k, _GATHER_ENTRIES)
-    _pool.each(partial(_gather, cells, table.add_table.ravel(), e1x, e2y, starts.step),
-               starts)
-    return cells
+    @property
+    def cells(self) -> np.ndarray:
+        """The (N, N, 2t) element labels, gathered whole on every call, for
+        tests and API users: no pipeline stage reads them."""
+        return _grid_stack(self.cert).pick(slice(None)).transpose(0, 2, 1)
 
 
 def _require_pair_flags(cert: MatrixPairCertificate) -> None:
@@ -164,13 +155,12 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
     large set before returning."""
     _require_pair_flags(cert)
-    cells = _base_cells(cert)
-    # member r of the row orientation is grid row r, checked in place; the
-    # check's column codes are the cell codes
-    ok, codes = oa._sdloa_ok(cells.transpose(0, 2, 1), cert.table.q, cert.t)
+    # the check gathers the cells block by block; its column codes are
+    # the cell codes
+    ok, codes = oa._sdloa_ok(_grid_stack(cert), cert.table.q, cert.t)
     if not ok:
         raise ConstructionError("grid failed strong-double-large-set verification")
-    return SdloaGrid(cert.table, cert.t, cells, cert, codes)
+    return SdloaGrid(cert.table, cert.t, cert, codes)
 
 
 def grid_to_ms(grid: SdloaGrid) -> MagicSquare:

@@ -1,8 +1,18 @@
 """Orthogonal arrays and exact large-set / double-large-set checks.
 
-Every check runs on a (count, k, N) stack of members, which may be a
-strided view (a grid's cells are checked in place), through one subset
-tally and one member pass:
+Every check runs on a (count, k, N) stack of members through one subset
+tally and one member pass.  A stack is held in memory (_HeldStack, a
+file family, possibly a strided view) or is a grid's row orientation
+that is never held whole (_GridStack): entry (m, i, j) is component i of
+cell(X_m, Y_j) = E1 X_m + E2 Y_j, table[q * E1 X_m + E2 Y_j] in the flat
+addition table.  The checks read both kinds alike, block by block; only
+where a block comes from differs.  A held stack's blocks are views of
+it, and a grid's are gathered by the compiled gather of _codec.c, one
+block of grid rows per pool task, as each task needs it.  Everything
+else the checks read (member 0, column slab 0, the relabelling images,
+unproved members or slabs, the diagonal selections) is gathered alone,
+so the check of a valid grid holds O(N k v) cells besides the blocks in
+flight, the v^k seen-map and the N^2 codes it returns:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -13,13 +23,14 @@ tally and one member pass:
   any v^k.
 * The member pass is the compiled kernel ``members`` of _codec.c, run
   over blocks of members on the worker pool with the interpreter lock
-  released.  It reads the stack once, in place (int16 or int64 entries;
-  other integer types are converted once), and per column writes its
-  base-v int64 code, row 0 least significant, exact while v^k < 2^63
-  (column_codes raises ValueError beyond; a large set holds v^k columns
-  in memory, so its codes are always in range).  The large-set and SDLOA
-  checks hand these codes back: for a grid they are the cell codes, the
-  square itself.
+  released.  It reads the stack once, each block in place (int16 or
+  int64 entries; a held stack of any other integer type is converted
+  once) and checked against member 0 and column slab 0, read before the
+  pass.  Per column it writes the base-v int64 code, row 0 least
+  significant, exact while v^k < 2^63 (column_codes raises ValueError
+  beyond; a large set holds v^k columns in memory, so its codes are
+  always in range).  The large-set and SDLOA checks hand these codes
+  back: for a grid they are the cell codes, the square itself.
 * Coverage: the family holds exactly v^k columns (checked first, a
   ValueError otherwise), and the member pass marks each column code in a
   v^k byte seen-map (relaxed atomic stores, as blocks run concurrently).
@@ -174,7 +185,7 @@ def _stack_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
 
 def column_codes(arr: OrthArray) -> np.ndarray:
     """Base-v integer code of every full column; ValueError when v^k >= 2^63."""
-    return _member_pass(arr.entries[None], arr.v)[0][0]
+    return _member_pass(_HeldStack(arr.entries[None]), arr.v)[0][0]
 
 
 def verify_oa(arr: OrthArray) -> bool:
@@ -187,6 +198,75 @@ def is_simple(arr: OrthArray) -> bool:
     return _distinct_columns(arr.entries[None])
 
 
+class _HeldStack:
+    """A (count, k, N) member stack held in memory, possibly a strided
+    view: blocks of members are views of it."""
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+        self.shape = arr.shape
+        self.dtype = arr.dtype
+
+    @property
+    def T(self) -> "_HeldStack":
+        """The column orientation: slab j holds column j of every member."""
+        return _HeldStack(self.arr.transpose(2, 1, 0))
+
+    def pick(self, index) -> np.ndarray:
+        """The members at index, a slice or an integer array, as a stack."""
+        return self.arr[index]
+
+    def entries(self, cols: np.ndarray) -> np.ndarray:
+        """The (count, k, w) entries (m, i, cols[m, i, a]), cols being
+        column indices broadcast to (count, k, w)."""
+        count, k, _ = self.shape
+        return self.arr[np.arange(count)[:, None, None], np.arange(k)[:, None], cols]
+
+
+class _GridStack:
+    """The (count, k, N) member stack with entry (m, i, j) = table[a[m, i] +
+    b[j, i]], never held whole.  With table the flat addition table of
+    GF(q), a holding q * E1 X and b holding E2 Y, it is a grid's row
+    orientation, member r the cells of grid row r.  Its reads are those of
+    _HeldStack, but each gathers just the entries it returns: members
+    through the compiled gather, with no index temporary, and selected
+    entries in O(count k w)."""
+
+    def __init__(self, table: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.table = np.ascontiguousarray(table, dtype=np.int16)
+        self.a = np.ascontiguousarray(a, dtype=np.int64)
+        self.b = np.ascontiguousarray(b, dtype=np.int64)
+        if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[1] != self.b.shape[1]:
+            raise ValueError("grid rows and columns need one row of k sums each")
+        if self.a.size and self.b.size and (
+                self.a.min() + self.b.min() < 0
+                or self.a.max() + self.b.max() >= self.table.size):
+            raise ValueError("grid sums index outside the table")
+        self.shape = (self.a.shape[0], self.a.shape[1], self.b.shape[0])
+        self.dtype = self.table.dtype
+
+    @property
+    def T(self) -> "_GridStack":
+        """The column orientation: slab j holds column j of every member."""
+        return _GridStack(self.table, self.b, self.a)
+
+    def pick(self, index) -> np.ndarray:
+        """The members at index, a slice or an integer array, gathered into
+        a (count, N, k) array and returned as its (count, k, N) view."""
+        a = np.ascontiguousarray(self.a[index])
+        (count, k), n = a.shape, self.shape[2]
+        out = np.empty((count, n, k), dtype=np.int16)
+        _lib.gather(_buffer("int16_t[]", self.table), _buffer("int64_t[]", a), count,
+                    _buffer("int64_t[]", self.b), n, k, _buffer("int16_t[]", out))
+        return out.transpose(0, 2, 1)
+
+    def entries(self, cols: np.ndarray) -> np.ndarray:
+        """The (count, k, w) entries (m, i, cols[m, i, a]), cols being
+        column indices broadcast to (count, k, w)."""
+        k = self.shape[1]
+        return self.table[self.a[:, :, None] + self.b[cols, np.arange(k)[:, None]]]
+
+
 # Entries per chunk of members sent to the exhaustive tally; keeps the
 # copy of the members it tallies to a few tens of MB whatever the family
 # size.
@@ -196,21 +276,21 @@ _CHUNK_ENTRIES = 8_000_000
 _CODE_ENTRIES = 1 << 20
 
 
-def _images(slabs: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Relabelling tables of an (S, k, L) stack against its slab 0, whose
-    entries lie in 0..v-1: images[s, i, a] = slabs[s, i, j] at the first j
-    with slabs[0, i, j] == a, the map sigma_i of slab s taken from first
-    occurrences, contiguous and of the stack's dtype; and a mask over the
-    slabs, True where every sigma_i is injective on the symbols of slab
-    0's row i.  Symbols absent from a row get distinct negative images."""
-    ref = slabs[0]
+def _images(ref: np.ndarray, slabs, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relabelling tables of a stack of slabs against its slab 0, ref
+    (k, L), whose entries lie in 0..v-1: images[s, i, a] is entry (i, j)
+    of slab s at the first j with ref[i, j] == a, the map sigma_i of slab
+    s taken from first occurrences, contiguous and of the stack's dtype;
+    and a mask over the slabs, True where every sigma_i is injective on
+    the symbols of ref's row i.  Symbols absent from a row get distinct
+    negative images."""
     k, size = ref.shape
     first = np.full((k, v), size, dtype=np.intp)
     for i, row in enumerate(ref):
         symbols, pos = np.unique(row, return_index=True)
         first[i, symbols] = pos
     absent = first == size
-    images = np.ascontiguousarray(slabs[:, np.arange(k)[:, None], np.where(absent, 0, first)])
+    images = np.ascontiguousarray(slabs.entries(np.where(absent, 0, first)))
     images[:, absent] = -1 - np.nonzero(absent)[1]
     srt = np.sort(images, axis=2)
     return images, np.all(srt[:, :, 1:] != srt[:, :, :-1], axis=(1, 2))
@@ -224,71 +304,80 @@ def _buffer(kind: str, arr: np.ndarray | None):
     return _ffi.NULL if arr is None else _ffi.from_buffer(kind, arr)
 
 
-def _pass_block(head: tuple, tail: tuple, step: int, count: int, first: int) -> None:
+def _pass_block(stack, head: tuple, tail: tuple, step: int, first: int) -> None:
     """Members first..first+step-1 through the kernel, the pooled body of
-    _member_pass."""
-    _lib.members(*head, first, min(first + step, count), *tail)
+    _member_pass: the block is a view of a held stack, or gathered here
+    for a grid."""
+    blk = stack.pick(slice(first, first + step))
+    _lib.members(_ffi.cast("void *", blk.ctypes.data), *head, *blk.strides,
+                 first, first + len(blk), *tail)
 
 
-def _member_pass(stack: np.ndarray, v: int, seen: np.ndarray | None = None,
-                 columns: bool = False):
-    """One pass of the compiled kernel over a (count, k, N) stack, read in
-    place if its entries are int16 or int64 (else converted once), in
-    blocks of members on the pool.  Returns the (count, N) base-v column
-    codes, row 0 least significant, and two masks, None unless asked for:
+def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = False):
+    """One pass of the compiled kernel over a (count, k, N) _HeldStack or
+    _GridStack, in blocks of members on the pool, each block read in place
+    if its entries are int16 or int64 (a held stack of any other integer
+    type is converted once).  Returns the (count, N) base-v column codes,
+    row 0 least significant, and two masks, None unless asked for:
 
     * with seen (a v^k uint8 seen-map), each column code is marked in it,
       and rows is True where the member is proved a per-row relabelling
       of member 0 (sigma from first occurrences, see _images);
     * with columns, cols is True where column slab j (entry (i, m) =
-      stack[m, i, j]) is proved one of column slab 0.
+      stack entry (m, i, j)) is proved one of column slab 0.
 
-    A member or slab holding a symbol outside 0..v-1 is never proved, and
-    its columns are not marked.  ValueError when v^k >= 2^63."""
+    Member 0 and column slab 0 are read once, before the pass, and every
+    block is checked against them.  A member or slab holding a symbol
+    outside 0..v-1 is never proved, and its columns are not marked.
+    ValueError when v^k >= 2^63."""
     count, k, n = stack.shape
     if max(v, 2)**k >= 2**63:  # also bounds k for the kernel
         raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
-    wide = stack.dtype != np.int16
-    data = np.asarray(stack, dtype=np.int64) if wide else stack
+    if stack.dtype not in (np.int16, np.int64):
+        stack = _HeldStack(stack.pick(slice(None)).astype(np.int64))
     codes = np.empty((count, n), dtype=np.int64)
+    ref = stack.pick(slice(0, 1))[0] if count else None
     rows = cols = row_images = col_images = None
     if seen is not None:
         rows = np.zeros(count, dtype=bool)
-        if count and _in_range(data[0], v):
-            row_images, rows[:] = _images(data, v)
+        if count and _in_range(ref, v):
+            row_images, rows[:] = _images(ref, stack, v)
     if columns:
         cols = np.zeros(n, dtype=bool)
-        if n and _in_range(data[:, :, 0], v):
-            col_images, cols[:] = _images(data.transpose(2, 1, 0), v)
-    head = (_ffi.cast("void *", data.ctypes.data), wide, *data.strides)
+        by_col = stack.T
+        if n and _in_range(slab := by_col.pick(slice(0, 1))[0], v):
+            col_images, cols[:] = _images(slab, by_col, v)
+    # ref has the strides of every block's members (see members() in _codec.c)
+    head = (_ffi.NULL if ref is None else _ffi.cast("void *", ref.ctypes.data),
+            stack.dtype != np.int16)
     tail = (k, n, v, _buffer("int64_t[]", codes), _buffer("unsigned char[]", seen),
             _buffer("char[]", row_images), _buffer("unsigned char[]", rows),
             _buffer("char[]", col_images), _buffer("unsigned char[]", cols))
     starts = _pool.blocks(count, k * n, _CODE_ENTRIES)
-    _pool.each(partial(_pass_block, head, tail, starts.step, count), starts)
+    _pool.each(partial(_pass_block, stack, head, tail, starts.step), starts)
     return codes, rows, cols
 
 
-def _members_ok(stack: np.ndarray, proved: np.ndarray, v: int, t: int) -> bool:
+def _members_ok(stack, proved: np.ndarray, v: int, t: int) -> bool:
     """Simple-OA check for every slab of a (count, k, N) stack: slab 0 by
     exhaustive tally, every other slab the mask proved leaves unproved by
     exhaustive tally, in chunks."""
     count, k, n = stack.shape
-    if not _stack_members_ok(stack[:1], v, t):
+    if not _stack_members_ok(stack.pick(slice(0, 1)), v, t):
         return False
     rest = np.flatnonzero(~proved[1:]) + 1
     chunk = max(1, _CHUNK_ENTRIES // (k * n))
-    return all(_stack_members_ok(stack[rest[s0:s0 + chunk]], v, t)
+    return all(_stack_members_ok(stack.pick(rest[s0:s0 + chunk]), v, t)
                for s0 in range(0, rest.size, chunk))
 
 
-def _large_set_ok(stacks: list[np.ndarray], v: int, t: int, columns: bool = False):
-    """Large-set check on (count, k, N) member stacks sharing k (one per
-    column count), entries in 0..v-1: every member a simple OA of strength
-    t, and the columns cover every k-tuple exactly once; ValueError if
-    their shapes cannot.  Returns (verdict, one (column codes, column-slab
-    mask) pair per stack), from the member pass, the mask None unless
-    columns."""
+def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
+    """Large-set check on (count, k, N) member stacks (_HeldStack or
+    _GridStack) sharing k (one per column count), entries in 0..v-1:
+    every member a simple OA of strength t, and the columns cover every
+    k-tuple exactly once; ValueError if their shapes cannot.  Returns
+    (verdict, one (column codes, column-slab mask) pair per stack), from
+    the member pass, the mask None unless columns."""
     if t < 1:
         raise ValueError("strength must be at least 1")
     k = stacks[0].shape[1]
@@ -319,15 +408,16 @@ def verify_large_set(fam: ArrayFamily, t: int) -> bool:
     groups: dict[int, list[np.ndarray]] = {}
     for m in fam.members:
         groups.setdefault(m.n_cols, []).append(m.entries)
-    return _large_set_ok([np.stack(group) for group in groups.values()], fam.v, t)[0]
+    return _large_set_ok([_HeldStack(np.stack(group)) for group in groups.values()],
+                         fam.v, t)[0]
 
 
-def _diagonals(members: np.ndarray) -> np.ndarray:
+def _diagonals(stack) -> np.ndarray:
     """(2, k, N) stack of the diagonal selections of an (N, k, N) stack:
     column j of slab 0 is column j of member j, and column j of slab 1 is
     column N-1-j of member j."""
-    ar = np.arange(members.shape[0])
-    return members[ar, :, np.stack([ar, ar[::-1]])].transpose(0, 2, 1)
+    ar = np.arange(stack.shape[0])
+    return stack.entries(np.stack([ar, ar[::-1]], axis=1)[:, None, :]).transpose(2, 1, 0)
 
 
 def diagonal_selections(fam: ArrayFamily) -> tuple[OrthArray, OrthArray]:
@@ -337,20 +427,20 @@ def diagonal_selections(fam: ArrayFamily) -> tuple[OrthArray, OrthArray]:
     n = members[0].n_cols
     if len(members) != n or any(m.n_cols != n for m in members):
         raise ValueError("diagonal selection needs member count == column count")
-    d, d_back = _diagonals(np.stack([m.entries for m in members]))
+    d, d_back = _diagonals(_HeldStack(np.stack([m.entries for m in members])))
     return OrthArray(d, fam.v, members[0].t), OrthArray(d_back, fam.v, members[0].t)
 
 
-def _sdloa_ok(members: np.ndarray, v: int, t: int):
-    """SDLOA check on an (N, k, N) member stack with N * N = v^k and
-    entries in 0..v-1, which may be a view: a large set in the row
+def _sdloa_ok(members, v: int, t: int):
+    """SDLOA check on an (N, k, N) member stack (_HeldStack or _GridStack)
+    with N * N = v^k and entries in 0..v-1: a large set in the row
     orientation, whose member pass also proves column slabs, the column
     orientation's unproved slabs tallied (its columns are the same
     multiset, so coverage needs no second count), and both diagonal
     selections tallied at strength t.  Returns (verdict, the (N, N)
     row-orientation column codes)."""
     ok, [(codes, cols)] = _large_set_ok([members], v, t, True)
-    return (ok and _members_ok(members.transpose(2, 1, 0), cols, v, t)
+    return (ok and _members_ok(members.T, cols, v, t)
             and _strength_ok(_diagonals(members), v, t)), codes
 
 
@@ -367,4 +457,4 @@ def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
         raise ValueError(f"need N={n} members, got {count}")
     if count * n != fam.v**fam.k:
         raise ValueError("member count x columns must equal v^k")
-    return _sdloa_ok(np.stack([m.entries for m in fam.members]), fam.v, t)[0]
+    return _sdloa_ok(_HeldStack(np.stack([m.entries for m in fam.members])), fam.v, t)[0]

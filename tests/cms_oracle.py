@@ -8,11 +8,11 @@ by verify_large_set.  Tests compare the library against it.
 import numpy as np
 
 from multimagic import construct, oa, verify
-from multimagic.construct import CmsFamily, SdloaGrid
+from multimagic.construct import CmsFamily
 from multimagic.errors import ConstructionError
 from multimagic.verify import MagicSquare
 
-from conftest import rows_family
+from conftest import cells_family
 
 
 def _matvec(table, mat: np.ndarray, vec) -> np.ndarray:
@@ -39,7 +39,8 @@ def build_cms(cert, scheme=None) -> CmsFamily:
 
     e1 = construct._np_of(cert.e1)
     e2 = construct._np_of(cert.e2)
-    base = construct._base_cells(cert)
+    base = table.add_table[construct._all_products(table, e1)[:, None, :],
+                           construct._all_products(table, e2)[None, :, :]]
     shifts = [table.add_table[_matvec(table, e1, h), _matvec(table, e2, hs)]
               for h, hs in scheme.pairs]
     weights = q ** np.arange(2 * t, dtype=np.int64)
@@ -47,7 +48,7 @@ def build_cms(cert, scheme=None) -> CmsFamily:
     members = []
     for i, shift in enumerate(shifts):
         cells = table.add_table[base, shift[None, None, :]]
-        if not oa.verify_sdloa(rows_family(SdloaGrid(table, t, cells, cert, None)), t):
+        if not oa.verify_sdloa(cells_family(cells, q, t), t):
             raise ConstructionError(
                 f"translated grid {i} failed strong-double-large-set verification")
         members.append(MagicSquare(cells.astype(np.int64) @ weights, t))

@@ -21,11 +21,16 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def cells_family(cells: np.ndarray, v: int, t: int) -> oa.ArrayFamily:
+    """The row orientation of an (N, N, k) cell grid as an OrthArray
+    family: member r holds the cells of grid row r as its columns."""
+    by_row = np.ascontiguousarray(cells.transpose(0, 2, 1))
+    return oa.ArrayFamily(tuple(oa.OrthArray(m, v, t) for m in by_row))
+
+
 def rows_family(grid) -> oa.ArrayFamily:
-    """A grid's row orientation as an OrthArray family: member r holds the
-    cells of grid row r as its columns."""
-    by_row = np.ascontiguousarray(grid.cells.transpose(0, 2, 1))
-    return oa.ArrayFamily(tuple(oa.OrthArray(m, grid.table.q, grid.t) for m in by_row))
+    """A built grid's row orientation as an OrthArray family."""
+    return cells_family(grid.cells, grid.table.q, grid.t)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Reference copy of the member pass as it was before the compiled kernel:
 the numpy relabelling pass, the chunked coverage loop and the pooled
-Horner column codes of ``oa``, verbatim but for the imports (the tally,
-shape and diagonal helpers are still ``oa``'s).  Tests compare the kernel
-and the checks built on it against them.
+Horner column codes of ``oa``, verbatim but for the imports (the tally
+and shape helpers are still ``oa``'s), and the diagonal selection on a
+held array, as it was before the grid check stopped holding its cells.
+Tests compare the kernel and the checks built on it against them.
 """
 
 import math
@@ -11,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from multimagic import _pool
-from multimagic.oa import _check_strength, _diagonals, _stack_members_ok, _strength_ok
+from multimagic.oa import _check_strength, _stack_members_ok, _strength_ok
 
 # Entries coded at once, over all workers, in the column-code pass.
 _CODE_ENTRIES = 1 << 20
@@ -102,6 +103,14 @@ def _large_set_ok(stacks: list[np.ndarray], v: int, t: int) -> bool:
         for s0 in range(0, s.shape[0], chunk):
             seen[_column_codes(s[s0:s0 + chunk], v).ravel()] = True
     return bool(seen.all())
+
+
+def _diagonals(members: np.ndarray) -> np.ndarray:
+    """(2, k, N) stack of the diagonal selections of an (N, k, N) stack:
+    column j of slab 0 is column j of member j, and column j of slab 1 is
+    column N-1-j of member j."""
+    ar = np.arange(members.shape[0])
+    return members[ar, :, np.stack([ar, ar[::-1]])].transpose(0, 2, 1)
 
 
 def _sdloa_ok(members: np.ndarray, v: int, t: int) -> bool:

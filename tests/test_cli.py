@@ -63,10 +63,12 @@ class TestGenVerifyLoop:
                        "--out", str(ms_out)) == 0
         assert run_cli("gen-cms", "--q", "3", "--t", "2",
                        "--out", str(cms_out)) == 0
+        # the child finds the package where this process does, installed or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         for cmd, path in (("verify-ms", ms_out), ("verify-cms", cms_out)):
             proc = subprocess.run(
                 [sys.executable, "-m", "multimagic.cli", cmd, str(path)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             assert "verdict=pass" in proc.stdout
@@ -214,6 +216,16 @@ class TestVerifyCommands:
         assert run_cli("verify-ms", str(path), "--t", "2") == 0
         # order 9 squares are bimagic here, never trimagic
         assert run_cli("verify-ms", str(path), "--t", "3") == 1
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_verify_ms_degree_below_one(self, tmp_path, golden_cms9, capsys, degree):
+        # --t 0 is a degree like any other, not "use the file's degree"
+        path = tmp_path / "c0.mms"
+        io.write_ms(path, golden_cms9.members[0])
+        assert run_cli("verify-ms", str(path), "--t", degree) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree must be at least 1\n"
 
     def test_verify_oa_modes(self, capsys):
         golden = str(GOLDEN_LOA)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multimagic import construct, gf, linalg, oa, verify
+from multimagic import cli, construct, gf, linalg, oa, verify
 from multimagic.construct import (
     BlockAssignment,
     TranslationScheme,
@@ -100,6 +100,26 @@ class TestGrid:
         broken = linalg.MatrixPairCertificate(e1, e1, 2, None, {})
         with pytest.raises(ConstructionError):
             build_sdloa_grid(broken)
+
+    def test_failing_grid_is_a_construction_error(self, f5, monkeypatch, capsys, tmp_path):
+        # grid row 3 read as a copy of row 4: the cells cover less than q^2t
+        real = construct._grid_stack
+
+        def broken(cert):
+            grid = real(cert)
+            a = grid.a.copy()
+            a[3] = a[4]
+            return oa._GridStack(grid.table, a, grid.b)
+
+        monkeypatch.setattr(construct, "_grid_stack", broken)
+        message = "grid failed strong-double-large-set verification"
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            build_sdloa_grid(linalg.find_sdloa_pair(f5, 2))
+        out = tmp_path / "x.mms"
+        assert cli.main(["gen-ms", "--q", "5", "--t", "2", "--method", "qt",
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"construction failed: {message}\n"
+        assert not out.exists()
 
 
 class TestGridToMs:

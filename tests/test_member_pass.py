@@ -15,6 +15,7 @@ from multimagic import _pool, construct, gf, io, linalg, oa
 
 import oa_oracle
 from conftest import GOLDEN_LOA
+from test_oa import BACK_ONLY
 
 GRIDS = [(3, 2), (4, 2), (5, 2), (5, 3)]
 
@@ -45,7 +46,7 @@ def file_stacks() -> dict:
 def kernel(stack: np.ndarray, v: int):
     """Codes, member mask, column-slab mask and seen-map of one pass."""
     seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
-    codes, rows, cols = oa._member_pass(stack, v, seen, columns=True)
+    codes, rows, cols = oa._member_pass(oa._HeldStack(stack), v, seen, columns=True)
     return codes, rows, cols, seen
 
 
@@ -168,10 +169,10 @@ class TestVerdicts:
             fam = oa.ArrayFamily(tuple(oa.OrthArray(m, q, t) for m in stack))
         for size, rows in pool_configs(stack.shape[0]):
             with_blocks(monkeypatch, pool_size, stack, size, rows)
-            ok, [(codes, cols)] = oa._large_set_ok([stack], q, t)
+            ok, [(codes, cols)] = oa._large_set_ok([oa._HeldStack(stack)], q, t)
             assert ok == want_ls and cols is None
             assert np.array_equal(codes, want_codes)
-            ok, codes = oa._sdloa_ok(stack, q, t)
+            ok, codes = oa._sdloa_ok(oa._HeldStack(stack), q, t)
             assert ok == want_sd
             assert np.array_equal(codes, want_codes)
             if fam is not None:
@@ -182,8 +183,8 @@ class TestVerdicts:
     def test_file_family_verdicts(self, name):
         stack = file_stacks()[name]
         for t in (1, 2):
-            assert oa._large_set_ok([stack], 3, t)[0] == oa_oracle._large_set_ok([stack], 3, t)
-            assert oa._sdloa_ok(stack, 3, t)[0] == oa_oracle._sdloa_ok(stack, 3, t)
+            assert oa._large_set_ok([oa._HeldStack(stack)], 3, t)[0] == oa_oracle._large_set_ok([stack], 3, t)
+            assert oa._sdloa_ok(oa._HeldStack(stack), 3, t)[0] == oa_oracle._sdloa_ok(stack, 3, t)
 
 
 class TestOutOfRange:
@@ -220,7 +221,7 @@ class TestOutOfRange:
             return real(members, v, t)
 
         monkeypatch.setattr(oa, "_stack_members_ok", record)
-        assert not oa._large_set_ok([stack], 5, 2)[0]
+        assert not oa._large_set_ok([oa._HeldStack(stack)], 5, 2)[0]
         assert stack[-2].tolist() in tallied
 
 
@@ -249,9 +250,167 @@ class TestProperty:
                 assert_pass_matches(stack, v)
                 in_range = bool(((stack >= 0) & (stack < v)).all())
                 if in_range and count * n == v**k and n % v == 0:
-                    assert (oa._large_set_ok([stack], v, 1)[0]
+                    assert (oa._large_set_ok([oa._HeldStack(stack)], v, 1)[0]
                             == oa_oracle._large_set_ok([stack], v, 1))
                     if count == n:
-                        assert oa._sdloa_ok(stack, v, 1)[0] == oa_oracle._sdloa_ok(stack, v, 1)
+                        assert oa._sdloa_ok(oa._HeldStack(stack), v, 1)[0] == oa_oracle._sdloa_ok(stack, v, 1)
         finally:
             _pool.set_size(before)
+
+
+# ---------------------------------------------------------------------------
+# The grid check without held cells: a _GridStack, gathered block by block
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def grid_source(q: int, t: int) -> oa._GridStack:
+    table = gf.build_field_q(q)
+    cert = construct.registered_pair(table, t) or linalg.find_sdloa_pair(table, t)
+    return construct._grid_stack(cert)
+
+
+def gathered(grid: oa._GridStack) -> np.ndarray:
+    """A grid stack's entries gathered whole by numpy, as the (N, k, N)
+    view of an (N, N, k) array: the held stack of the same grid."""
+    return grid.table[grid.a[:, None, :] + grid.b[None, :, :]].transpose(0, 2, 1)
+
+
+def grid_kernel(grid: oa._GridStack, v: int):
+    seen = np.zeros(v ** grid.shape[1], dtype=np.uint8)
+    codes, rows, cols = oa._member_pass(grid, v, seen, columns=True)
+    return codes, rows, cols, seen
+
+
+def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypatch):
+    """The grid stack and the held stack of the same entries give the
+    oracle's codes, masks and seen-map and, if every entry lies in
+    0..v-1 (the oracle's checks need it), its verdicts, at pool sizes 1-3
+    and blocks of one member up to all members; returns the SDLOA
+    verdict, None if not checked."""
+    stack = gathered(grid)
+    want_pass = oracle(stack, v)
+    want_sd = None
+    if ((stack >= 0) & (stack < v)).all():
+        want_ls = oa_oracle._large_set_ok([stack], v, t)
+        want_sd = oa_oracle._sdloa_ok(stack, v, t)
+    for size, rows in pool_configs(grid.shape[0]):
+        with_blocks(monkeypatch, pool_size, stack, size, rows)
+        for source in (grid, oa._HeldStack(stack)):
+            got = grid_kernel(source, v)
+            for name, a, b in zip(("codes", "rows", "cols", "seen"), got, want_pass):
+                assert np.array_equal(a, b), (name, size, rows, type(source))
+            if want_sd is None:
+                continue
+            ok, [(codes, _)] = oa._large_set_ok([source], v, t)
+            assert ok == want_ls and np.array_equal(codes, want_pass[0])
+            ok, codes = oa._sdloa_ok(source, v, t)
+            assert ok == want_sd and np.array_equal(codes, want_pass[0])
+    return want_sd
+
+
+def corrupt_grid(grid: oa._GridStack, kind: str, q: int, late: bool) -> oa._GridStack:
+    """One corruption of a grid's E1 X or E2 Y rows, at grid row or column
+    s = 2, or late, at s = N - 2, in a block without member 0 whenever a
+    block holds fewer than N - 2 members.  Entries stay field labels."""
+    n = grid.shape[0]
+    s, i = (n - 2, 1) if late else (2, 1)
+    a, b = grid.a.copy(), grid.b.copy()
+    if kind == "E1X row duplicated":  # grid row s repeats row s + 1
+        a[s] = a[s + 1]
+    elif kind == "E1X component":  # one component of grid row s shifted
+        a[s, i] = (a[s, i] + q) % (q * q)
+    elif kind == "member 0":
+        a[0, i] = (a[0, i] + q) % (q * q)
+    elif kind == "column slab 0":  # one component of grid column 0
+        b[0, i] = (b[0, i] + 1) % q
+    elif kind == "E2Y column":
+        b[s, i] = (b[s, i] + 1) % q
+    elif kind == "E1X rows reordered":  # X -> A X: only the back diagonal breaks
+        img = construct._all_products(gf.build_field_q(q), np.array(BACK_ONLY[q, a.shape[1] // 2]))
+        a = a[img.astype(np.int64) @ q ** np.arange(img.shape[1] - 1, -1, -1)]
+    return oa._GridStack(grid.table, a, b)
+
+
+GRID_KINDS = ["E1X row duplicated", "E1X component", "member 0", "column slab 0",
+              "E2Y column", "E1X rows reordered"]
+# the reordering is pinned for (5, 2) and (5, 3), and has no late place
+GRID_CASES = [(q, t, kind, late) for q, t in [(3, 2), (5, 2), (5, 3)] for kind in GRID_KINDS
+              for late in (False, True)
+              if kind != "E1X rows reordered" or ((q, t) in BACK_ONLY and not late)]
+
+
+class TestGridStack:
+    @pytest.mark.parametrize("q,t", GRIDS + [(7, 3)])
+    def test_built_grids(self, q, t, pool_size, monkeypatch):
+        grid = grid_source(q, t)
+        assert assert_grid_agrees(grid, q, t, pool_size, monkeypatch)
+        codes, rows, cols, seen = grid_kernel(grid, q)
+        assert rows.all() and cols.all() and seen.all()
+
+    @pytest.mark.parametrize("q,t,kind,late", GRID_CASES)
+    def test_corrupted_grids(self, q, t, kind, late, pool_size, monkeypatch):
+        grid = corrupt_grid(grid_source(q, t), kind, q, late)
+        verdict = assert_grid_agrees(grid, q, t, pool_size, monkeypatch)
+        if kind in ("E1X row duplicated", "E1X component", "member 0",
+                    "E1X rows reordered"):
+            # two grid rows share a cell, so the cells cover less than v^k;
+            # or the back diagonal is not of strength t
+            assert verdict is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 2), (5, 2)]), st.integers(1, 3), st.data())
+    def test_random_tables(self, qt, faults, data):
+        """A grid's sums read through a table with a few entries rewritten,
+        v among them: members and slabs fall out of the relabelling proof,
+        and those are gathered by index for the tally."""
+        q, t = qt
+        grid = grid_source(q, t)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = grid.table.copy()
+        for _ in range(faults):
+            table[int(rng.integers(table.size))] = rng.integers(q + 1)
+        before = _pool.size()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                assert_grid_agrees(oa._GridStack(table, grid.a, grid.b), q, t,
+                                   _pool.set_size, mp)
+        finally:
+            _pool.set_size(before)
+
+    def test_unproved_members_are_gathered_for_the_tally(self, monkeypatch):
+        # table entry 7 is 1 + 2 in GF(5): rewriting it merges two symbols
+        # in every member row that adds 1, so those members are unproved
+        grid = grid_source(5, 2)
+        table = grid.table.copy()
+        table[7] = (table[7] + 1) % 5
+        source = oa._GridStack(table, grid.a, grid.b)
+        stack = gathered(source)
+        unproved = np.flatnonzero(~oracle(stack, 5)[1][1:]) + 1
+        assert 0 < unproved.size < 24
+        tallied = []
+        real = oa._stack_members_ok
+
+        def record(members, v, t):
+            tallied.extend(np.asarray(members).tolist())
+            return real(members, v, t)
+
+        monkeypatch.setattr(oa, "_stack_members_ok", record)
+        oa._large_set_ok([source], 5, 2)
+        assert tallied == stack[np.r_[0, unproved]].tolist()
+
+    def test_sums_outside_the_table(self):
+        grid = grid_source(3, 2)
+        with pytest.raises(ValueError, match="outside the table"):
+            oa._GridStack(grid.table, grid.a + 1, grid.b)
+        with pytest.raises(ValueError, match="outside the table"):
+            oa._GridStack(grid.table, grid.a, grid.b - 1)
+        with pytest.raises(ValueError, match="k sums each"):
+            oa._GridStack(grid.table, grid.a, grid.b[:, :3])
+
+    def test_cells_are_the_whole_gather(self):
+        grid = construct.build_sdloa_grid(construct.registered_pair(gf.build_field_q(3), 2))
+        cells = grid.cells
+        assert cells.shape == (9, 9, 4) and cells.dtype == np.int16
+        assert np.array_equal(cells, gathered(grid_source(3, 2)).transpose(0, 2, 1))
+        assert np.array_equal((cells.astype(np.int64) * 3 ** np.arange(4)).sum(axis=2),
+                              grid.codes)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multimagic import construct, gf, io, linalg, verify
+from multimagic import _pool, construct, gf, io, linalg, oa, verify
 
 
 def traced_peak(fn, *args):
@@ -29,18 +29,55 @@ def cert625():
 
 
 def test_grid_check_in_place(cert625):
+    # at t = 2 the int16 cells take as many bytes as the int64 codes
     grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
-    assert peak <= 2.5 * grid.cells.nbytes
+    assert peak <= 2.5 * grid.codes.nbytes
 
 
 def test_encode_by_horner(cert625):
     # the cell codes come out of the grid check, inside its bound, and
     # become the square without a copy
     grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
-    want = (grid.cells.astype(np.int64) * grid.table.q ** np.arange(grid.cells.shape[2])).sum(axis=2)
+    cells = grid.cells
+    want = (cells.astype(np.int64) * grid.table.q ** np.arange(cells.shape[2])).sum(axis=2)
     assert np.array_equal(grid.codes, want)
-    assert peak <= 2.5 * grid.cells.nbytes
+    assert peak <= 2.5 * grid.codes.nbytes
     assert verify.MagicSquare(grid.codes, grid.t).entries is grid.codes
+
+
+def test_grid_check_holds_no_cells():
+    # MS(2401, 4): the (N, N, 8) int16 cells would be twice the codes; the
+    # check gathers them block by block and keeps only the codes
+    cert = linalg.find_sdloa_pair(gf.build_field_q(7), 4)
+    grid, peak = traced_peak(construct.build_sdloa_grid, cert)
+    assert peak <= 1.5 * grid.codes.nbytes
+
+
+def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
+    """build_ms_qt, build_cms_family and build_ms_q2t1 read their grids
+    block by block: the whole-cell gather is never called, and no gather
+    holds more members than a block of the member pass, one member at
+    least (member 0, column slab 0)."""
+    def whole(self):
+        raise AssertionError("the whole cell grid was gathered")
+
+    monkeypatch.setattr(construct.SdloaGrid, "cells", property(whole))
+    monkeypatch.setattr(oa, "_CODE_ENTRIES", 3000)
+    picks = []
+    pick = oa._GridStack.pick
+
+    def recorded(self, index):
+        out = pick(self, index)
+        picks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(oa._GridStack, "pick", recorded)
+    construct.build_ms_qt(f5, 3)
+    construct.build_cms_family(f5, 2)
+    construct.build_ms_q2t1(f5, 3)
+    assert {(k, n) for _, k, n in picks} == {(6, 125), (4, 25)}
+    for count, k, n in picks:
+        assert count <= max(1, oa._CODE_ENTRIES // _pool.size() // (k * n))
 
 
 def test_verify_in_row_blocks(cert625, monkeypatch):

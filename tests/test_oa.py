@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -11,17 +10,24 @@ from hypothesis import strategies as st
 from multimagic import construct, gf, linalg, oa
 
 import oa_oracle
-from conftest import rows_family
+from conftest import cells_family, rows_family
 
 
 def kernel_rows(stack: np.ndarray, v: int) -> np.ndarray:
     """The member pass's mask of members proved relabellings of member 0."""
-    return oa._member_pass(stack, v, np.zeros(v ** stack.shape[1], dtype=np.uint8))[1]
+    seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
+    return oa._member_pass(oa._HeldStack(stack), v, seen)[1]
 
 
 def kernel_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
     """Every slab a simple OA, by the member pass and its fallback tally."""
-    return oa._members_ok(stack, kernel_rows(stack, v), v, t)
+    return oa._members_ok(oa._HeldStack(stack), kernel_rows(stack, v), v, t)
+
+
+def by_row(cells: np.ndarray) -> oa._HeldStack:
+    """The row orientation of an (N, N, k) cell grid, as the strided view
+    a held-stack check reads: member r is grid row r."""
+    return oa._HeldStack(cells.transpose(0, 2, 1))
 
 
 def relabelled(stack: np.ndarray, s: int, v: int) -> bool:
@@ -505,18 +511,18 @@ class TestArrayEntryPoints:
         parts = reference_parts(cells, q, t)
         assert sorted(p for p, ok in parts.items() if not ok) == BROKEN[kind]
         verdict = all(parts.values())
-        assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t)[0] == verdict
-        fam = rows_family(dataclasses.replace(grid_of(q, t), cells=cells))
+        assert oa._sdloa_ok(by_row(cells), q, t)[0] == verdict
+        fam = cells_family(cells, q, t)
         assert oa.verify_sdloa(fam, t) == verdict
         # the large-set entry point alone, on the row orientation
         row_ls = parts["rows"] and parts["cover"]
-        assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t)[0] == row_ls
+        assert oa._large_set_ok([by_row(cells)], q, t)[0] == row_ls
         assert oa.verify_large_set(fam, t) == row_ls == exhaustive_large_set(fam, t)
 
     @pytest.mark.parametrize("q,t,kind", CASES)
     def test_pool_sizes_agree(self, q, t, kind, pool_size, monkeypatch):
         cells = grid_of(q, t).cells if kind is None else corrupted(q, t, kind)
-        fam = rows_family(dataclasses.replace(grid_of(q, t), cells=cells))
+        fam = cells_family(cells, q, t)
         verdict = not BROKEN[kind]
         row_ls = not {"rows", "cover"} & set(BROKEN[kind])
         n, _, k = cells.shape
@@ -524,16 +530,16 @@ class TestArrayEntryPoints:
             pool_size(size)
             # two slabs per block, so every pool splits the member pass
             monkeypatch.setattr(oa, "_CODE_ENTRIES", 2 * size * k * n)
-            assert oa._sdloa_ok(cells.transpose(0, 2, 1), q, t)[0] == verdict, size
+            assert oa._sdloa_ok(by_row(cells), q, t)[0] == verdict, size
             assert oa.verify_sdloa(fam, t) == verdict, size
-            assert oa._large_set_ok([cells.transpose(0, 2, 1)], q, t)[0] == row_ls, size
+            assert oa._large_set_ok([by_row(cells)], q, t)[0] == row_ls, size
 
     def test_row_exchange_passes_the_member_pass(self):
         # so only the coverage seen-map can reject the row large set
         cells = corrupted(5, 3, "row_exchange")
         assert kernel_rows(cells.transpose(0, 2, 1), 5).all()
         assert kernel_members_ok(cells.transpose(0, 2, 1), 5, 3)
-        assert not oa._large_set_ok([cells.transpose(0, 2, 1)], 5, 3)[0]
+        assert not oa._large_set_ok([by_row(cells)], 5, 3)[0]
 
 
 class TestFixtureProperties:

@@ -248,17 +248,17 @@ class TestGridAgreement:
         n, _, k = want_cells.shape
         members = want_cells.transpose(0, 2, 1)  # (N, k, N), a strided view
         want_codes = (want_cells.astype(np.int64) * 5 ** np.arange(k)).sum(axis=2)
+        grid = construct._grid_stack(cert)
+        cells = grid.pick(slice(None)).transpose(0, 2, 1)
+        assert cells.dtype == want_cells.dtype and np.array_equal(cells, want_cells)
         for size, rows in _configs():
             pool_size(size)
-            monkeypatch.setattr(construct, "_GATHER_ENTRIES", rows * size * n * k)
             monkeypatch.setattr(oa, "_CODE_ENTRIES", rows * size * n * k)
-            cells = construct._base_cells(cert)
-            assert cells.dtype == want_cells.dtype
-            assert np.array_equal(cells, want_cells), (size, rows)
-            # one code path: the member pass, for the grid check and a
-            # single array alike
-            assert np.array_equal(oa._member_pass(members, 5)[0], want_codes)
-            assert np.array_equal(oa._sdloa_ok(members, 5, 3)[1], want_codes)
+            # one code path: the member pass, for a grid gathered block by
+            # block, a held stack and a single array alike
+            assert np.array_equal(oa._member_pass(grid, 5)[0], want_codes), (size, rows)
+            assert np.array_equal(oa._sdloa_ok(grid, 5, 3)[1], want_codes)
+            assert np.array_equal(oa._member_pass(oa._HeldStack(members), 5)[0], want_codes)
             assert np.array_equal(oa.column_codes(oa.OrthArray(members[7], 5, 3)),
                                   want_codes[7])
 
@@ -287,8 +287,7 @@ class TestWriterAgreement:
 # ---------------------------------------------------------------------------
 
 KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode"),
-           "decode": (io, "_scan"), "gather": (construct, "_gather"),
-           "codes": (oa, "_pass_block")}
+           "decode": (io, "_scan"), "codes": (oa, "_pass_block")}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
