@@ -11,6 +11,7 @@ from . import _codec  # noqa: F401
 from .construct import (
     BlockAssignment,
     CmsFamily,
+    ComposedSquare,
     OrderPlan,
     SdloaGrid,
     TranslationScheme,
@@ -47,6 +48,7 @@ __all__ = [
     "ArrayFamily",
     "BlockAssignment",
     "CmsFamily",
+    "ComposedSquare",
     "ConstructionError",
     "FieldSpec",
     "FieldTable",

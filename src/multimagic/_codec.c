@@ -1,7 +1,7 @@
 /* The compiled kernels of multimagic, built by _codec.py: the integer
  * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
  * grid gather and the member pass of the large-set and SDLOA checks (see
- * oa.py).
+ * oa.py), and the power sums and the seen-map of verify.py.
  *
  * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
  * tokens are separated by spaces, tabs and line breaks, and a line break
@@ -353,4 +353,118 @@ void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_
     else
         pass(data, ref, 0, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
              cols, cols_ok);
+}
+
+/* ---------------------------------------------------------------------
+ * The power sums and the consecutive-entry seen-map of verify.py.
+ *
+ * sums() reads a block of rows x n int64 entries, rows r0..r0+rows-1 of
+ * an n x n square, as values x = entry - base, wrapping modulo 2^64.
+ * Modulus 0 is 2^64; modulus j >= 1 is the odd odd[j - 1] < 2^31.  For
+ * each degree e = 1..top and each modulus j < needs[e - 1], it writes the
+ * residues of the block's power sums at k = needs[0] + ... + needs[e - 2]
+ * + j: the row sums at rows_out[k * rows + r], the column partials at
+ * cols_out[k * n + c], and the partials of the main and back diagonals,
+ * whose entries in row r are at columns r0 + r and n - 1 - r0 - r, at
+ * diag[k] and back[k].  Modulo 2^64 the powers and the sums wrap.  Modulo
+ * an odd m, x is reduced to [0, m) if reduce[j - 1], and must else lie
+ * there already; x^e = x^(e-1) * x mod m, a product below 2^62 reduced
+ * by Barrett's method, so every power is below 2^31 and a sum of n of
+ * them is exact in int64 for n < 2^32.  These are the residues of
+ * tests/sums_oracle.py, exactly.  lohi receives the least and the
+ * greatest x.  work holds 2 n scratch entries.  Arithmetic is unsigned,
+ * so values outside [0, m) that were not reduced give wrong residues but
+ * no undefined behaviour: the caller discards them.
+ *
+ * mark() marks bit v of the seen-map bits for each value v = entry - base
+ * of count entries that lies in [0, limit), and returns how many bits it
+ * set that were clear.  It is not atomic: one thread marks a map.
+ * ------------------------------------------------------------------- */
+
+/* p mod m, for p < 2^62 and odd m < 2^31, with mu = (2^64 - 1) / m: the
+ * quotient estimate is low by at most one, so one correction suffices. */
+static inline uint64_t barrett(uint64_t p, uint64_t m, uint64_t mu)
+{
+    uint64_t r = p - (uint64_t)(((unsigned __int128)p * mu) >> 64) * m;
+    return r >= m ? r - m : r;
+}
+
+void sums(const int64_t *block, size_t rows, size_t n, size_t r0, int64_t base,
+          const uint64_t *odd, size_t count, const unsigned char *reduce, size_t top,
+          const size_t *needs, uint64_t *work, int64_t *rows_out, int64_t *cols_out,
+          int64_t *diag, int64_t *back, int64_t *lohi)
+{
+    uint64_t *x = work, *p = work + n;
+    uint64_t *cols = (uint64_t *)cols_out;
+    size_t total = 0;
+    for (size_t e = 0; e < top; e++)
+        total += needs[e];
+    for (size_t k = 0; k < total * n; k++)
+        cols[k] = 0;
+    for (size_t k = 0; k < total; k++)
+        diag[k] = back[k] = 0;
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (size_t r = 0; r < rows; r++) {
+        const int64_t *row = block + r * n;
+        const size_t at_main = r0 + r, at_back = n - 1 - r0 - r;
+        for (size_t j = 0; j <= count; j++) {
+            const uint64_t m = j ? odd[j - 1] : 0, mu = j ? UINT64_MAX / m : 0;
+            if (j == 0) {
+                for (size_t c = 0; c < n; c++) {
+                    int64_t v = (int64_t)((uint64_t)row[c] - (uint64_t)base);
+                    lo = v < lo ? v : lo;
+                    hi = v > hi ? v : hi;
+                    x[c] = (uint64_t)v;
+                }
+            } else if (reduce[j - 1]) {
+                for (size_t c = 0; c < n; c++) {
+                    int64_t v = (int64_t)((uint64_t)row[c] - (uint64_t)base) % (int64_t)m;
+                    x[c] = (uint64_t)(v < 0 ? v + (int64_t)m : v);
+                }
+            } else {
+                for (size_t c = 0; c < n; c++)
+                    x[c] = (uint64_t)row[c] - (uint64_t)base;
+            }
+            size_t k = j;  /* the output row of degree e and modulus j */
+            for (size_t e = 1; e <= top; e++) {
+                if (e == 1)
+                    for (size_t c = 0; c < n; c++)
+                        p[c] = x[c];
+                else if (j == 0)
+                    for (size_t c = 0; c < n; c++)
+                        p[c] *= x[c];
+                else
+                    for (size_t c = 0; c < n; c++)
+                        p[c] = barrett(p[c] * x[c], m, mu);
+                if (j < needs[e - 1]) {
+                    uint64_t s = 0, *col = cols + k * n;
+                    for (size_t c = 0; c < n; c++) {
+                        s += p[c];
+                        col[c] += p[c];
+                    }
+                    rows_out[k * rows + r] = (int64_t)s;
+                    diag[k] = (int64_t)((uint64_t)diag[k] + p[at_main]);
+                    back[k] = (int64_t)((uint64_t)back[k] + p[at_back]);
+                }
+                k += needs[e - 1];
+            }
+        }
+    }
+    lohi[0] = lo;
+    lohi[1] = hi;
+}
+
+size_t mark(const int64_t *entries, size_t count, int64_t base, uint64_t limit,
+            unsigned char *bits)
+{
+    size_t fresh = 0;
+    for (size_t i = 0; i < count; i++) {
+        uint64_t v = (uint64_t)entries[i] - (uint64_t)base;
+        if (v < limit) {
+            unsigned char bit = (unsigned char)(1u << (v & 7));
+            fresh += !(bits[v >> 3] & bit);
+            bits[v >> 3] |= bit;
+        }
+    }
+    return fresh;
 }

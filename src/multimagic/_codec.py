@@ -1,16 +1,19 @@
 """The compiled kernels: ``_codec.c``, built with cffi in API mode.
 
-The library holds the text codec of io.py, and the grid gather and the
-member pass of the large-set and SDLOA checks in oa.py.  It is built on
-first import into the per-user cache (``$XDG_CACHE_HOME/multimagic``,
-else ``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by
-the interpreter's cache tag and by checksums of the C source, its
+The library holds the text codec of io.py, the grid gather and the
+member pass of the large-set and SDLOA checks in oa.py, and the power sums
+and the seen-map of verify.py.  It is built on first import into the
+per-user cache (``$XDG_CACHE_HOME/multimagic``, else
+``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by the
+interpreter's cache tag and by checksums of the C source, its
 declarations, the compiler flags and the Python ABI; later imports load it
-from there.  A build goes to a temporary directory that is renamed into
-place, so concurrent first imports do not see a half-written module; after
-a build, the other ``codec-<abi>-*`` directories of the same interpreter
-tag are removed, as their sources are stale.  There is no pure-Python
-fallback: without gcc and cffi the import fails.
+from there, and mark it used by touching the directory.  A build goes to a
+temporary directory that is renamed into place, so concurrent first
+imports do not see a half-written module.  After a build, the builds of
+the same interpreter tag beyond the _KEEP most recently used are removed:
+two source trees that share the cache, such as a checkout and its parent,
+each keep their build instead of recompiling at every start.  There is no
+pure-Python fallback: without gcc and cffi the import fails.
 
 The package imports this module, so that ``import multimagic`` pays the
 compile once rather than the first check, read or write.  cffi releases
@@ -42,6 +45,12 @@ void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_
              ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
              int64_t *codes, unsigned char *seen, const void *rows, unsigned char *rows_ok,
              const void *cols, unsigned char *cols_ok);
+void sums(const int64_t *block, size_t rows, size_t n, size_t r0, int64_t base,
+          const uint64_t *odd, size_t count, const unsigned char *reduce, size_t top,
+          const size_t *needs, uint64_t *work, int64_t *rows_out, int64_t *cols_out,
+          int64_t *diag, int64_t *back, int64_t *lohi);
+size_t mark(const int64_t *entries, size_t count, int64_t base, uint64_t limit,
+            unsigned char *bits);
 """
 _FLAGS = ("-O3", "-shared", "-fPIC")
 _SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -100,11 +109,27 @@ def _build(source: bytes, where: Path) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+# Builds kept per interpreter tag: enough for a few source trees that
+# share one cache.
+_KEEP = 4
+
+
+def _used(build: Path) -> float:
+    """When build was last loaded or built; 0 if it is gone."""
+    try:
+        return build.stat().st_mtime
+    except OSError:
+        return 0.0
+
+
 def _prune(where: Path) -> None:
-    """Remove every build for this interpreter tag but the one at where."""
+    """Remove the builds for this interpreter tag but the _KEEP most
+    recently used, keeping the one at where."""
     import shutil
 
-    for old in where.parent.glob(f"codec-{sys.implementation.cache_tag}-*"):
+    builds = sorted(where.parent.glob(f"codec-{sys.implementation.cache_tag}-*"),
+                    key=_used, reverse=True)
+    for old in builds[_KEEP:]:
         if old != where:
             shutil.rmtree(old, ignore_errors=True)
 
@@ -121,6 +146,11 @@ def _load():
             raise ImportError(f"multimagic builds its C kernels with gcc and cffi "
                               f"into {where}: {exc}") from exc
         _prune(where)
+    else:
+        try:
+            os.utime(where)  # marks the build used, for _prune
+        except OSError:
+            pass  # a read-only cache is still usable
     spec = importlib.util.spec_from_file_location(_NAME, module)
     loaded = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(loaded)

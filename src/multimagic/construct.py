@@ -12,6 +12,13 @@ Coordinate conventions, pinned by the golden fixtures:
 Every constructor verifies its output before returning it.  A square or
 family that fails verification is raised as a ConstructionError, never
 returned.
+
+The compositions (product_compose, cms_compose, build_ms_q2t1) return a
+ComposedSquare: one implementation, a stack of member squares, an outer
+square and a block assignment, whose rows are filled block row by block
+row on demand.  Verification, the writers and the read-back check read it
+through rows(), so the composite, 8 GiB as int64 at order 32768, is never
+held.
 """
 
 from __future__ import annotations
@@ -340,20 +347,75 @@ def _require_ms(sq: MagicSquare, t: int, what: str) -> np.ndarray:
     return sq.normalized()
 
 
-def product_compose(a: MagicSquare, b: MagicSquare, t: int | None = None) -> MagicSquare:
-    """Order m*n square with entry((i1,i2),(j1,j2)) = a[i1,j1]*n^2 + b[i2,j2]."""
+@dataclass(frozen=True)
+class ComposedSquare:
+    """An order m*n square of m x m blocks of order n, never held whole:
+    block (I, J) is member f[I, J] of the (m', n, n) stack of normalised
+    members, shifted by outer[I, J].  Block row I depends only on row I
+    of outer and of f, so rows() fills any run of rows on demand, in
+    O(rows * m * n) time and memory; verification, the writers and the
+    read-back check read the square through it, one block of rows per
+    pool task.  The entries are the whole square, gathered on every call,
+    for tests and API users: no pipeline stage reads them."""
+
+    outer: np.ndarray  # (m, m) block shifts, n^2 times the outer square
+    stack: np.ndarray  # (m', n, n) members, entries 0..n^2-1 when valid
+    f: np.ndarray      # (m, m) member of each block
+    t: int
+    base = 0
+
+    @property
+    def n(self) -> int:
+        return self.outer.shape[0] * self.stack.shape[1]
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1, filled from the block rows they cross."""
+        m, inner = self.outer.shape[0], self.stack.shape[1]
+        out = np.empty((r1 - r0, m, inner), dtype=np.int64)
+        r = r0
+        while r < r1:
+            i, lo = divmod(r, inner)
+            hi = min(inner, lo + r1 - r)
+            # rows lo..hi-1 of every block of block row i, as (row, J, col),
+            # gathered in place (f lies in range, so "wrap" never wraps)
+            part = out[r - r0:r - r0 + hi - lo]
+            np.take(self.stack[:, lo:hi], self.f[i], axis=0, out=part.transpose(1, 0, 2),
+                    mode="wrap")
+            part += self.outer[i][None, :, None]
+            r += hi - lo
+        return out.reshape(r1 - r0, m * inner)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole (N, N) square, gathered on every call."""
+        return self.rows(0, self.n)
+
+    def normalized(self) -> np.ndarray:
+        """The entries, which start at 0."""
+        return self.entries
+
+
+def _composed(outer: np.ndarray, stack: np.ndarray, f: np.ndarray, t: int,
+              what: str) -> ComposedSquare:
+    """The verified ComposedSquare of degree t with blocks stack[f[I, J]] +
+    n^2 * outer[I, J], outer and stack normalised."""
+    m, n = outer.shape[0], stack.shape[1]
+    if ((m * n) ** 2).bit_length() >= 63:
+        raise ValueError("composite order is beyond the supported range")
+    sq = ComposedSquare(outer * (n * n), stack, f, t)
+    _verified_or_raise(verify.verify_ms(sq, t), what)
+    return sq
+
+
+def product_compose(a: MagicSquare, b: MagicSquare, t: int | None = None) -> ComposedSquare:
+    """Order m*n square with entry((i1,i2),(j1,j2)) = a[i1,j1]*n^2 + b[i2,j2]:
+    the block composition with b as a one-member stack and an all-zero
+    assignment."""
     if t is None:
         t = a.t
     a0 = _require_ms(a, t, "first factor")
     b0 = _require_ms(b, t, "second factor")
-    m, n = a.n, b.n
-    if ((m * n) ** 2).bit_length() >= 63:
-        raise ValueError("composite order is beyond the supported range")
-    out = np.kron(a0 * (n * n), np.ones((n, n), dtype=np.int64)) \
-        + np.tile(b0, (m, m))
-    sq = MagicSquare(out, t)
-    _verified_or_raise(verify.verify_ms(sq, t), "product square")
-    return sq
+    return _composed(a0, b0[None], np.zeros(a0.shape, dtype=np.int64), t, "product square")
 
 
 @dataclass(frozen=True)
@@ -432,26 +494,16 @@ def _check_compose_shapes(a: MagicSquare, fam: CmsFamily, assign: BlockAssignmen
         raise ValueError("assignment shape does not match the inputs")
 
 
-def _compose_blocks(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> MagicSquare:
+def _compose_blocks(a: MagicSquare, fam: CmsFamily,
+                    assign: BlockAssignment) -> ComposedSquare:
     """cms_compose without re-verifying its inputs; the output is still
     verified."""
     _check_compose_shapes(a, fam, assign)
-    m, n = a.n, fam.n
-    if ((m * n) ** 2).bit_length() >= 63:
-        raise ValueError("composite order is beyond the supported range")
-
     stack = np.stack([mem.normalized() for mem in fam.members])
-    outer = a.normalized() * (n * n)
-    # out[i, :, j, :] is block (i, j); filled one block-row at a time
-    out = np.empty((m, n, m, n), dtype=np.int64)
-    for i in range(m):
-        np.add(stack[assign.f[i]].transpose(1, 0, 2), outer[i][None, :, None], out=out[i])
-    sq = MagicSquare(out.reshape(m * n, m * n), a.t)
-    _verified_or_raise(verify.verify_ms(sq, a.t), "composed square")
-    return sq
+    return _composed(a.normalized(), stack, assign.f, a.t, "composed square")
 
 
-def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> MagicSquare:
+def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> ComposedSquare:
     """Block (I, J) of the output holds member f(I, J) of the family,
     shifted by n^2 * a[I, J].  Both inputs are verified first."""
     _check_compose_shapes(a, fam, assign)
@@ -476,7 +528,7 @@ def build_ms_qt(table: FieldTable, t: int) -> MagicSquare:
     return grid_to_ms(build_sdloa_grid(cert))
 
 
-def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> MagicSquare:
+def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> ComposedSquare:
     """Verified MS(q^(2t-1), t): the degree-t grid square block-composed
     with a degree-(t-1) complementary family."""
     if t < 3:

@@ -25,6 +25,11 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
 * The body is read in pieces cut at separators.  Each piece is validated
   and parsed on the worker pool, and the pieces are stitched in file
   order, so a file raises the errors of a serial read, in its order.
+* Squares are written, and compared on read-back, through their
+  row-block interface ``rows(r0, r1)`` (see verify.py): each pool task
+  fills and encodes its own rows, and each decoded piece is compared with
+  the rows it covers, so a generated square (construct.ComposedSquare) is
+  never held whole, only regenerated.
 
 Readers raise ``FormatError`` on any payload that breaks these rules or
 whose dimensions disagree with its header, and on unknown header keys.
@@ -268,34 +273,44 @@ def _read_entries(pieces, total: int) -> np.ndarray:
     return out
 
 
-def _same(pieces, arrays) -> bool:
-    """Whether the pieces of _decode match the entries of arrays, all of
-    one size, laid end to end; stops at the first piece that differs."""
+def _same(pieces, squares) -> bool:
+    """Whether the pieces of _decode match the entries of squares, all of
+    one order, laid end to end; stops at the first piece that differs.
+    Each piece is compared with the rows it covers, read through the
+    squares' rows(), so a generated square is regenerated, never held."""
+    n = squares[0].n
     for pos, vals in pieces:
         at = 0
         while at < vals.size:
-            k, off = divmod(pos + at, arrays[0].size)
-            take = min(vals.size - at, arrays[k].size - off)
-            if not np.array_equal(vals[at:at + take],
-                                  arrays[k].ravel()[off:off + take]):
+            k, off = divmod(pos + at, n * n)
+            take = min(vals.size - at, n * n - off)
+            r0 = off // n
+            want = squares[k].rows(r0, -(-(off + take) // n)).ravel()
+            if not np.array_equal(vals[at:at + take], want[off - r0 * n:off - r0 * n + take]):
                 return False
             at += take
     return True
 
 
+def _held(entries: np.ndarray):
+    """A 2-D array as a block of _write_blocks."""
+    return entries.shape, lambda r0, r1: entries[r0:r1]
+
+
 def _write_blocks(path, header: str, blocks) -> None:
-    """Header line, then each 2-D block's rows, blocks separated by a blank
-    line; encoded on the pool, each worker _ENCODE_ENTRIES / workers
-    entries at a time, and written in order."""
-    pieces = []  # (bytes before the piece, row slice)
-    for i, entries in enumerate(blocks):
-        starts = _pool.blocks(max(1, entries.shape[0]), entries.shape[1], _ENCODE_ENTRIES)
+    """Header line, then each block's rows, blocks separated by a blank
+    line.  A block is ((rows, cols), fill), fill(r0, r1) giving its rows
+    r0..r1-1; each piece is filled and encoded on the pool, each worker
+    _ENCODE_ENTRIES / workers entries at a time, and written in order."""
+    pieces = []  # (bytes before the piece, fill, first row, end row)
+    for i, ((count, cols), fill) in enumerate(blocks):
+        starts = _pool.blocks(max(1, count), cols, _ENCODE_ENTRIES)
         for r in starts:
-            pieces.append((b"\n" if i and not r else b"", entries[r:r + starts.step]))
-    texts = _pool.ordered_map(_encode, [block for _, block in pieces])
+            pieces.append((b"\n" if i and not r else b"", fill, r, min(r + starts.step, count)))
+    texts = _pool.ordered_map(lambda piece: _encode(piece[1](*piece[2:])), pieces)
     with open(Path(path), "wb") as f:
         f.write(header.encode("ascii"))
-        for (lead, _), text in zip(pieces, texts):
+        for (lead, *_), text in zip(pieces, texts):
             f.write(lead)
             f.write(text)
 
@@ -304,15 +319,20 @@ def _write_blocks(path, header: str, blocks) -> None:
 # Magic squares
 # ---------------------------------------------------------------------------
 
-def write_ms(path, sq: MagicSquare, binary: bool = False) -> None:
+def write_ms(path, sq, binary: bool = False) -> None:
+    """Write a MagicSquare, or any square read through rows(r0, r1) such
+    as a construct.ComposedSquare, in row blocks: it is never held whole."""
     header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
               f"n={sq.n} t={sq.t} base={sq.base}\n")
     if not binary:
-        _write_blocks(path, header, [sq.entries])
+        _write_blocks(path, header, [((sq.n, sq.n), sq.rows)])
         return
+    step = _pool.blocks(max(1, sq.n), sq.n, _ENCODE_ENTRIES).step
     with open(Path(path), "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(sq.entries, dtype="<i8").tobytes())
+        for r0 in range(0, sq.n, step):
+            rows = sq.rows(r0, min(r0 + step, sq.n))
+            f.write(np.ascontiguousarray(rows, dtype="<i8").tobytes())
 
 
 def _read_binary_ms(raw: bytes) -> MagicSquare:
@@ -361,7 +381,7 @@ def write_oa_family(path, fam: ArrayFamily) -> None:
         raise ValueError("family members must share a column count to serialize")
     _write_blocks(path, f"{_OA_MAGIC} {_VERSION} count={len(members)} k={first.k} "
                         f"cols={first.n_cols} v={first.v} t={first.t}\n",
-                  [m.entries for m in members])
+                  [_held(m.entries) for m in members])
 
 
 def read_oa_family(path) -> ArrayFamily:
@@ -389,7 +409,7 @@ def read_oa_family(path) -> ArrayFamily:
 
 def write_cms_bundle(path, fam: CmsFamily) -> None:
     _write_blocks(path, f"{_CMS_MAGIC} {_VERSION} m={fam.m} n={fam.n} t={fam.t}\n",
-                  [member.entries for member in fam.members])
+                  [((fam.n, fam.n), member.rows) for member in fam.members])
 
 
 def _read_cms_header(line: str) -> dict:
@@ -416,25 +436,26 @@ def read_cms_bundle(path) -> CmsFamily:
 # Read-back checks
 # ---------------------------------------------------------------------------
 
-def read_matches(path, artifact: MagicSquare | CmsFamily) -> bool:
+def read_matches(path, artifact) -> bool:
     """Whether the text square or family bundle at path has the header
-    fields and entries of artifact.  Each decoded piece is compared with
-    the matching slice of artifact's entries, so no decoded copy is held;
-    the whole body is decoded, and a file the matching reader rejects
-    raises the same FormatError."""
+    fields and entries of artifact, a CmsFamily or a square read through
+    rows(r0, r1).  Each decoded piece is compared with the rows of
+    artifact it covers, so no decoded copy is held and a generated square
+    is regenerated, never held; the whole body is decoded, and a file the
+    matching reader rejects raises the same FormatError."""
     with _open(path) as f:
         line, body = _read_header(f)
         if isinstance(artifact, CmsFamily):
             head = _read_cms_header(line)
             want = {"m": artifact.m, "n": artifact.n, "t": artifact.t}
-            arrays = [member.entries for member in artifact.members]
+            squares = artifact.members
         else:
             head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
             want = {"n": artifact.n, "t": artifact.t, "base": artifact.base}
-            arrays = [artifact.entries]
+            squares = [artifact]
         pieces = _decode(f, body, head.get("m", 1), head["n"], head["n"],
                          split="m" in head)
-        same = head == want and _same(pieces, arrays)
+        same = head == want and _same(pieces, squares)
         for _ in pieces:  # validate the rest of the body
             pass
     if head["t"] < 1:

@@ -1,32 +1,46 @@
 """Exact verification of magic, multimagic, and complementary-family
 properties.
 
+Every square is read through one row-block interface: ``sq.n``, ``sq.t``,
+``sq.base`` and ``sq.rows(r0, r1)``, the int64 rows r0..r1-1.  A held
+MagicSquare serves views of its entries; a construct.ComposedSquare fills
+the rows from its blocks on demand and is never held whole.  Each pool
+task reads its own block, so a generated square is filled on the workers.
+
 No floating point anywhere.  Line power sums are taken modulo 2**64
 (int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then
 recombined exactly by the CRT.  Products of residues below 2**31, and
 line sums of n < 2**32 of them, fit in int64.
 
-One fused pass covers every degree 1..t: the minimum and maximum are
-taken once, and each degree uses the moduli its own bound needs, a
-prefix of those of degree t.  The pass runs over row blocks on the shared
-worker pool (``_pool``); each worker holds a block of about a million
-entries divided by the pool size, so no temporary is larger than that.
-Within a block, powers are built incrementally for each modulus: in place
-modulo 2**64, and x**e = x**(e-1) * x mod m for an odd m.  A row sum lies
-in one block.  Column and diagonal partials are added in block order, on
-the calling thread, in int64: modulo 2**64 the adds wrap, which keeps
-them congruent, and for an odd modulus a column sum of n residues stays
-below n * 2**31.  The CRT needs only congruent residues, so it runs once,
-after the last block, with Garner's digits found in int64.
-``verify_cms`` maps runs of members over the pool, each member one pass
-over degrees 1..t+1, and builds the report on the calling thread.  Workers
-run only private kernels, so results and reports do not depend on the
-pool size.
+One fused pass covers every degree 1..t, each degree using the moduli its
+own bound needs, a prefix of those of degree t.  The bound needs the
+entries' range, which a generated square does not know before it is
+read: the first pass takes its moduli for the range [0, n^2) of a valid
+square, and each block reports its least and greatest entry.  If any
+block falls outside, the pass's sums are discarded and a second pass runs
+with the true bound.  The CRT of any sufficient moduli gives the exact
+sums, so the sums, and the reports, do not depend on which were used.
+The pass runs over row blocks on the shared worker pool (``_pool``); each
+worker holds a block of _BLOCK_ENTRIES entries divided by the pool size.
+The residues of a block come from the compiled kernel ``sums()`` of
+_codec.c, with no temporaries: powers are built incrementally for each
+modulus, wrapping modulo 2**64, and x**e = x**(e-1) * x mod m for an odd
+m, the product below 2**62 reduced by Barrett's method with one
+correction.  A row sum lies in one block.  Column and diagonal partials
+are added in block order, on the calling thread, in int64: modulo 2**64
+the adds wrap, which keeps them congruent, and for an odd modulus a
+column sum of n residues stays below n * 2**31.  The CRT needs only
+congruent residues, so it runs once, after the last block, with Garner's
+digits found in int64.  ``verify_cms`` maps runs of members over the
+pool, each member one pass over degrees 1..t+1, and builds the report on
+the calling thread.  Workers run only private kernels, so results and
+reports do not depend on the pool size.
 
-The consecutive-entry check needs no sort: after a range check, each of
-the n^2 entries marks one byte of an n^2 seen-map, and by pigeonhole n^2
-entries in range mark every byte exactly when they are 0..n^2-1, each
-once.
+The consecutive-entry check needs no sort: the compiled ``mark()`` sets
+bit v of an n^2-bit seen-map for each entry v in [0, n^2), on the calling
+thread as the first pass's blocks arrive, and counts the bits it set.
+By pigeonhole the n^2 entries are 0..n^2-1, each once, exactly when they
+set n^2 bits.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _pool
+from ._codec import ffi as _ffi, lib as _lib
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,11 @@ class MagicSquare:
     def normalized(self) -> np.ndarray:
         """Entries shifted to start at 0."""
         return self.entries - self.base if self.base else self.entries
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of the entries, a view: the row-block interface
+        through which verification and the writers read every square."""
+        return self.entries[r0:r1]
 
 
 @dataclass(frozen=True)
@@ -206,75 +226,89 @@ def _moduli(bound: int) -> list[int]:
     return moduli
 
 
-# Entries per row block of the power sums, split evenly over the pool.
-_BLOCK_ENTRIES = 1 << 20
+# Entries per row block of the power sums, split evenly over the pool: the
+# blocks in flight, filled or held, take about 2.5 times this.
+_BLOCK_ENTRIES = 1 << 18
 
 
-def _block_sums(mat: np.ndarray, moduli: list[int], needs: list[int],
-                reduce: list[bool], step: int, r0: int):
-    """Residues of the power sums of rows r0..r0+step-1 of mat, the pooled
-    kernel.  For each degree e = 1..len(needs) in turn, and each of its
-    first needs[e-1] moduli, one residue row: the block's row sums
-    (K, rows), column partials (K, n) and diagonal partials (K,) twice,
-    K = sum(needs).  Powers are built incrementally, in place; modulo
-    2**64 they wrap."""
-    n = mat.shape[1]
-    blk = mat[r0:r0 + step]
-    r = np.arange(len(blk))
-    k_of = np.cumsum([0] + needs)  # degree e starts at row k_of[e-1]
-    rows = np.empty((k_of[-1], len(blk)), dtype=np.int64)
-    cols = np.empty((k_of[-1], n), dtype=np.int64)
-    diag = np.empty(k_of[-1], dtype=np.int64)
-    back = np.empty(k_of[-1], dtype=np.int64)
-    for j, m in enumerate(moduli):
-        x = blk % m if reduce[j] else blk
-        p = x
-        for e, need in enumerate(needs, 1):
-            if e > 1:
-                p = p * x if p is x else np.multiply(p, x, out=p)
-                if j:
-                    np.remainder(p, m, out=p)
-            if j < need:
-                k = k_of[e - 1] + j
-                p.sum(axis=1, out=rows[k])
-                p.sum(axis=0, out=cols[k])
-                diag[k] = p[r, r0 + r].sum()
-                back[k] = p[r, n - 1 - r0 - r].sum()
-    return rows, cols, diag, back
-
-
-def _line_power_sums(mat: np.ndarray, top: int) -> list[tuple]:
-    """Row sums, column sums, and both diagonal sums of entrywise e-th
-    powers for every degree e = 1..top, exact, as Python ints: one
-    (rows, cols, diag, back) per degree.  Each degree-e sum lies in
-    [-B, B], B = n * max|x|**e; its residues modulo _moduli(B), summed
-    over row blocks on the pool, are recombined by Garner's CRT into
-    (-M/2, M/2], M their product."""
-    n = mat.shape[0]
-    lo, hi = int(mat.min(initial=0)), int(mat.max(initial=0))
-    needs = [len(_moduli(n * max(-lo, hi) ** e)) for e in range(1, top + 1)]
-    moduli = _moduli(n * max(-lo, hi) ** top)
+def _plan(n: int, top: int, lo: int, hi: int):
+    """The moduli of the power sums of degrees 1..top of an order-n square
+    with entries in [lo, hi], the count each degree needs, and whether
+    entries need reducing modulo each."""
+    big = max(-lo, hi)
+    needs = [len(_moduli(n * big ** e)) for e in range(1, top + 1)]
+    moduli = _moduli(n * big ** top)
     reduce = [j > 0 and not (0 <= lo and hi < m) for j, m in enumerate(moduli)]
+    return moduli, needs, reduce
+
+
+def _block_sums(sq, moduli: list[int], needs: list[int], reduce: list[bool],
+                step: int, r0: int):
+    """The pooled kernel: rows r0..r0+step-1 of square sq, filled on this
+    worker, and the residues of their power sums from the compiled sums()
+    of _codec.c.  For each degree e = 1..len(needs) in turn, and each of
+    its first needs[e-1] moduli, one residue row: the block's row sums
+    (K, rows), column partials (K, n) and diagonal partials (K,) twice,
+    K = sum(needs); then the least and the greatest normalised entry, and
+    the block itself."""
+    n = sq.n
+    r1 = min(r0 + step, n)
+    blk = np.ascontiguousarray(sq.rows(r0, r1), dtype=np.int64)
+    if blk.shape != (r1 - r0, n):  # the kernel reads rows x n entries
+        raise ValueError(f"rows({r0}, {r1}) gave a {blk.shape} block of an order-{n} square")
+    total = sum(needs)
+    rows = np.empty((total, len(blk)), dtype=np.int64)
+    cols = np.empty((total, n), dtype=np.int64)
+    diag, back = np.empty((2, total), dtype=np.int64)
+    lohi = np.empty(2, dtype=np.int64)
+    odd = np.array(moduli[1:], dtype=np.uint64)
+    buf = _ffi.from_buffer
+    _lib.sums(buf("int64_t[]", blk), len(blk), n, r0, sq.base, buf("uint64_t[]", odd),
+              odd.size, buf("unsigned char[]", np.array(reduce[1:], dtype=np.uint8)),
+              len(needs), buf("size_t[]", np.array(needs, dtype=np.uintp)),
+              buf("uint64_t[]", np.empty(2 * n, dtype=np.uint64)), buf("int64_t[]", rows),
+              buf("int64_t[]", cols), buf("int64_t[]", diag), buf("int64_t[]", back),
+              buf("int64_t[]", lohi))
+    return rows, cols, diag, back, int(lohi[0]), int(lohi[1]), blk
+
+
+def _line_power_sums(sq, top: int, lo: int, hi: int, seen: np.ndarray | None = None):
+    """Row sums, column sums, and both diagonal sums of entrywise e-th
+    powers of the normalised square sq, for every degree e = 1..top,
+    exact as Python ints when every normalised entry lies in [lo, hi]: one
+    (rows, cols, diag, back) per degree.  Also the least and the greatest
+    normalised entry, and, if seen is given, the number of bits marked in
+    it, each in-range value v setting bit v.  Each degree-e sum lies in
+    [-B, B], B = n * max(-lo, hi)**e; its residues modulo _moduli(B),
+    summed over row blocks on the pool, are recombined by Garner's CRT
+    into (-M/2, M/2], M their product."""
+    n = sq.n
+    moduli, needs, reduce = _plan(n, top, lo, hi)
     # each worker holds _BLOCK_ENTRIES / workers entries at a time
     starts = _pool.blocks(n, n, _BLOCK_ENTRIES)
-    kernel = partial(_block_sums, mat, moduli, needs, reduce, starts.step)
+    kernel = partial(_block_sums, sq, moduli, needs, reduce, starts.step)
     rows = np.empty((sum(needs), n), dtype=np.int64)
     cols = np.zeros((sum(needs), n), dtype=np.int64)
     diag, back = np.zeros((2, sum(needs)), dtype=np.int64)
+    ranges, marked = [], 0
     # column and diagonal partials add up in block order; modulo 2**64
     # they wrap, which keeps them congruent
-    for r0, (rs, cs, d, b) in zip(starts, _pool.ordered_map(kernel, starts)):
+    for r0, (rs, cs, d, b, *span, blk) in zip(starts, _pool.ordered_map(kernel, starts)):
         rows[:, r0:r0 + rs.shape[1]] = rs
         cols += cs
         diag += d
         back += b
+        ranges += span
+        if seen is not None:  # plain bit ors, on this thread alone
+            marked += _lib.mark(_ffi.from_buffer("int64_t[]", blk), blk.size, sq.base,
+                                n * n, _ffi.from_buffer("unsigned char[]", seen))
     residues = np.concatenate((rows, cols, diag[:, None], back[:, None]), axis=1)
     out, k = [], 0
     for need in needs:
         exact = _crt(residues[k:k + need], moduli[:need])
         out.append((exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]))
         k += need
-    return out
+    return out, min(ranges), max(ranges), marked
 
 
 def _crt(residues: np.ndarray, moduli: list[int]) -> list[int]:
@@ -302,15 +336,20 @@ def _crt(residues: np.ndarray, moduli: list[int]) -> list[int]:
     return [v - scale if 2 * v > scale else v for v in values]
 
 
-def _square_sums(sq: MagicSquare, top: int):
+def _square_sums(sq, top: int):
     """The per-square kernel: whether the entries are consecutive, and the
-    line power sums of the normalised square for degrees 1..top."""
+    line power sums of the normalised square for degrees 1..top.  The
+    first pass takes its moduli for entries in [0, n^2) and marks the
+    bit seen-map; if an entry falls outside, its sums are discarded and a
+    second pass runs with the true bound.  The exact sums do not depend on
+    which sufficient moduli were used."""
     n = sq.n
-    norm = sq.normalized()
-    seen = np.zeros(n * n, dtype=bool)
-    if n and 0 <= norm.min() and norm.max() < n * n:
-        seen[norm.ravel()] = True
-    return bool(seen.all()), _line_power_sums(norm, top)
+    seen = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    sums, lo, hi, marked = _line_power_sums(sq, top, 0, n * n - 1, seen)
+    if not 0 <= lo <= hi < n * n:
+        sums = _line_power_sums(sq, top, lo, hi)[0]
+    # n^2 in-range entries set every bit exactly when they are 0..n^2-1
+    return marked == n * n, sums
 
 
 def _failures(targets: dict, consecutive_ok: bool, sums,
@@ -334,9 +373,10 @@ def _failures(targets: dict, consecutive_ok: bool, sums,
     return failures
 
 
-def verify_ms(sq: MagicSquare, t: int | None = None) -> VerifyReport:
+def verify_ms(sq, t: int | None = None) -> VerifyReport:
     """Check the consecutive-entry property and, for each degree 1..t,
-    every row, column, and diagonal power sum."""
+    every row, column, and diagonal power sum of sq, a MagicSquare or any
+    square read through rows(r0, r1)."""
     if t is None:
         t = sq.t
     if t < 1:

@@ -313,6 +313,28 @@ class TestComposeCommand:
                        "--out", str(out)) == 0
         assert io.read_ms(out).n == 3125
 
+    def test_composed_squares_are_never_gathered(self, tmp_path, golden_cms9, monkeypatch):
+        # every stage reads a composed square through rows(): the whole
+        # square, and so normalized(), is never asked for
+        def whole(self):
+            raise AssertionError("the whole composed square was gathered")
+
+        monkeypatch.setattr(construct.ComposedSquare, "entries", property(whole))
+        a = tmp_path / "a.mms"
+        io.write_ms(a, golden_cms9.members[0])
+        sq_path, fam_path = tmp_path / "m125.mms", tmp_path / "f25.cms"
+        assert run_cli("gen-ms", "--q", "5", "--t", "3", "--method", "qt",
+                       "--out", str(sq_path)) == 0
+        assert run_cli("gen-cms", "--q", "5", "--t", "2", "--out", str(fam_path)) == 0
+        runs = {"product.mms": ("compose", "--product", str(a), str(a)),
+                "cms.mms": ("compose", "--cms", str(sq_path), str(fam_path)),
+                "q2t1.mms": ("gen-ms", "--q", "5", "--t", "3", "--method", "q2t1")}
+        for name, argv in runs.items():
+            assert run_cli(*argv, "--out", str(tmp_path / name)) == 0, name
+        assert io.read_ms(tmp_path / "product.mms").n == 81
+        assert ((tmp_path / "cms.mms").read_bytes()
+                == (tmp_path / "q2t1.mms").read_bytes())
+
     def test_mismatched_composition(self, tmp_path, golden_cms9):
         a = tmp_path / "a.mms"
         io.write_ms(a, golden_cms9.members[0])

@@ -1,8 +1,9 @@
 """The build cache of the compiled kernels: one compile per source, reuse
-on later imports, a rebuild that replaces the stale build of the same
-interpreter when the source changes, and no half-built module left
-behind."""
+on later imports, a rebuild when the source changes that keeps the few
+most recently used builds of the same interpreter, and no half-built
+module left behind."""
 
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -42,17 +43,51 @@ def test_second_import_reuses_the_build(tmp_path, compiles):
         == [Path(first.__file__).parent.name]
 
 
-def test_changed_source_rebuilds(tmp_path, compiles, monkeypatch):
-    _codec._load()
-    changed = tmp_path / "_codec.c"
-    changed.write_bytes(_codec._SOURCE.read_bytes() + b"/* changed */\n")
+def _changed_source(tmp_path, monkeypatch, mark: bytes) -> None:
+    changed = tmp_path / f"_codec{len(mark)}.c"
+    changed.write_bytes(_codec._SOURCE.read_bytes() + b"/* " + mark + b" */\n")
     monkeypatch.setattr(_codec, "_SOURCE", changed)
-    loaded = _codec._load()
+
+
+def test_changed_source_rebuilds(tmp_path, compiles, monkeypatch):
+    first = Path(_codec._load().__file__).parent
+    _changed_source(tmp_path, monkeypatch, b"changed")
+    second = Path(_codec._load().__file__).parent
     assert len(compiles) == 2
     assert compiles[0].parent.name != compiles[1].parent.name
-    # the stale build of this interpreter is removed, the new one kept
-    assert [p.name for p in (tmp_path / "multimagic").iterdir()] \
-        == [Path(loaded.__file__).parent.name]
+    # the earlier build is kept: another tree may still load it
+    assert sorted(p.name for p in (tmp_path / "multimagic").iterdir()) \
+        == sorted([first.name, second.name])
+
+
+def test_alternating_sources_compile_once_each(tmp_path, compiles, monkeypatch):
+    # a checkout and its parent sharing one cache, run in turns
+    source = _codec._SOURCE
+    for _ in range(3):
+        monkeypatch.setattr(_codec, "_SOURCE", source)
+        _codec._load()
+        _changed_source(tmp_path, monkeypatch, b"parent")
+        _codec._load()
+    assert len(compiles) == 2
+
+
+def test_prune_keeps_the_most_recently_used(tmp_path):
+    cache = tmp_path / "multimagic"
+    tag = sys.implementation.cache_tag
+    builds = [cache / f"codec-{tag}-{i:016x}" for i in range(7)]
+    others = [cache / "codec-otherpy-311-0123456789abcdef", cache / "build-abc"]
+    for i, build in enumerate(builds + others):
+        build.mkdir(parents=True)
+        os.utime(build, (1000 + i, 1000 + i))  # builds[6] used last
+    _codec._prune(builds[6])
+    keep = builds[7 - _codec._KEEP:] + others
+    assert sorted(cache.iterdir()) == sorted(keep)
+    # the build at where stays even when _KEEP others were used later
+    newer = cache / f"codec-{tag}-{7:016x}"
+    newer.mkdir()
+    os.utime(builds[6], (0, 0))
+    _codec._prune(builds[6])
+    assert sorted(cache.glob(f"codec-{tag}-*")) == sorted(builds[3:] + [newer])
 
 
 def test_rebuild_keeps_other_interpreters_builds(tmp_path, compiles, monkeypatch):
@@ -66,17 +101,15 @@ def test_rebuild_keeps_other_interpreters_builds(tmp_path, compiles, monkeypatch
     for other in others:
         other.mkdir()
         (other / "module.so").write_bytes(b"")
-    changed = tmp_path / "_codec.c"
-    changed.write_bytes(_codec._SOURCE.read_bytes() + b"/* changed */\n")
-    monkeypatch.setattr(_codec, "_SOURCE", changed)
+    _changed_source(tmp_path, monkeypatch, b"changed")
     second = Path(_codec._load().__file__).parent
     assert len(compiles) == 2
     assert sorted(p.name for p in cache.iterdir()) \
-        == sorted([second.name] + [other.name for other in others])
+        == sorted([first.name, second.name] + [other.name for other in others])
     assert all((other / "module.so").is_file() for other in others)
     # a later load of the same source builds nothing and removes nothing
     assert Path(_codec._load().__file__).parent == second
-    assert len(compiles) == 2 and len(list(cache.iterdir())) == 4
+    assert len(compiles) == 2 and len(list(cache.iterdir())) == 5
 
 
 def test_failed_build_names_the_tools(tmp_path, monkeypatch):

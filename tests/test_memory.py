@@ -113,3 +113,19 @@ def test_read_back_in_place_at_four_workers(tmp_path, pool_size):
     # the pieces in flight are bounded by bytes, not by the worker count
     pool_size(4)
     test_read_back_in_place(tmp_path)
+
+
+def test_composed_square_is_never_held(f5, tmp_path):
+    """build_ms_q2t1 at (5, 3), then the write and the read-back of its
+    order-3125 square, each read through row blocks: together they hold
+    a fraction of the int64 square."""
+    path = tmp_path / "sq.mms"
+
+    def pipeline():
+        sq = construct.build_ms_q2t1(f5, 3)
+        io.write_ms(path, sq)
+        return sq.n, io.read_matches(path, sq)
+
+    (n, same), peak = traced_peak(pipeline)
+    assert n == 3125 and same
+    assert peak <= 0.25 * n * n * 8

@@ -213,6 +213,88 @@ class TestVerifyAgreement:
             assert got == want, (size, rows)
 
 
+class _Patched:
+    """A generated square read through rows(), with some entries replaced
+    and its columns reordered on the fly, so that it is never held."""
+
+    def __init__(self, sq, changes=(), cols=None):
+        self.sq, self.n, self.t, self.base = sq, sq.n, sq.t, sq.base
+        self.changes, self.cols = changes, cols
+
+    def rows(self, r0, r1):
+        blk = self.sq.rows(r0, r1)
+        blk = blk[:, self.cols] if self.cols is not None else blk.copy()
+        for i, j, x in self.changes:
+            if r0 <= i < r1:
+                blk[i - r0, j] = x
+        return blk
+
+
+def _composed_defects(sq) -> dict:
+    n, e = sq.n, sq.entries
+    far = (n - 1, n // 2 + 1)  # another block row and block column than (0, 0)
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]  # every line keeps its sums but the diagonals
+    return {
+        "built": _Patched(sq),
+        "swapped across blocks": _Patched(sq, [(0, 0, e[far]), (*far, e[0, 0])]),
+        "n squared": _Patched(sq, [(3, 4, n * n)]),
+        "negative": _Patched(sq, [(5, 6, -1)]),
+        "duplicate": _Patched(sq, [(1, 2, e[n - 1, n - 1])]),
+        "broken diagonal": _Patched(sq, cols=swap),
+    }
+
+
+@pytest.fixture(scope="module")
+def composed(f5, golden_cms9):
+    """A product MS(225, 2) of nine blocks of order 25, and the MS(3125, 3)
+    of gen-ms q2t1 at (5, 3), both generated block by block."""
+    ms25 = construct.build_ms_qt(f5, 2)
+    return {"product": construct.product_compose(golden_cms9.members[0], ms25),
+            "q2t1": construct.build_ms_q2t1(f5, 3)}
+
+
+class TestStreamedVerify:
+    """verify_ms reads a generated square through rows(), block by block,
+    and gives the report of the same entries held in memory."""
+
+    @pytest.mark.parametrize("name, rows", [("product", (1, 2, 7, 25, 225)),
+                                            ("q2t1", (25,))])
+    def test_reports_match_held(self, composed, name, rows, pool_size, monkeypatch):
+        sq = composed[name]
+        assert isinstance(sq, construct.ComposedSquare)
+        squares = _composed_defects(sq)
+        # the held squares one at a time: each is 78 MB at order 3125
+        want = {key: verify_ms(MagicSquare(src.rows(0, sq.n), sq.t))
+                for key, src in squares.items()}
+        for size in POOL_SIZES:
+            pool_size(size)
+            for step in rows:
+                monkeypatch.setattr(verify, "_BLOCK_ENTRIES", step * size * sq.n)
+                got = {key: verify_ms(src) for key, src in squares.items()}
+                assert got == want, (size, step)
+        assert want["built"].passed
+        assert not any(rep.passed for key, rep in want.items() if key != "built")
+        assert [key for key, rep in want.items() if not rep.consecutive_ok] \
+            == ["n squared", "negative", "duplicate"]
+        assert {f.kind for f in want["broken diagonal"].failures} == {"diag-main", "diag-back"}
+
+    def test_write_and_read_back(self, composed, pool_size, monkeypatch, tmp_path):
+        sq = composed["product"]
+        want = b"MMS 1 n=225 t=2 base=0\n" + text_rows(sq.entries)
+        path = tmp_path / "sq.mms"
+        bad = _composed_defects(sq)
+        for size, rows in _configs():
+            pool_size(size)
+            monkeypatch.setattr(io, "_ENCODE_ENTRIES", rows * size * sq.n)
+            io.write_ms(path, sq)
+            assert path.read_bytes() == want, (size, rows)
+            assert io.read_matches(path, sq)
+            assert not any(io.read_matches(path, bad[key]) for key in bad if key != "built")
+        io.write_ms(path, sq, binary=True)
+        assert np.array_equal(io.read_ms(path).entries, sq.entries)
+
+
 def test_stress_more_workers_than_cores(ms125, pool_size, monkeypatch, tmp_path):
     """Four workers with a short switch interval give the serial reports
     and bytes."""

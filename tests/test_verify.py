@@ -7,6 +7,8 @@ from hypothesis.extra import numpy as hnp
 import multimagic.verify as V
 from multimagic.verify import MagicSquare, magic_sum, power_sum, verify_cms, verify_ms
 
+import sums_oracle
+
 
 class TestMagicSum:
     def test_order9_values(self):
@@ -114,6 +116,19 @@ class TestVerifyMs:
             assert degree1_rows, "cross-row swap must break a degree-1 row sum"
 
 
+def test_rows_of_the_wrong_shape_are_refused():
+    # the kernel reads rows x n entries of each block, so a square whose
+    # rows() returns another shape must not reach it
+    class Narrow:
+        n, t, base = 4, 1, 0
+
+        def rows(self, r0, r1):
+            return np.zeros((r1 - r0, 3), dtype=np.int64)
+
+    with pytest.raises(ValueError, match="block of an order-4 square"):
+        verify_ms(Narrow())
+
+
 def _reference_sums(mat, e):
     """Line power sums of mat in plain Python integers."""
     n = mat.shape[0]
@@ -169,6 +184,47 @@ class TestConsecutiveSeenMap:
         assert rep.consecutive_ok == _sorted_consecutive(sq) == want
         assert ("entries" in {f.kind for f in rep.failures}) != want
 
+    def test_bit_map_matches_byte_map(self):
+        # duplicates, values out of range on both sides, a base, and marks
+        # made over several calls into one map
+        rng = np.random.default_rng(6)
+        for limit in (1, 8, 61, 640):
+            base = int(rng.integers(-50, 50))
+            entries = rng.integers(-20, limit + 20, size=3 * limit) + base
+            bits = np.zeros((limit + 7) // 8, dtype=np.uint8)
+            marked = sum(V._lib.mark(V._ffi.from_buffer("int64_t[]", chunk), chunk.size,
+                                     base, limit, V._ffi.from_buffer("unsigned char[]", bits))
+                         for chunk in np.array_split(entries, 4))
+            seen = np.zeros(limit, dtype=bool)
+            values = entries - base
+            seen[values[(values >= 0) & (values < limit)]] = True
+            assert np.array_equal(bits, np.packbits(seen, bitorder="little"))
+            assert marked == seen.sum()
+
+
+def _sums(mat, top):
+    """The verifier's exact line power sums of mat for degrees 1..top."""
+    return V._square_sums(MagicSquare(mat, 1), top)[1]
+
+
+def _kernel_agrees(mat, top, step):
+    """The compiled residues of every block of step rows equal the numpy
+    oracle's, under the moduli of the true bound and, for entries in
+    [0, n^2), of the first pass's bound; so do the block's least and
+    greatest entries."""
+    n = mat.shape[0]
+    lo, hi = int(mat.min()), int(mat.max())
+    bounds = [(lo, hi)] + ([(0, n * n - 1)] if 0 <= lo and hi < n * n else [])
+    for lo, hi in bounds:
+        moduli, needs, reduce = V._plan(n, top, lo, hi)
+        for r0 in range(0, n, step):
+            got = V._block_sums(MagicSquare(mat, 1), moduli, needs, reduce, step, r0)
+            want = sums_oracle.block_sums(mat, moduli, needs, reduce, step, r0)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (lo, hi, r0)
+            blk = mat[r0:r0 + step]
+            assert got[4:6] == (blk.min(), blk.max())
+
 
 class TestExactPowerSums:
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
@@ -181,13 +237,31 @@ class TestExactPowerSums:
             mat = rng.integers(-(2**40), 2**40, size=(n, n), dtype=np.int64)
             monkeypatch.setattr(V, "_BLOCK_ENTRIES", rows * n)
             for e in range(1, 6):
-                assert V._line_power_sums(mat, e) == _reference_all(mat, e)
+                assert _sums(mat, e) == _reference_all(mat, e)
+                _kernel_agrees(mat, e, rows)
 
     def test_permutation_matrix_low_degrees(self):
         rng = np.random.default_rng(0)
         mat = rng.permutation(64 * 64).astype(np.int64).reshape(64, 64) * 2381
         for e in (1, 2, 3, 4):
-            assert V._line_power_sums(mat, e) == _reference_all(mat, e)
+            assert _sums(mat, e) == _reference_all(mat, e)
+            _kernel_agrees(mat, e, 5)
+
+    def test_in_range_moduli(self):
+        # entries in [0, n^2): the first pass's moduli are final
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 16):
+            mat = rng.permutation(n * n).astype(np.int64).reshape(n, n)
+            for e in (1, 3, 6):
+                assert _sums(mat, e) == _reference_all(mat, e)
+                _kernel_agrees(mat, e, 3)
+
+    def test_base_is_subtracted_in_the_kernel(self):
+        rng = np.random.default_rng(5)
+        mat = rng.integers(-(2**40), 2**40, size=(11, 11), dtype=np.int64)
+        for base in (7, -(2**45)):
+            got = V._square_sums(MagicSquare(mat + base, 1, base=base), 4)[1]
+            assert got == _reference_all(mat, 4)
 
     def test_largest_in_scope_width(self):
         # entries of an order-16807 square at degree 3, the widest point
@@ -197,27 +271,39 @@ class TestExactPowerSums:
         mat = rng.integers(top - 10**6, top, size=(48, 48), dtype=np.int64)
         mat[0, :] = top
         assert len(V._moduli(_bound(mat, 3))) == 2
-        assert V._line_power_sums(mat, 3) == _reference_all(mat, 3)
+        assert _sums(mat, 3) == _reference_all(mat, 3)
+        _kernel_agrees(mat, 3, 7)
 
     def test_order_3125_values_degree5(self):
         rng = np.random.default_rng(2)
         mat = rng.integers(0, 3125**2, size=(40, 40), dtype=np.int64)
         mat[np.arange(40), np.arange(40)] = 3125**2 - 1
         assert len(V._moduli(_bound(mat, 5))) > 2
-        assert V._line_power_sums(mat, 5) == _reference_all(mat, 5)
+        assert _sums(mat, 5) == _reference_all(mat, 5)
+        _kernel_agrees(mat, 5, 6)
 
     @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 9])
     def test_negative_entries(self, e):
         rng = np.random.default_rng(e)
         mat = rng.integers(-(3125**2), 3125**2, size=(24, 24), dtype=np.int64)
         mat[5, 7] = -(3125**2)
-        assert V._line_power_sums(mat, e) == _reference_all(mat, e)
+        assert _sums(mat, e) == _reference_all(mat, e)
+        _kernel_agrees(mat, e, 5)
 
     def test_degree_12_needs_many_moduli(self):
         rng = np.random.default_rng(3)
         mat = rng.integers(-(2**30), 2**31, size=(16, 16), dtype=np.int64)
         assert len(V._moduli(_bound(mat, 12))) > 10
-        assert V._line_power_sums(mat, 12) == _reference_all(mat, 12)
+        assert _sums(mat, 12) == _reference_all(mat, 12)
+        _kernel_agrees(mat, 12, 3)
+
+    def test_barrett_correction(self):
+        # -1 is m - 1 modulo m = 2**31 - 3, the second odd modulus, and
+        # (m - 1)**2 is a product whose Barrett quotient estimate is one low
+        mat = np.array([[-1, 2**40], [3, -1]], dtype=np.int64)
+        assert 2**31 - 3 in V._moduli(_bound(mat, 4))
+        assert _sums(mat, 4) == _reference_all(mat, 4)
+        _kernel_agrees(mat, 4, 1)
 
     @pytest.mark.parametrize("e, top, count", [
         (2, 2**31 - 1, 1), (2, 2**31, 2), (1, 2**62 - 1, 1), (1, 2**62, 2)])
@@ -227,17 +313,20 @@ class TestExactPowerSums:
         for sign in (1, -1):
             mat = np.full((2, 2), sign * top, dtype=np.int64)
             assert len(V._moduli(_bound(mat, e))) == count
-            assert V._line_power_sums(mat, e) == _reference_all(mat, e)
+            assert _sums(mat, e) == _reference_all(mat, e)
+            _kernel_agrees(mat, e, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 6).flatmap(lambda n: hnp.arrays(
             np.int64, (n, n),
             elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3))),
-        st.integers(1, 8),
+        st.integers(1, 12),
+        st.integers(1, 6),
     )
-    def test_matches_reference_property(self, mat, e):
-        assert V._line_power_sums(mat, e) == _reference_all(mat, e)
+    def test_matches_reference_property(self, mat, e, step):
+        assert _sums(mat, e) == _reference_all(mat, e)
+        _kernel_agrees(mat, e, step)
 
 
 class TestVerifyCms:
