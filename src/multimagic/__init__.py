@@ -12,6 +12,7 @@ from .construct import (
     BlockAssignment,
     CmsFamily,
     ComposedSquare,
+    GridSquare,
     OrderPlan,
     SdloaGrid,
     TranslationScheme,
@@ -54,6 +55,7 @@ __all__ = [
     "FieldTable",
     "FMatrix",
     "FormatError",
+    "GridSquare",
     "MagicSquare",
     "MatrixPairCertificate",
     "OrderPlan",

@@ -1,7 +1,8 @@
 /* The compiled kernels of multimagic, built by _codec.py: the integer
  * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
- * grid gather and the member pass of the large-set and SDLOA checks (see
- * oa.py), and the power sums and the seen-map of verify.py.
+ * grid gather, the grid square's rows and the member pass of the
+ * large-set and SDLOA checks (see oa.py), and the power sums and the
+ * seen-map of verify.py.
  *
  * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
  * tokens are separated by spaces, tabs and line breaks, and a line break
@@ -260,6 +261,67 @@ void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t 
 }
 
 /* ---------------------------------------------------------------------
+ * The rows of a grid's square (see oa._GridStack.codes).
+ *
+ * Entry (r, c) of the square, at out[(r - r0) * n + c] for r0 <= r < r1
+ * and c < n, is the base-q code of the cell of grid row r and column c,
+ * component 0 least significant: the sum over i < k of
+ * table[a[r * k + i] + b[c * k + i]] * q^i, the member pass's code of
+ * column c of member r.  Components are read two at a time, through
+ * pairs = (k + 1) / 2 index rows: pair p of column c is
+ * index[p * n + c] = b[c * k + 2p] * q + b[c * k + 2p + 1], or
+ * b[c * k + k - 1] for a last odd component.  For each row, one table of
+ * q^2 partial codes per pair maps the pair's index to its share of the
+ * code, so an entry takes one lookup per pair, after the row paid pairs
+ * tables of q^2 <= n entries: no more than the row itself.  work holds
+ * pairs * q^2 int64 entries.  The caller checks that k >= 1, that every
+ * entry of b lies in 0..q-1, that a[r * k + i] + q - 1 indexes the
+ * table, and that q^k < 2^63.
+ * ------------------------------------------------------------------- */
+
+void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
+               const int32_t *index, size_t n, size_t r0, size_t r1, int64_t *work,
+               int64_t *out)
+{
+    const size_t pairs = (k + 1) / 2, qq = (size_t)(q * q);
+    for (size_t r = r0; r < r1; r++) {
+        const int64_t *ar = a + r * k;
+        int64_t low = 1;  /* q^(2p) */
+        for (size_t p = 0; p < pairs; p++) {
+            int64_t *part = work + p * qq;
+            const int16_t *lo = table + ar[2 * p];
+            if (2 * p + 1 < k) {
+                const int16_t *hi = table + ar[2 * p + 1];
+                for (int64_t x = 0; x < q; x++)
+                    for (int64_t y = 0; y < q; y++)
+                        part[x * q + y] = (lo[x] + hi[y] * q) * low;
+            } else {
+                for (int64_t x = 0; x < q; x++)
+                    part[x] = lo[x] * low;
+            }
+            if (p + 1 < pairs)  /* q^k < 2^63, but q^(k + 1) may not be */
+                low *= q * q;
+        }
+        /* the shares are added two pairs a pass over the row, the first
+         * pass storing one pair, or two if their count is even */
+        int64_t *row = out + (r - r0) * n;
+        size_t p = 2 - pairs % 2;
+        if (p == 1)
+            for (size_t c = 0; c < n; c++)
+                row[c] = work[index[c]];
+        else
+            for (size_t c = 0; c < n; c++)
+                row[c] = work[index[c]] + work[qq + (size_t)index[n + c]];
+        for (; p < pairs; p += 2) {
+            const int32_t *at = index + p * n, *next = at + n;
+            const int64_t *part = work + p * qq, *after = part + qq;
+            for (size_t c = 0; c < n; c++)
+                row[c] += part[at[c]] + after[next[c]];
+        }
+    }
+}
+
+/* ---------------------------------------------------------------------
  * The member pass of the large-set and SDLOA checks (see oa.py).
  *
  * A block holds members first..last-1 of a stack of members, each k x n
@@ -268,8 +330,8 @@ void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t 
  * int16, or an int64 if wide.  ref is member 0 of the stack, laid out
  * with the same strides si and sj; it need not lie in the block.  For
  * each member m of the block and each of its columns j, members():
- *   - writes codes[m * n + j], the column's base-v code, row 0 least
- *     significant;
+ *   - if codes, writes codes[m * n + j], the column's base-v code, row 0
+ *     least significant;
  *   - if seen, marks seen[code] (a relaxed atomic byte store, as blocks
  *     of members run on several threads) when every entry of the column
  *     lies in 0..v-1, so that code < v^k;
@@ -329,7 +391,8 @@ pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
                 if (cols)
                     cbad |= x != entry(cimg, wide, col0[i]);
             }
-            codes[m * n + j] = (int64_t)code;
+            if (codes)
+                codes[m * n + j] = (int64_t)code;
             if (seen && !out)
                 __atomic_store_n(seen + code, 1, __ATOMIC_RELAXED);
             if (cols && (cbad | out))

@@ -1,9 +1,9 @@
 """The compiled kernels: ``_codec.c``, built with cffi in API mode.
 
-The library holds the text codec of io.py, the grid gather and the
-member pass of the large-set and SDLOA checks in oa.py, and the power sums
-and the seen-map of verify.py.  It is built on first import into the
-per-user cache (``$XDG_CACHE_HOME/multimagic``, else
+The library holds the text codec of io.py, the grid gather, the grid
+square's rows and the member pass of the large-set and SDLOA checks in
+oa.py, and the power sums and the seen-map of verify.py.  It is built on
+first import into the per-user cache (``$XDG_CACHE_HOME/multimagic``, else
 ``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by the
 interpreter's cache tag and by checksums of the C source, its
 declarations, the compiler flags and the Python ABI; later imports load it
@@ -41,6 +41,9 @@ int parse(const char *text, size_t size, size_t cut, int64_t *values,
 size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out);
 void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t *b,
             size_t n, size_t k, int16_t *out);
+void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
+               const int32_t *index, size_t n, size_t r0, size_t r1, int64_t *work,
+               int64_t *out);
 void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
              ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
              int64_t *codes, unsigned char *seen, const void *rows, unsigned char *rows_ok,

@@ -56,11 +56,16 @@ def _check_out(path: str) -> None:
 def _write_checked(write, path, artifact) -> None:
     """Write artifact to path + ".tmp" and rename it to path only once its
     read-back matches, so that path never holds an unverified artifact;
-    the temporary file is removed on any failure."""
+    the temporary file is removed on any failure.  The file is the
+    generator's own, so a format error in it is a construction failure."""
     tmp = f"{path}.tmp"
     try:
         write(tmp, artifact)
-        if not io.read_matches(tmp, artifact):
+        try:
+            same = io.read_matches(tmp, artifact)
+        except FormatError as exc:
+            raise ConstructionError(f"artifact did not round-trip: {exc}") from None
+        if not same:
             raise ConstructionError("artifact did not round-trip")
         os.replace(tmp, path)
     finally:

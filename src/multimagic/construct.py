@@ -13,12 +13,16 @@ Every constructor verifies its output before returning it.  A square or
 family that fails verification is raised as a ConstructionError, never
 returned.
 
-The compositions (product_compose, cms_compose, build_ms_q2t1) return a
+Generated squares are row sources, never held whole.  grid_to_ms and
+build_ms_qt return a GridSquare, whose rows are the grid's cell codes,
+filled on demand from q E1 X and E2 Y by the compiled grid_rows.  The
+compositions (product_compose, cms_compose, build_ms_q2t1) return a
 ComposedSquare: one implementation, a stack of member squares, an outer
 square and a block assignment, whose rows are filled block row by block
-row on demand.  Verification, the writers and the read-back check read it
-through rows(), so the composite, 8 GiB as int64 at order 32768, is never
-held.
+row on demand.  Verification, the writers and the read-back check read
+both through rows(), one block per pool task, so neither the grid square
+(6.08 GiB as int64 at order 28561) nor the composite (8 GiB at order
+32768) is ever held.
 """
 
 from __future__ import annotations
@@ -124,27 +128,71 @@ def _grid_stack(cert: MatrixPairCertificate) -> oa._GridStack:
     return oa._GridStack(table.add_table.ravel(), e1x, e2y)
 
 
+class _RowSource:
+    """A generated square of entries from 0, never held whole: rows(r0, r1)
+    fills rows r0..r1-1 on demand, and verification, the writers and the
+    read-back check read the square through it, one block of rows per
+    pool task."""
+
+    base = 0
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole (n, n) square, gathered on every call, for tests and
+        API users: no pipeline stage reads it."""
+        return self.rows(0, self.n)
+
+    def normalized(self) -> np.ndarray:
+        """The whole square, which starts at 0, gathered on every call: a
+        composition holds its outer square (order q^t) and its members."""
+        return self.rows(0, self.n)
+
+
+@dataclass(frozen=True)
+class GridSquare(_RowSource):
+    """The order-N square of a grid: entry (r, c) is the code of
+    cell(X_r, Y_c), sum(component_l * q**l), the member pass's code of
+    column c of grid row r.  rows() fills them through the compiled
+    grid_rows, in O(rows * N) time and memory."""
+
+    stack: oa._GridStack  # the grid's row orientation
+    t: int
+
+    @property
+    def n(self) -> int:
+        return self.stack.shape[0]
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1, filled from the grid rows they code."""
+        return self.stack.codes(r0, r1)
+
+
 @dataclass(frozen=True)
 class SdloaGrid:
     """A q^t x q^t grid of 2t-component cells E1 X + E2 Y, plus its
-    provenance.  Only the cell codes are held: the cells themselves are
-    read block by block by the grid check and gathered whole only on
-    request, by cells."""
+    provenance.  Nothing of size N^2 is held: the grid check reads the
+    cells block by block, the square fills its cell codes on demand, and
+    cells gathers them whole only on request."""
 
     table: FieldTable
     t: int
     cert: MatrixPairCertificate
-    codes: np.ndarray  # (N, N) base-q cell codes, component 0 least significant
 
     @property
     def n(self) -> int:
-        return self.codes.shape[0]
+        return self.table.q**self.t
 
     @property
     def cells(self) -> np.ndarray:
         """The (N, N, 2t) element labels, gathered whole on every call, for
         tests and API users: no pipeline stage reads them."""
         return _grid_stack(self.cert).pick(slice(None)).transpose(0, 2, 1)
+
+    @property
+    def square(self) -> GridSquare:
+        """The grid's square of cell codes, component 0 least significant,
+        as a row source; grid_to_ms verifies it."""
+        return GridSquare(_grid_stack(self.cert), self.t)
 
 
 def _require_pair_flags(cert: MatrixPairCertificate) -> None:
@@ -162,18 +210,16 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
     large set before returning."""
     _require_pair_flags(cert)
-    # the check gathers the cells block by block; its column codes are
-    # the cell codes
-    ok, codes = oa._sdloa_ok(_grid_stack(cert), cert.table.q, cert.t)
-    if not ok:
+    # the check gathers the cells block by block
+    if not oa._sdloa_ok(_grid_stack(cert), cert.table.q, cert.t):
         raise ConstructionError("grid failed strong-double-large-set verification")
-    return SdloaGrid(cert.table, cert.t, cert, codes)
+    return SdloaGrid(cert.table, cert.t, cert)
 
 
-def grid_to_ms(grid: SdloaGrid) -> MagicSquare:
-    """Encode each cell as sum(component_l * q**l) and verify the square."""
-    # the cell codes were computed by the grid check
-    sq = MagicSquare(grid.codes, grid.t)
+def grid_to_ms(grid: SdloaGrid) -> GridSquare:
+    """Encode each cell as sum(component_l * q**l) and verify the square,
+    a row source whose rows are encoded as they are read."""
+    sq = grid.square
     _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
     return sq
 
@@ -284,7 +330,7 @@ def build_cms(cert: MatrixPairCertificate,
     # (m, 2, N, t) vectors X + H_s and Y + H*_s, then their indices
     sums = table.add_table[_digit_matrix(q, t), np.array(scheme.pairs)[:, :, None]]
     rows, cols = (sums @ q ** np.arange(t - 1, -1, -1)).transpose(1, 0, 2)
-    square0 = grid.codes
+    square0 = grid.square.rows(0, n)  # N = q^t is small here
     stack = square0[rows[:, :, None], cols[:, None, :]]  # (m, N, N)
 
     ar = np.arange(n)
@@ -348,21 +394,17 @@ def _require_ms(sq: MagicSquare, t: int, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ComposedSquare:
-    """An order m*n square of m x m blocks of order n, never held whole:
-    block (I, J) is member f[I, J] of the (m', n, n) stack of normalised
-    members, shifted by outer[I, J].  Block row I depends only on row I
-    of outer and of f, so rows() fills any run of rows on demand, in
-    O(rows * m * n) time and memory; verification, the writers and the
-    read-back check read the square through it, one block of rows per
-    pool task.  The entries are the whole square, gathered on every call,
-    for tests and API users: no pipeline stage reads them."""
+class ComposedSquare(_RowSource):
+    """An order m*n square of m x m blocks of order n: block (I, J) is
+    member f[I, J] of the (m', n, n) stack of normalised members, shifted
+    by outer[I, J].  Block row I depends only on row I of outer and of f,
+    so rows() fills any run of rows on demand, in O(rows * m * n) time
+    and memory."""
 
     outer: np.ndarray  # (m, m) block shifts, n^2 times the outer square
     stack: np.ndarray  # (m', n, n) members, entries 0..n^2-1 when valid
     f: np.ndarray      # (m, m) member of each block
     t: int
-    base = 0
 
     @property
     def n(self) -> int:
@@ -384,15 +426,6 @@ class ComposedSquare:
             part += self.outer[i][None, :, None]
             r += hi - lo
         return out.reshape(r1 - r0, m * inner)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The whole (N, N) square, gathered on every call."""
-        return self.rows(0, self.n)
-
-    def normalized(self) -> np.ndarray:
-        """The entries, which start at 0."""
-        return self.entries
 
 
 def _composed(outer: np.ndarray, stack: np.ndarray, f: np.ndarray, t: int,
@@ -518,8 +551,9 @@ def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> Comp
 # End-to-end pipelines
 # ---------------------------------------------------------------------------
 
-def build_ms_qt(table: FieldTable, t: int) -> MagicSquare:
-    """Verified MS(q^t, t) from a strong-double-large-set grid."""
+def build_ms_qt(table: FieldTable, t: int) -> GridSquare:
+    """Verified MS(q^t, t) from a strong-double-large-set grid, as a row
+    source (see GridSquare)."""
     if t < 2:
         raise ValueError("t must be at least 2")
     if table.q < 2 * t - 1:

@@ -27,9 +27,10 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
   order, so a file raises the errors of a serial read, in its order.
 * Squares are written, and compared on read-back, through their
   row-block interface ``rows(r0, r1)`` (see verify.py): each pool task
-  fills and encodes its own rows, and each decoded piece is compared with
-  the rows it covers, so a generated square (construct.ComposedSquare) is
-  never held whole, only regenerated.
+  fills and encodes its own rows, and each decoded piece is compared, in
+  its own pool task, with the rows it covers, so a generated square
+  (construct.GridSquare or construct.ComposedSquare) is never held
+  whole, only regenerated on the workers.
 
 Readers raise ``FormatError`` on any payload that breaks these rules or
 whose dimensions disagree with its header, and on unknown header keys.
@@ -38,6 +39,7 @@ whose dimensions disagree with its header, and on unknown header keys.
 from __future__ import annotations
 
 import os
+from functools import partial
 from io import BytesIO
 from pathlib import Path
 
@@ -273,23 +275,33 @@ def _read_entries(pieces, total: int) -> np.ndarray:
     return out
 
 
-def _same(pieces, squares) -> bool:
-    """Whether the pieces of _decode match the entries of squares, all of
-    one order, laid end to end; stops at the first piece that differs.
-    Each piece is compared with the rows it covers, read through the
-    squares' rows(), so a generated square is regenerated, never held."""
+def _piece_matches(squares, piece) -> bool:
+    """Whether one (position, values) piece of _decode matches the entries
+    of squares, all of one order, laid end to end: the pooled kernel of
+    _same.  The piece is compared with the rows it covers, read through
+    the squares' rows(), so a generated square is regenerated on the
+    worker, never held."""
+    pos, vals = piece
     n = squares[0].n
-    for pos, vals in pieces:
-        at = 0
-        while at < vals.size:
-            k, off = divmod(pos + at, n * n)
-            take = min(vals.size - at, n * n - off)
-            r0 = off // n
-            want = squares[k].rows(r0, -(-(off + take) // n)).ravel()
-            if not np.array_equal(vals[at:at + take], want[off - r0 * n:off - r0 * n + take]):
-                return False
-            at += take
+    at = 0
+    while at < vals.size:
+        k, off = divmod(pos + at, n * n)
+        take = min(vals.size - at, n * n - off)
+        r0 = off // n
+        want = squares[k].rows(r0, -(-(off + take) // n)).ravel()
+        if not np.array_equal(vals[at:at + take], want[off - r0 * n:off - r0 * n + take]):
+            return False
+        at += take
     return True
+
+
+def _same(pieces, squares) -> bool:
+    """Whether the pieces of _decode match the entries of squares; each
+    piece is compared on the pool, and no comparison is awaited past the
+    first piece that differs.  The pieces are stitched on this thread as
+    the pool takes them, so a stitching error raises here in file
+    order."""
+    return all(_pool.ordered_map(partial(_piece_matches, squares), pieces))
 
 
 def _held(entries: np.ndarray):
@@ -321,7 +333,8 @@ def _write_blocks(path, header: str, blocks) -> None:
 
 def write_ms(path, sq, binary: bool = False) -> None:
     """Write a MagicSquare, or any square read through rows(r0, r1) such
-    as a construct.ComposedSquare, in row blocks: it is never held whole."""
+    as a construct.GridSquare or ComposedSquare, in row blocks: it is
+    never held whole."""
     header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
               f"n={sq.n} t={sq.t} base={sq.base}\n")
     if not binary:

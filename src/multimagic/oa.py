@@ -12,7 +12,10 @@ block of grid rows per pool task, as each task needs it.  Everything
 else the checks read (member 0, column slab 0, the relabelling images,
 unproved members or slabs, the diagonal selections) is gathered alone,
 so the check of a valid grid holds O(N k v) cells besides the blocks in
-flight, the v^k seen-map and the N^2 codes it returns:
+flight and the v^k seen-map.  A grid's column codes, the cell codes that
+make its square, are filled on request, any run of members at a time,
+by _GridStack.codes (the compiled grid_rows), so the N^2 codes are never
+held either:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -26,11 +29,11 @@ flight, the v^k seen-map and the N^2 codes it returns:
   released.  It reads the stack once, each block in place (int16 or
   int64 entries; a held stack of any other integer type is converted
   once) and checked against member 0 and column slab 0, read before the
-  pass.  Per column it writes the base-v int64 code, row 0 least
+  pass.  Per column it computes the base-v int64 code, row 0 least
   significant, exact while v^k < 2^63 (column_codes raises ValueError
   beyond; a large set holds v^k columns in memory, so its codes are
-  always in range).  The large-set and SDLOA checks hand these codes
-  back: for a grid they are the cell codes, the square itself.
+  always in range), and writes it only for column_codes: the large-set
+  and SDLOA checks mark the codes and return their verdicts alone.
 * Coverage: the family holds exactly v^k columns (checked first, a
   ValueError otherwise), and the member pass marks each column code in a
   v^k byte seen-map (relaxed atomic stores, as blocks run concurrently).
@@ -51,15 +54,16 @@ flight, the v^k seen-map and the N^2 codes it returns:
   input.
 
 The private entry points _large_set_ok and _sdloa_ok take stacks and
-return the verdict with the column codes; the public verify_* functions
-wrap them for OrthArray families.
+return the verdict; the public verify_* functions wrap them for
+OrthArray families.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -185,7 +189,7 @@ def _stack_members_ok(stack: np.ndarray, v: int, t: int) -> bool:
 
 def column_codes(arr: OrthArray) -> np.ndarray:
     """Base-v integer code of every full column; ValueError when v^k >= 2^63."""
-    return _member_pass(_HeldStack(arr.entries[None]), arr.v)[0][0]
+    return _member_pass(_HeldStack(arr.entries[None]), arr.v, codes=True)[0][0]
 
 
 def verify_oa(arr: OrthArray) -> bool:
@@ -238,9 +242,12 @@ class _GridStack:
         self.b = np.ascontiguousarray(b, dtype=np.int64)
         if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[1] != self.b.shape[1]:
             raise ValueError("grid rows and columns need one row of k sums each")
+        # the least and the greatest entry of a and of b, read once
+        self._spans = [(int(x.min()), int(x.max())) if x.size else (0, -1)
+                       for x in (self.a, self.b)]
+        (a_lo, a_hi), (b_lo, b_hi) = self._spans
         if self.a.size and self.b.size and (
-                self.a.min() + self.b.min() < 0
-                or self.a.max() + self.b.max() >= self.table.size):
+                a_lo + b_lo < 0 or a_hi + b_hi >= self.table.size):
             raise ValueError("grid sums index outside the table")
         self.shape = (self.a.shape[0], self.a.shape[1], self.b.shape[0])
         self.dtype = self.table.dtype
@@ -265,6 +272,48 @@ class _GridStack:
         column indices broadcast to (count, k, w)."""
         k = self.shape[1]
         return self.table[self.a[:, :, None] + self.b[cols, np.arange(k)[:, None]]]
+
+    @cached_property
+    def _pairs(self) -> tuple[int, np.ndarray]:
+        """v, with table the flat v x v table, and the pair indices that
+        grid_rows reads: row p, entry j is b[j, 2p] * v + b[j, 2p + 1], or
+        b[j, k - 1] for a last odd component.  Computed once; ValueError
+        unless k >= 1, every entry of b lies in 0..v-1, every entry of a
+        plus v - 1 indexes the table, and v^k < 2^63."""
+        v, k = math.isqrt(self.table.size), self.shape[1]
+        (a_lo, a_hi), (b_lo, b_hi) = self._spans
+        if not k:
+            raise ValueError("grid cells need at least one component")
+        if v * v != self.table.size:
+            raise ValueError(f"a table of {self.table.size} entries is not v x v")
+        if max(v, 2)**k >= 2**63:
+            raise ValueError(f"codes of {k} components over {v} symbols overflow int64")
+        if b_lo < 0 or b_hi >= v:
+            raise ValueError(f"grid columns need components in 0..{v - 1}")
+        if a_lo < 0 or a_hi + v > self.table.size:
+            raise ValueError("grid rows index outside the table")
+        index = np.ascontiguousarray(self.b[:, 0::2].T, dtype=np.int32)
+        index[:k // 2] *= v
+        index[:k // 2] += self.b[:, 1::2].T
+        return v, index
+
+    def codes(self, r0: int, r1: int) -> np.ndarray:
+        """The (r1 - r0, N) codes of the columns of members r0..r1-1, base
+        v (table being the flat v x v table), row 0 least significant, as
+        the member pass computes them, filled by the compiled grid_rows:
+        with a holding q * E1 X and b holding E2 Y, rows r0..r1-1 of the
+        grid's square.  ValueError if the rows or the entries (see _pairs)
+        are out of range."""
+        count, k, n = self.shape
+        if not 0 <= r0 <= r1 <= count:
+            raise ValueError(f"rows {r0}..{r1} outside 0..{count}")
+        v, index = self._pairs
+        out = np.empty((r1 - r0, n), dtype=np.int64)
+        work = np.empty(len(index) * v * v, dtype=np.int64)
+        _lib.grid_rows(_buffer("int16_t[]", self.table), _buffer("int64_t[]", self.a), k, v,
+                       _buffer("int32_t[]", index), n, r0, r1, _buffer("int64_t[]", work),
+                       _buffer("int64_t[]", out))
+        return out
 
 
 # Entries per chunk of members sent to the exhaustive tally; keeps the
@@ -313,13 +362,16 @@ def _pass_block(stack, head: tuple, tail: tuple, step: int, first: int) -> None:
                  first, first + len(blk), *tail)
 
 
-def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = False):
+def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = False,
+                 codes: bool = False):
     """One pass of the compiled kernel over a (count, k, N) _HeldStack or
     _GridStack, in blocks of members on the pool, each block read in place
     if its entries are int16 or int64 (a held stack of any other integer
-    type is converted once).  Returns the (count, N) base-v column codes,
-    row 0 least significant, and two masks, None unless asked for:
+    type is converted once).  Returns three arrays, each None unless
+    asked for:
 
+    * with codes, the (count, N) base-v column codes, row 0 least
+      significant;
     * with seen (a v^k uint8 seen-map), each column code is marked in it,
       and rows is True where the member is proved a per-row relabelling
       of member 0 (sigma from first occurrences, see _images);
@@ -335,7 +387,7 @@ def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = 
         raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
     if stack.dtype not in (np.int16, np.int64):
         stack = _HeldStack(stack.pick(slice(None)).astype(np.int64))
-    codes = np.empty((count, n), dtype=np.int64)
+    codes = np.empty((count, n), dtype=np.int64) if codes else None
     ref = stack.pick(slice(0, 1))[0] if count else None
     rows = cols = row_images = col_images = None
     if seen is not None:
@@ -376,8 +428,8 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
     _GridStack) sharing k (one per column count), entries in 0..v-1:
     every member a simple OA of strength t, and the columns cover every
     k-tuple exactly once; ValueError if their shapes cannot.  Returns
-    (verdict, one (column codes, column-slab mask) pair per stack), from
-    the member pass, the mask None unless columns."""
+    (verdict, one column-slab mask per stack), from the member pass, the
+    masks None unless columns."""
     if t < 1:
         raise ValueError("strength must be at least 1")
     k = stacks[0].shape[1]
@@ -390,12 +442,12 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
     # the full columns mark a v^k seen-map; by pigeonhole, all marked
     # means each k-tuple covered exactly once (see the module docstring)
     seen = np.zeros(full, dtype=np.uint8)
-    ok, passes = True, []
+    ok, masks = True, []
     for s in stacks:
-        codes, rows, cols = _member_pass(s, v, seen, columns)
-        passes.append((codes, cols))
+        _, rows, cols = _member_pass(s, v, seen, columns)
+        masks.append(cols)
         ok = ok and _members_ok(s, rows, v, t)
-    return ok and bool(seen.all()), passes
+    return ok and bool(seen.all()), masks
 
 
 def verify_large_set(fam: ArrayFamily, t: int) -> bool:
@@ -437,11 +489,10 @@ def _sdloa_ok(members, v: int, t: int):
     orientation, whose member pass also proves column slabs, the column
     orientation's unproved slabs tallied (its columns are the same
     multiset, so coverage needs no second count), and both diagonal
-    selections tallied at strength t.  Returns (verdict, the (N, N)
-    row-orientation column codes)."""
-    ok, [(codes, cols)] = _large_set_ok([members], v, t, True)
+    selections tallied at strength t.  Returns the verdict."""
+    ok, [cols] = _large_set_ok([members], v, t, True)
     return (ok and _members_ok(members.T, cols, v, t)
-            and _strength_ok(_diagonals(members), v, t)), codes
+            and _strength_ok(_diagonals(members), v, t))
 
 
 def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
@@ -457,4 +508,4 @@ def verify_sdloa(fam: ArrayFamily, t: int) -> bool:
         raise ValueError(f"need N={n} members, got {count}")
     if count * n != fam.v**fam.k:
         raise ValueError("member count x columns must equal v^k")
-    return _sdloa_ok(_HeldStack(np.stack([m.entries for m in fam.members])), fam.v, t)[0]
+    return _sdloa_ok(_HeldStack(np.stack([m.entries for m in fam.members])), fam.v, t)

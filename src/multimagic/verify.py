@@ -3,9 +3,10 @@ properties.
 
 Every square is read through one row-block interface: ``sq.n``, ``sq.t``,
 ``sq.base`` and ``sq.rows(r0, r1)``, the int64 rows r0..r1-1.  A held
-MagicSquare serves views of its entries; a construct.ComposedSquare fills
-the rows from its blocks on demand and is never held whole.  Each pool
-task reads its own block, so a generated square is filled on the workers.
+MagicSquare serves views of its entries; a generated square is never held
+whole: a construct.GridSquare fills its rows from the grid's cells, and a
+construct.ComposedSquare from its blocks, on demand.  Each pool task
+reads its own block, so a generated square is filled on the workers.
 
 No floating point anywhere.  Line power sums are taken modulo 2**64
 (int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then

@@ -156,7 +156,10 @@ class TestGenVerifyLoop:
         # the unverified artifact reaches neither the path nor its temporary
         assert not out.exists() and not (tmp_path / "x.tmp").exists()
 
-    def test_malformed_read_back_is_usage_error(self, tmp_path, capsys, monkeypatch):
+    def test_malformed_read_back_is_construction_failure(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the generator's own artifact failing to parse is a construction
+        # failure, not a usage error
         real = io.write_ms
 
         def write_truncated(path, sq):
@@ -166,9 +169,31 @@ class TestGenVerifyLoop:
         monkeypatch.setattr(io, "write_ms", write_truncated)
         out = tmp_path / "x.mms"
         assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
-                       "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "construction failed: artifact did not round-trip: ")
         assert not out.exists() and not (tmp_path / "x.mms.tmp").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("gen-ms", "--q", "5", "--t", "2", "--method", "qt"),
+        ("gen-ms", "--q", "5", "--t", "3", "--method", "q2t1"),
+        ("gen-cms", "--q", "5", "--t", "2"),
+    ])
+    def test_bad_byte_in_own_artifact_exits_3(self, command, tmp_path, capsys, monkeypatch):
+        real = io._encode
+
+        def encode_bad_byte(block):
+            text = bytearray(real(block))
+            text[0] = ord("x")  # a byte the decoder rejects
+            return memoryview(bytes(text))
+
+        monkeypatch.setattr(io, "_encode", encode_bad_byte)
+        out = tmp_path / "x.out"
+        assert run_cli(*command, "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "construction failed: artifact did not round-trip: body holds a byte "
+            "other than a digit, sign, space, tab or line break\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_threads_must_be_positive(self, tmp_path, value):

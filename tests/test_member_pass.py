@@ -46,7 +46,8 @@ def file_stacks() -> dict:
 def kernel(stack: np.ndarray, v: int):
     """Codes, member mask, column-slab mask and seen-map of one pass."""
     seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
-    codes, rows, cols = oa._member_pass(oa._HeldStack(stack), v, seen, columns=True)
+    codes, rows, cols = oa._member_pass(oa._HeldStack(stack), v, seen, columns=True,
+                                        codes=True)
     return codes, rows, cols, seen
 
 
@@ -163,18 +164,14 @@ class TestVerdicts:
         want_ls = oa_oracle._large_set_ok([stack], q, t)
         want_sd = oa_oracle._sdloa_ok(stack, q, t)
         assert want_sd == (kind is None)
-        want_codes = oa_oracle._column_codes(stack, q)
         fam = None
         if kind != "symbol v":
             fam = oa.ArrayFamily(tuple(oa.OrthArray(m, q, t) for m in stack))
         for size, rows in pool_configs(stack.shape[0]):
             with_blocks(monkeypatch, pool_size, stack, size, rows)
-            ok, [(codes, cols)] = oa._large_set_ok([oa._HeldStack(stack)], q, t)
+            ok, [cols] = oa._large_set_ok([oa._HeldStack(stack)], q, t)
             assert ok == want_ls and cols is None
-            assert np.array_equal(codes, want_codes)
-            ok, codes = oa._sdloa_ok(oa._HeldStack(stack), q, t)
-            assert ok == want_sd
-            assert np.array_equal(codes, want_codes)
+            assert oa._sdloa_ok(oa._HeldStack(stack), q, t) == want_sd
             if fam is not None:
                 assert oa.verify_large_set(fam, t) == want_ls
                 assert oa.verify_sdloa(fam, t) == want_sd
@@ -184,7 +181,7 @@ class TestVerdicts:
         stack = file_stacks()[name]
         for t in (1, 2):
             assert oa._large_set_ok([oa._HeldStack(stack)], 3, t)[0] == oa_oracle._large_set_ok([stack], 3, t)
-            assert oa._sdloa_ok(oa._HeldStack(stack), 3, t)[0] == oa_oracle._sdloa_ok(stack, 3, t)
+            assert oa._sdloa_ok(oa._HeldStack(stack), 3, t) == oa_oracle._sdloa_ok(stack, 3, t)
 
 
 class TestOutOfRange:
@@ -253,7 +250,7 @@ class TestProperty:
                     assert (oa._large_set_ok([oa._HeldStack(stack)], v, 1)[0]
                             == oa_oracle._large_set_ok([stack], v, 1))
                     if count == n:
-                        assert oa._sdloa_ok(oa._HeldStack(stack), v, 1)[0] == oa_oracle._sdloa_ok(stack, v, 1)
+                        assert oa._sdloa_ok(oa._HeldStack(stack), v, 1) == oa_oracle._sdloa_ok(stack, v, 1)
         finally:
             _pool.set_size(before)
 
@@ -277,7 +274,7 @@ def gathered(grid: oa._GridStack) -> np.ndarray:
 
 def grid_kernel(grid: oa._GridStack, v: int):
     seen = np.zeros(v ** grid.shape[1], dtype=np.uint8)
-    codes, rows, cols = oa._member_pass(grid, v, seen, columns=True)
+    codes, rows, cols = oa._member_pass(grid, v, seen, columns=True, codes=True)
     return codes, rows, cols, seen
 
 
@@ -285,10 +282,15 @@ def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypat
     """The grid stack and the held stack of the same entries give the
     oracle's codes, masks and seen-map and, if every entry lies in
     0..v-1 (the oracle's checks need it), its verdicts, at pool sizes 1-3
-    and blocks of one member up to all members; returns the SDLOA
-    verdict, None if not checked."""
+    and blocks of one member up to all members; the grid's square, filled
+    by grid_rows, holds the oracle's codes.  Returns the SDLOA verdict,
+    None if not checked."""
     stack = gathered(grid)
     want_pass = oracle(stack, v)
+    n = grid.shape[0]
+    assert np.array_equal(grid.codes(0, n), want_pass[0])
+    for r0, r1 in ((0, 0), (n - 1, n), (1, n - 1), (n // 3, n // 2 + 1)):
+        assert np.array_equal(grid.codes(r0, r1), want_pass[0][r0:r1]), (r0, r1)
     want_sd = None
     if ((stack >= 0) & (stack < v)).all():
         want_ls = oa_oracle._large_set_ok([stack], v, t)
@@ -301,10 +303,8 @@ def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypat
                 assert np.array_equal(a, b), (name, size, rows, type(source))
             if want_sd is None:
                 continue
-            ok, [(codes, _)] = oa._large_set_ok([source], v, t)
-            assert ok == want_ls and np.array_equal(codes, want_pass[0])
-            ok, codes = oa._sdloa_ok(source, v, t)
-            assert ok == want_sd and np.array_equal(codes, want_pass[0])
+            assert oa._large_set_ok([source], v, t)[0] == want_ls
+            assert oa._sdloa_ok(source, v, t) == want_sd
     return want_sd
 
 
@@ -413,4 +413,4 @@ class TestGridStack:
         assert cells.shape == (9, 9, 4) and cells.dtype == np.int16
         assert np.array_equal(cells, gathered(grid_source(3, 2)).transpose(0, 2, 1))
         assert np.array_equal((cells.astype(np.int64) * 3 ** np.arange(4)).sum(axis=2),
-                              grid.codes)
+                              grid.square.entries)

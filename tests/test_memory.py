@@ -1,7 +1,8 @@
-"""Peak memory of the gen-ms stages, as multiples of the arrays they
-produce.  numpy reports its buffers to tracemalloc, so the traced peak
-counts every array a stage holds at once.  These bounds guard the
-copy-free pipeline: never loosen them to make a change pass."""
+"""Peak memory of the gen-ms stages, as multiples of the int64 square
+they produce, N^2 * 8 bytes at order N, which no stage holds.  numpy
+reports its buffers to tracemalloc, so the traced peak counts every array
+a stage holds at once.  These bounds guard the copy-free pipeline: never
+loosen them to make a change pass."""
 
 import tracemalloc
 
@@ -28,40 +29,52 @@ def cert625():
     return linalg.find_sdloa_pair(gf.build_field_q(25), 2)  # MS(625, 2)
 
 
+def square_bytes(n: int) -> int:
+    """The bytes of an order-n int64 square."""
+    return n * n * 8
+
+
 def test_grid_check_in_place(cert625):
-    # at t = 2 the int16 cells take as many bytes as the int64 codes
+    # at t = 2 the int16 cells take as many bytes as the int64 square; the
+    # check holds a block of them and the N^2-byte seen-map
     grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
-    assert peak <= 2.5 * grid.codes.nbytes
+    assert peak <= 1.5 * square_bytes(grid.n)
 
 
 def test_encode_by_horner(cert625):
-    # the cell codes come out of the grid check, inside its bound, and
-    # become the square without a copy
+    # the square's rows are the cell codes, filled on demand by the
+    # compiled grid_rows; the check returns none
     grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
     cells = grid.cells
     want = (cells.astype(np.int64) * grid.table.q ** np.arange(cells.shape[2])).sum(axis=2)
-    assert np.array_equal(grid.codes, want)
-    assert peak <= 2.5 * grid.codes.nbytes
-    assert verify.MagicSquare(grid.codes, grid.t).entries is grid.codes
+    assert np.array_equal(grid.square.entries, want)
+    assert np.array_equal(grid.square.rows(100, 133), want[100:133])
+    assert peak <= 1.5 * square_bytes(grid.n)
 
 
 def test_grid_check_holds_no_cells():
-    # MS(2401, 4): the (N, N, 8) int16 cells would be twice the codes; the
-    # check gathers them block by block and keeps only the codes
+    # MS(2401, 4): the (N, N, 8) int16 cells would be twice the int64
+    # square; the check gathers them block by block and holds no codes,
+    # only the N^2-byte seen-map, an eighth of the square
     cert = linalg.find_sdloa_pair(gf.build_field_q(7), 4)
     grid, peak = traced_peak(construct.build_sdloa_grid, cert)
-    assert peak <= 1.5 * grid.codes.nbytes
+    assert peak <= 0.25 * square_bytes(grid.n)
 
 
 def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
     """build_ms_qt, build_cms_family and build_ms_q2t1 read their grids
-    block by block: the whole-cell gather is never called, and no gather
-    holds more members than a block of the member pass, one member at
-    least (member 0, column slab 0)."""
+    block by block: neither the whole-cell gather nor the grid square's
+    whole-square gather is ever called, and no gather holds more members
+    than a block of the member pass, one member at least (member 0,
+    column slab 0)."""
     def whole(self):
         raise AssertionError("the whole cell grid was gathered")
 
+    def whole_square(self):
+        raise AssertionError("the whole grid square was gathered")
+
     monkeypatch.setattr(construct.SdloaGrid, "cells", property(whole))
+    monkeypatch.setattr(construct.GridSquare, "entries", property(whole_square))
     monkeypatch.setattr(oa, "_CODE_ENTRIES", 3000)
     picks = []
     pick = oa._GridStack.pick
@@ -82,11 +95,20 @@ def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
 
 def test_verify_in_row_blocks(cert625, monkeypatch):
     grid = construct.build_sdloa_grid(cert625)
-    sq = verify.MagicSquare(grid.codes, grid.t)
+    sq = verify.MagicSquare(grid.square.entries, grid.t)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
     rep, peak = traced_peak(verify.verify_ms, sq, 2)
     assert rep.passed
-    assert peak <= 0.5 * sq.entries.nbytes
+    assert peak <= 0.5 * square_bytes(sq.n)
+
+
+def test_verify_grid_square_in_row_blocks(cert625, monkeypatch):
+    # the grid square's rows are filled block by block on the workers
+    sq = construct.build_sdloa_grid(cert625).square
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
+    rep, peak = traced_peak(verify.verify_ms, sq, 2)
+    assert rep.passed
+    assert peak <= 0.5 * square_bytes(sq.n)
 
 
 def test_compose_writes_its_output_directly(f5):
@@ -129,3 +151,20 @@ def test_composed_square_is_never_held(f5, tmp_path):
     (n, same), peak = traced_peak(pipeline)
     assert n == 3125 and same
     assert peak <= 0.25 * n * n * 8
+
+
+def test_grid_square_is_never_held(tmp_path):
+    """build_ms_qt at (7, 4), then the write and the read-back of its
+    order-2401 square, each read through row blocks: together they hold
+    the grid check's N^2-byte seen-map and a few blocks, a fraction of
+    the int64 square."""
+    path = tmp_path / "sq.mms"
+
+    def pipeline():
+        sq = construct.build_ms_qt(gf.build_field_q(7), 4)
+        io.write_ms(path, sq)
+        return sq.n, io.read_matches(path, sq)
+
+    (n, same), peak = traced_peak(pipeline)
+    assert n == 2401 and same
+    assert peak <= 0.25 * square_bytes(n)

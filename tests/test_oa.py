@@ -511,7 +511,7 @@ class TestArrayEntryPoints:
         parts = reference_parts(cells, q, t)
         assert sorted(p for p, ok in parts.items() if not ok) == BROKEN[kind]
         verdict = all(parts.values())
-        assert oa._sdloa_ok(by_row(cells), q, t)[0] == verdict
+        assert oa._sdloa_ok(by_row(cells), q, t) == verdict
         fam = cells_family(cells, q, t)
         assert oa.verify_sdloa(fam, t) == verdict
         # the large-set entry point alone, on the row orientation
@@ -530,7 +530,7 @@ class TestArrayEntryPoints:
             pool_size(size)
             # two slabs per block, so every pool splits the member pass
             monkeypatch.setattr(oa, "_CODE_ENTRIES", 2 * size * k * n)
-            assert oa._sdloa_ok(by_row(cells), q, t)[0] == verdict, size
+            assert oa._sdloa_ok(by_row(cells), q, t) == verdict, size
             assert oa.verify_sdloa(fam, t) == verdict, size
             assert oa._large_set_ok([by_row(cells)], q, t)[0] == row_ls, size
 

@@ -136,7 +136,7 @@ def _configs():
 def ms125(f5):
     """MS(125, 3), encoded without the verifier under test."""
     grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
-    return MagicSquare(grid.codes, grid.t)
+    return MagicSquare(grid.square.entries, grid.t)
 
 
 def _corruptions(sq: MagicSquare) -> dict:
@@ -295,9 +295,94 @@ class TestStreamedVerify:
         assert np.array_equal(io.read_ms(path).entries, sq.entries)
 
 
-def test_stress_more_workers_than_cores(ms125, pool_size, monkeypatch, tmp_path):
+class TestPooledReadBack:
+    """read_matches compares each decoded piece with the rows it covers in
+    a pool task of its own, stops waiting for comparisons at the first
+    piece that differs, and still validates the rest of the body: its
+    verdicts and errors are those of a serial read."""
+
+    @pytest.fixture
+    def pieces(self, ms125, tmp_path, monkeypatch):
+        """The order-125 square written, read in pieces of about 2 KB, and
+        the starting entry of each piece."""
+        monkeypatch.setattr(io, "_DECODE_BYTES", 2048)
+        monkeypatch.setattr(io, "_DECODE_MIN", 2048)
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, ms125)
+        starts = []
+        real = io._piece_matches
+
+        def record(squares, piece):
+            starts.append(piece[0])
+            return real(squares, piece)
+
+        monkeypatch.setattr(io, "_piece_matches", record)
+        assert io.read_matches(path, ms125)
+        assert len(set(starts)) == len(starts) > 20  # compared on any worker
+        return path, sorted(starts), starts
+
+    @staticmethod
+    def changed(sq: MagicSquare, at: int) -> MagicSquare:
+        e = sq.entries.copy()
+        e.flat[at] += 1
+        return MagicSquare(e, sq.t)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_mismatch_stops_the_comparisons(self, ms125, pieces, where, pool_size):
+        path, starts, compared = pieces
+        piece = {"first": 0, "middle": len(starts) // 2, "last": len(starts) - 1}[where]
+        at = starts[piece] + 1 if piece + 1 < len(starts) else ms125.n ** 2 - 1
+        other = self.changed(ms125, at)
+        for size in POOL_SIZES:
+            pool_size(size)
+            compared.clear()
+            assert not io.read_matches(path, other), size
+            # the differing piece and at most a window of pieces after it
+            assert piece in [starts.index(c) for c in compared]
+            assert len(compared) <= piece + 2 * size, (size, len(compared))
+
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_bad_byte_after_a_mismatch_raises(self, ms125, pieces, where, pool_size):
+        path, starts, _ = pieces
+        piece = {"first": 0, "middle": len(starts) // 2}[where]
+        other = self.changed(ms125, starts[piece])
+        text = bytearray(path.read_bytes())
+        text[-3] = ord("x")  # in the last piece
+        path.write_bytes(bytes(text))
+        with pytest.raises(FormatError) as serial:
+            io.read_ms(path)
+        for size in POOL_SIZES:
+            pool_size(size)
+            with pytest.raises(FormatError) as got:
+                io.read_matches(path, other)
+            assert str(got.value) == str(serial.value), size
+
+    @pytest.mark.parametrize("order", ["byte first", "row first"])
+    def test_errors_in_file_order(self, ms125, pieces, order, pool_size):
+        path, starts, _ = pieces
+        lines = path.read_bytes().split(b"\n")
+        early, late = 20, 110  # body rows, in different pieces
+        bad_byte = lambda row: row.replace(b" ", b"\x0c", 1)
+        long_row = lambda row: row + b" 7"
+        first, second = (bad_byte, long_row) if order == "byte first" else (long_row, bad_byte)
+        lines[1 + early] = first(lines[1 + early])
+        lines[1 + late] = second(lines[1 + late])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as serial:
+            io.read_ms(path)
+        want = ("byte other than" if order == "byte first" else "a row holds 126 entries")
+        assert want in str(serial.value)
+        for size in POOL_SIZES:
+            pool_size(size)
+            for sq in (ms125, self.changed(ms125, 0)):
+                with pytest.raises(FormatError) as got:
+                    io.read_matches(path, sq)
+                assert str(got.value) == str(serial.value), size
+
+
+def test_stress_more_workers_than_cores(ms125, f5, pool_size, monkeypatch, tmp_path):
     """Four workers with a short switch interval give the serial reports
-    and bytes."""
+    and bytes, for a held square and for a grid square filled on them."""
     squares = _corruptions(ms125)
     pool_size(1)
     want = [verify_ms(sq, 3) for sq in squares.values()]
@@ -313,6 +398,12 @@ def test_stress_more_workers_than_cores(ms125, pool_size, monkeypatch, tmp_path)
             io.write_ms(tmp_path / "pooled.mms", ms125)
             assert ((tmp_path / "pooled.mms").read_bytes()
                     == (tmp_path / "serial.mms").read_bytes())
+            # a fresh grid square: its first fills race for the pair index
+            grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3)).square
+            assert verify_ms(grid, 3) == want[0]
+            io.write_ms(tmp_path / "grid.mms", grid)
+            assert (tmp_path / "grid.mms").read_bytes() == (tmp_path / "serial.mms").read_bytes()
+            assert io.read_matches(tmp_path / "serial.mms", grid)
     finally:
         sys.setswitchinterval(interval)
 
@@ -333,14 +424,16 @@ class TestGridAgreement:
         grid = construct._grid_stack(cert)
         cells = grid.pick(slice(None)).transpose(0, 2, 1)
         assert cells.dtype == want_cells.dtype and np.array_equal(cells, want_cells)
+        assert np.array_equal(grid.codes(0, n), want_codes)  # the square's fill
         for size, rows in _configs():
             pool_size(size)
             monkeypatch.setattr(oa, "_CODE_ENTRIES", rows * size * n * k)
             # one code path: the member pass, for a grid gathered block by
             # block, a held stack and a single array alike
-            assert np.array_equal(oa._member_pass(grid, 5)[0], want_codes), (size, rows)
-            assert np.array_equal(oa._sdloa_ok(grid, 5, 3)[1], want_codes)
-            assert np.array_equal(oa._member_pass(oa._HeldStack(members), 5)[0], want_codes)
+            assert np.array_equal(oa._member_pass(grid, 5, codes=True)[0], want_codes), \
+                (size, rows)
+            assert np.array_equal(oa._member_pass(oa._HeldStack(members), 5, codes=True)[0],
+                                  want_codes)
             assert np.array_equal(oa.column_codes(oa.OrthArray(members[7], 5, 3)),
                                   want_codes[7])
 
@@ -387,10 +480,16 @@ def test_worker_errors_keep_exit_codes(kernel, exc, code, tmp_path, monkeypatch,
         ran_on.append(threading.current_thread())
         raise exc
 
-    monkeypatch.setattr(module, name, failing)
     out = tmp_path / "x.mms"
-    assert cli.main(["gen-ms", "--q", "3", "--t", "2", "--method", "qt",
-                     "--out", str(out), "--threads", "2"]) == code
+    command = ["gen-ms", "--q", "3", "--t", "2", "--method", "qt", "--out", str(out)]
+    if kernel == "decode":
+        # a generator's own artifact failing to read back is a construction
+        # failure whatever the error, so the decoder's errors are read from
+        # a user's file
+        assert cli.main(command) == 0
+        command = ["verify-ms", str(out)]
+    monkeypatch.setattr(module, name, failing)
+    assert cli.main([*command, "--threads", "2"]) == code
     assert ran_on and threading.main_thread() not in ran_on
     err = capsys.readouterr().err
     prefix = "error: " if code == 2 else "construction failed: "
