@@ -1,8 +1,8 @@
 /* The compiled kernels of multimagic, built by _codec.py: the integer
  * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
  * grid gather, the grid square's rows and the member pass of the
- * large-set and SDLOA checks (see oa.py), and the power sums and the
- * seen-map of verify.py.
+ * large-set and SDLOA checks (see oa.py), the power sums of verify.py,
+ * and the bit seen-map that verify.py and oa.py both mark.
  *
  * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
  * tokens are separated by spaces, tabs and line breaks, and a line break
@@ -330,11 +330,10 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
  * int16, or an int64 if wide.  ref is member 0 of the stack, laid out
  * with the same strides si and sj; it need not lie in the block.  For
  * each member m of the block and each of its columns j, members():
- *   - if codes, writes codes[m * n + j], the column's base-v code, row 0
- *     least significant;
- *   - if seen, marks seen[code] (a relaxed atomic byte store, as blocks
- *     of members run on several threads) when every entry of the column
- *     lies in 0..v-1, so that code < v^k;
+ *   - writes codes[(m - first) * n + j], the block's own codes: the
+ *     column's base-v code, row 0 least significant, when every entry of
+ *     the column lies in 0..v-1, so that code < v^k, and -1 otherwise;
+ *     the caller marks them in its coverage bit map (see mark() below);
  *   - if rows, clears rows_ok[m] unless entry (m, i, j) equals
  *     rows[(m * k + i) * v + ref entry (i, j)] for every i: member m is
  *     then member 0 with each row i relabelled by the images in rows;
@@ -343,7 +342,8 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
  *     slab j (entry (i, m) = entry (m, i, j)) is then column slab 0 with
  *     each row relabelled by the images in cols.
  * The image tables are contiguous, of the entries' width.  An entry
- * outside 0..v-1 clears rows_ok[m] and cols_ok[j] and marks nothing.
+ * outside 0..v-1 clears rows_ok[m] and cols_ok[j] and makes its column's
+ * code -1.
  * The caller passes rows only if member 0, and cols only if column 0 of
  * every member, lies in 0..v-1, so that every table index is in bounds,
  * and needs v^k < 2^63, so that k <= MAX_ROWS.
@@ -359,8 +359,8 @@ static inline int64_t entry(const char *data, int wide, ptrdiff_t at)
 static inline __attribute__((always_inline)) void
 pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
      ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-     int64_t *codes, unsigned char *seen, const char *rows, unsigned char *rows_ok,
-     const char *cols, unsigned char *cols_ok)
+     const char *rows, unsigned char *rows_ok, const char *cols, unsigned char *cols_ok,
+     int64_t *codes)
 {
     const uint64_t uv = (uint64_t)v;
     const ptrdiff_t width = wide ? 8 : 2, table = (ptrdiff_t)k * v * width;
@@ -391,10 +391,7 @@ pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
                 if (cols)
                     cbad |= x != entry(cimg, wide, col0[i]);
             }
-            if (codes)
-                codes[m * n + j] = (int64_t)code;
-            if (seen && !out)
-                __atomic_store_n(seen + code, 1, __ATOMIC_RELAXED);
+            codes[(m - first) * n + j] = out ? -1 : (int64_t)code;
             if (cols && (cbad | out))
                 __atomic_store_n(cols_ok + j, 0, __ATOMIC_RELAXED);
             bad |= rbad | out;
@@ -406,20 +403,21 @@ pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
 
 void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
              ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-             int64_t *codes, unsigned char *seen, const void *rows, unsigned char *rows_ok,
-             const void *cols, unsigned char *cols_ok)
+             const void *rows, unsigned char *rows_ok, const void *cols,
+             unsigned char *cols_ok, int64_t *codes)
 {
     /* one specialised copy of the pass per entry width */
     if (wide)
-        pass(data, ref, 1, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
-             cols, cols_ok);
+        pass(data, ref, 1, sm, si, sj, first, last, k, n, v, rows, rows_ok, cols, cols_ok,
+             codes);
     else
-        pass(data, ref, 0, sm, si, sj, first, last, k, n, v, codes, seen, rows, rows_ok,
-             cols, cols_ok);
+        pass(data, ref, 0, sm, si, sj, first, last, k, n, v, rows, rows_ok, cols, cols_ok,
+             codes);
 }
 
 /* ---------------------------------------------------------------------
- * The power sums and the consecutive-entry seen-map of verify.py.
+ * The power sums of verify.py, and the bit seen-map of verify.py's
+ * consecutive-entry check and of oa.py's coverage check.
  *
  * sums() reads a block of rows x n int64 entries, rows r0..r0+rows-1 of
  * an n x n square, as values x = entry - base, wrapping modulo 2^64.
@@ -441,7 +439,9 @@ void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_
  *
  * mark() marks bit v of the seen-map bits for each value v = entry - base
  * of count entries that lies in [0, limit), and returns how many bits it
- * set that were clear.  It is not atomic: one thread marks a map.
+ * set that were clear.  It is not atomic: one thread marks a map, the
+ * calling thread, as the pooled blocks of entries (verify.py) or of
+ * column codes (oa.py) arrive.
  * ------------------------------------------------------------------- */
 
 /* p mod m, for p < 2^62 and odd m < 2^31, with mu = (2^64 - 1) / m: the

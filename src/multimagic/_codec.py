@@ -2,7 +2,8 @@
 
 The library holds the text codec of io.py, the grid gather, the grid
 square's rows and the member pass of the large-set and SDLOA checks in
-oa.py, and the power sums and the seen-map of verify.py.  It is built on
+oa.py, the power sums of verify.py, and the bit seen-map that verify.py
+and oa.py both mark.  It is built on
 first import into the per-user cache (``$XDG_CACHE_HOME/multimagic``, else
 ``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by the
 interpreter's cache tag and by checksums of the C source, its
@@ -46,8 +47,8 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
                int64_t *out);
 void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
              ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-             int64_t *codes, unsigned char *seen, const void *rows, unsigned char *rows_ok,
-             const void *cols, unsigned char *cols_ok);
+             const void *rows, unsigned char *rows_ok, const void *cols,
+             unsigned char *cols_ok, int64_t *codes);
 void sums(const int64_t *block, size_t rows, size_t n, size_t r0, int64_t base,
           const uint64_t *odd, size_t count, const unsigned char *reduce, size_t top,
           const size_t *needs, uint64_t *work, int64_t *rows_out, int64_t *cols_out,

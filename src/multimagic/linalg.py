@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SearchExhausted
 from .gf import FieldTable
 
@@ -98,27 +100,45 @@ def scale_halves(a: FMatrix, top: int, bottom: int) -> FMatrix:
     return FMatrix(t, rows)
 
 
+def _ranks(table: FieldTable, stack: np.ndarray) -> np.ndarray:
+    """Rank over GF(q) of every matrix of a (B, R, C) stack of element
+    labels, by one exact Gauss-Jordan elimination run on the whole stack
+    through the table's add, mul, neg and inv arrays.  Column by column,
+    each matrix takes as pivot its first row at or below its rank with a
+    nonzero entry there, swaps it up, scales it to 1 and clears the
+    column in every other row; a matrix without such a row skips the
+    column.  Its rank is the number of pivots it took."""
+    add, mul = table.add_table, table.mul_table
+    neg, inv = table.neg_table, table.inv_table
+    work = np.array(stack, dtype=np.intp)
+    count, n_rows, n_cols = work.shape
+    ranks = np.zeros(count, dtype=np.intp)
+    below = np.arange(n_rows)
+    for c in range(n_cols):
+        open_rows = (work[:, :, c] != 0) & (below >= ranks[:, None])
+        found = np.flatnonzero(open_rows.any(axis=1))
+        if not found.size:
+            continue
+        pivot, r = open_rows[found].argmax(axis=1), ranks[found]
+        mats, at = work[found], np.arange(found.size)
+        top = mats[at, pivot]
+        mats[at, pivot] = mats[at, r]
+        top = mul[inv[top[:, c]][:, None], top]
+        mats[at, r] = top
+        factor = mats[:, :, c].copy()
+        factor[at, r] = 0
+        work[found] = add[mats, neg[mul[factor[:, :, None], top[:, None, :]]]]
+        ranks[found] += 1
+    return ranks
+
+
+def _labels(mat: FMatrix) -> np.ndarray:
+    return np.array(mat.rows, dtype=np.intp)
+
+
 def rank(mat: FMatrix) -> int:
     """Rank over GF(q) by exact Gaussian elimination."""
-    t = mat.table
-    work = [list(r) for r in mat.rows]
-    n_rows, n_cols = mat.n_rows, mat.n_cols
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pinv = t.inv(work[r][c])
-        work[r] = [t.mul(pinv, x) for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [t.sub(x, t.mul(f, y)) for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return int(_ranks(mat.table, _labels(mat)[None])[0])
 
 
 def is_nonsingular(mat: FMatrix) -> bool:
@@ -128,15 +148,13 @@ def is_nonsingular(mat: FMatrix) -> bool:
 
 
 def is_strength_t(mat: FMatrix, t: int) -> bool:
-    """True iff every t-subset of rows has rank t."""
+    """True iff every t-subset of rows has rank t: one elimination over
+    the stack of all C(rows, t) subsets."""
     if not 1 <= t <= mat.n_rows or t > mat.n_cols:
         raise ValueError(f"t={t} out of range for a "
                          f"{mat.n_rows}x{mat.n_cols} matrix")
-    for subset in itertools.combinations(range(mat.n_rows), t):
-        sub = FMatrix(mat.table, tuple(mat.rows[i] for i in subset))
-        if rank(sub) != t:
-            return False
-    return True
+    subsets = np.array(list(itertools.combinations(range(mat.n_rows), t)))
+    return bool(np.all(_ranks(mat.table, _labels(mat)[subsets]) == t))
 
 
 def vandermonde_base(table: FieldTable, t: int) -> FMatrix:

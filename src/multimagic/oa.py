@@ -10,12 +10,12 @@ where a block comes from differs.  A held stack's blocks are views of
 it, and a grid's are gathered by the compiled gather of _codec.c, one
 block of grid rows per pool task, as each task needs it.  Everything
 else the checks read (member 0, column slab 0, the relabelling images,
-unproved members or slabs, the diagonal selections) is gathered alone,
-so the check of a valid grid holds O(N k v) cells besides the blocks in
-flight and the v^k seen-map.  A grid's column codes, the cell codes that
-make its square, are filled on request, any run of members at a time,
-by _GridStack.codes (the compiled grid_rows), so the N^2 codes are never
-held either:
+unproved members or slabs, the diagonal selections) is gathered alone.
+A grid's column codes, the cell codes that make its square, are filled
+on request, any run of members at a time, by _GridStack.codes (the
+compiled grid_rows), so the N^2 codes are never held either.  The check
+of a valid grid gathers no block at all (see Members below): it holds
+O(N k) cells, the code blocks in flight and the v^k-bit coverage map:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -29,29 +29,41 @@ held either:
   released.  It reads the stack once, each block in place (int16 or
   int64 entries; a held stack of any other integer type is converted
   once) and checked against member 0 and column slab 0, read before the
-  pass.  Per column it computes the base-v int64 code, row 0 least
+  pass.  Per column it writes the base-v int64 code, row 0 least
   significant, exact while v^k < 2^63 (column_codes raises ValueError
   beyond; a large set holds v^k columns in memory, so its codes are
-  always in range), and writes it only for column_codes: the large-set
-  and SDLOA checks mark the codes and return their verdicts alone.
+  always in range), or -1 for a column holding a symbol outside 0..v-1,
+  into the block's own codes, which the pool task returns.
 * Coverage: the family holds exactly v^k columns (checked first, a
-  ValueError otherwise), and the member pass marks each column code in a
-  v^k byte seen-map (relaxed atomic stores, as blocks run concurrently).
-  By pigeonhole, v^k codes that mark all v^k bytes hit each byte exactly
-  once, so "every byte marked" is the same verdict as "every count equal
-  to 1" at one byte per code instead of eight.
+  ValueError otherwise), and every column code is marked in a v^k-bit
+  map by the compiled mark() that verify.py also uses, on the calling
+  thread as the code blocks arrive: a grid's from _GridStack.codes, one
+  block per pool task, any other stack's from the member pass.  mark()
+  counts the bits it sets that were clear, and by pigeonhole v^k codes
+  set v^k bits exactly when each k-tuple is covered once, so that count
+  is the same verdict as "every count equal to 1" at one bit per code
+  instead of 64.
 * Members: only member 0 is always tallied.  A member with
   member[i, j] = sigma_i(member_0[i, j]) for injective per-row maps
   sigma_i needs no tally: sigma carries the t-tuples of any row subset
   injectively to t-tuples and distinct columns to distinct columns, so
-  its tuple counts are those of member 0 permuted.  The sigma_i are read
-  from first occurrences (_images) and checked injective in numpy; the
-  member pass checks every entry against them, and for the SDLOA check
-  checks each column slab against column slab 0 in the same read.  This
-  check is exact, field-free and O(N k) per member; a member or slab it
-  does not prove, one holding a symbol outside 0..v-1 included, is
-  tallied exhaustively, so the verdict is the full tally's on every
-  input.
+  its tuple counts are those of member 0 permuted.  A grid proves this
+  for every member and every column slab from its structure, without
+  reading a cell (_GridStack.relabels): when
+  its table is v x v with every row and column a permutation of 0..v-1,
+  every entry of a a row start and every entry of b in 0..v-1, row i of
+  member m is row i of member 0 under table[a[0, i] + w] ->
+  table[a[m, i] + w], and column slab j is slab 0 under table[u +
+  b[0, i]] -> table[u + b[j, i]], both bijections.  Any other stack,
+  and a grid that fails that test (one over a table with a row that is
+  not a permutation, say), takes the member pass: the sigma_i are read
+  from first occurrences (_images) and checked injective in numpy, the
+  pass checks every entry against them, and for the SDLOA check checks
+  each column slab against column slab 0 in the same read.  Both proofs
+  are exact and field-free; a member or slab the pass does not prove,
+  one holding a symbol outside 0..v-1 included, is tallied
+  exhaustively, as are member 0, column slab 0 and both diagonal
+  selections, so the verdict is the full tally's on every input.
 
 The private entry points _large_set_ok and _sdloa_ok take stacks and
 return the verdict; the public verify_* functions wrap them for
@@ -257,6 +269,27 @@ class _GridStack:
         """The column orientation: slab j holds column j of every member."""
         return _GridStack(self.table, self.b, self.a)
 
+    def relabels(self, v: int) -> bool:
+        """Whether the stack's structure proves every member a per-row
+        relabelling of member 0, and every column slab one of column slab
+        0: table is v x v with every row and every column a permutation of
+        0..v-1, every entry of a is a row start (a multiple of v in
+        [0, v^2)), and every entry of b lies in 0..v-1.  Then row i of
+        member m is row i of member 0 under the bijection table[a[0, i] +
+        w] -> table[a[m, i] + w], and column slab j is column slab 0 under
+        table[u + b[0, i]] -> table[u + b[j, i]].  Reads the table, a and
+        b once, and no cell."""
+        if self.table.size != v * v:
+            return False
+        square = self.table.reshape(v, v)
+        symbols = np.arange(v)
+        (a_lo, a_hi), (b_lo, b_hi) = self._spans
+        return bool(np.array_equal(np.sort(square, axis=1), np.broadcast_to(symbols, (v, v)))
+                    and np.array_equal(np.sort(square, axis=0),
+                                       np.broadcast_to(symbols[:, None], (v, v)))
+                    and a_lo >= 0 and a_hi < v * v and not np.any(self.a % v)
+                    and b_lo >= 0 and b_hi < v)
+
     def pick(self, index) -> np.ndarray:
         """The members at index, a slice or an integer array, gathered into
         a (count, N, k) array and returned as its (count, k, N) view."""
@@ -324,6 +357,10 @@ _CHUNK_ENTRIES = 8_000_000
 # Entries read at once, over all workers, in the member pass.
 _CODE_ENTRIES = 1 << 20
 
+# Column codes held at once by a grid's coverage: the blocks in the
+# pool's window, two per worker, waiting to be marked.
+_MARK_CODES = 1 << 18
+
 
 def _images(ref: np.ndarray, slabs, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Relabelling tables of a stack of slabs against its slab 0, ref
@@ -353,28 +390,54 @@ def _buffer(kind: str, arr: np.ndarray | None):
     return _ffi.NULL if arr is None else _ffi.from_buffer(kind, arr)
 
 
-def _pass_block(stack, head: tuple, tail: tuple, step: int, first: int) -> None:
+def _pass_block(stack, codes: np.ndarray | None, head: tuple, tail: tuple, step: int,
+                first: int) -> np.ndarray:
     """Members first..first+step-1 through the kernel, the pooled body of
     _member_pass: the block is a view of a held stack, or gathered here
-    for a grid."""
+    for a grid.  Returns the block's column codes, written into its rows
+    of codes or, if codes is None, into a new array."""
     blk = stack.pick(slice(first, first + step))
+    count, _, n = blk.shape
+    out = (np.empty((count, n), dtype=np.int64) if codes is None
+           else codes[first:first + count])
     _lib.members(_ffi.cast("void *", blk.ctypes.data), *head, *blk.strides,
-                 first, first + len(blk), *tail)
+                 first, first + count, *tail, _buffer("int64_t[]", out))
+    return out
 
 
-def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = False,
+def _mark(bits: np.ndarray, full: int, blocks) -> int:
+    """Mark every code in [0, full) of each block of codes in the bit map
+    bits, on the calling thread as the blocks arrive, by the compiled
+    mark() of verify.py; returns the number of bits set that were clear."""
+    where, marked = _buffer("unsigned char[]", bits), 0
+    for blk in blocks:
+        marked += _lib.mark(_buffer("int64_t[]", blk), blk.size, 0, full, where)
+        del blk  # before the next block is made
+    return marked
+
+
+def _grid_codes(grid: "_GridStack", step: int, first: int) -> np.ndarray:
+    """The column codes of members first..first+step-1 of a grid, filled
+    by the compiled grid_rows: the pooled body of a grid's coverage."""
+    return grid.codes(first, min(first + step, grid.shape[0]))
+
+
+def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = False,
                  codes: bool = False):
     """One pass of the compiled kernel over a (count, k, N) _HeldStack or
     _GridStack, in blocks of members on the pool, each block read in place
     if its entries are int16 or int64 (a held stack of any other integer
-    type is converted once).  Returns three arrays, each None unless
-    asked for:
+    type is converted once).  Each block writes its own base-v column
+    codes, row 0 least significant, -1 for a column holding a symbol
+    outside 0..v-1.  Returns three arrays, each None unless asked for,
+    and a count:
 
-    * with codes, the (count, N) base-v column codes, row 0 least
-      significant;
-    * with seen (a v^k uint8 seen-map), each column code is marked in it,
-      and rows is True where the member is proved a per-row relabelling
-      of member 0 (sigma from first occurrences, see _images);
+    * with codes, the (count, N) column codes;
+    * with bits (a v^k-bit map, (v^k + 7) // 8 uint8), rows is True where
+      the member is proved a per-row relabelling of member 0 (sigma from
+      first occurrences, see _images), and each block's codes are marked
+      in bits on the calling thread; the count is the number of bits set
+      that were clear, else 0;
     * with columns, cols is True where column slab j (entry (i, m) =
       stack entry (m, i, j)) is proved one of column slab 0.
 
@@ -390,7 +453,7 @@ def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = 
     codes = np.empty((count, n), dtype=np.int64) if codes else None
     ref = stack.pick(slice(0, 1))[0] if count else None
     rows = cols = row_images = col_images = None
-    if seen is not None:
+    if bits is not None:
         rows = np.zeros(count, dtype=bool)
         if count and _in_range(ref, v):
             row_images, rows[:] = _images(ref, stack, v)
@@ -402,12 +465,14 @@ def _member_pass(stack, v: int, seen: np.ndarray | None = None, columns: bool = 
     # ref has the strides of every block's members (see members() in _codec.c)
     head = (_ffi.NULL if ref is None else _ffi.cast("void *", ref.ctypes.data),
             stack.dtype != np.int16)
-    tail = (k, n, v, _buffer("int64_t[]", codes), _buffer("unsigned char[]", seen),
-            _buffer("char[]", row_images), _buffer("unsigned char[]", rows),
+    tail = (k, n, v, _buffer("char[]", row_images), _buffer("unsigned char[]", rows),
             _buffer("char[]", col_images), _buffer("unsigned char[]", cols))
     starts = _pool.blocks(count, k * n, _CODE_ENTRIES)
-    _pool.each(partial(_pass_block, stack, head, tail, starts.step), starts)
-    return codes, rows, cols
+    block = partial(_pass_block, stack, codes, head, tail, starts.step)
+    if bits is None:
+        _pool.each(block, starts)
+        return codes, rows, cols, 0
+    return codes, rows, cols, _mark(bits, v**k, _pool.ordered_map(block, starts))
 
 
 def _members_ok(stack, proved: np.ndarray, v: int, t: int) -> bool:
@@ -428,8 +493,8 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
     _GridStack) sharing k (one per column count), entries in 0..v-1:
     every member a simple OA of strength t, and the columns cover every
     k-tuple exactly once; ValueError if their shapes cannot.  Returns
-    (verdict, one column-slab mask per stack), from the member pass, the
-    masks None unless columns."""
+    (verdict, one column-slab mask per stack), from the grid's structure
+    or the member pass, the masks None unless columns."""
     if t < 1:
         raise ValueError("strength must be at least 1")
     k = stacks[0].shape[1]
@@ -439,15 +504,24 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
         raise ValueError(f"family holds {total} columns but a large set needs v^k={full}")
     for s in stacks:
         _check_strength(k, s.shape[2], v, t)
-    # the full columns mark a v^k seen-map; by pigeonhole, all marked
-    # means each k-tuple covered exactly once (see the module docstring)
-    seen = np.zeros(full, dtype=np.uint8)
-    ok, masks = True, []
+    # the full columns mark a v^k-bit map; by pigeonhole, v^k marks that
+    # set v^k bits cover each k-tuple exactly once (see the module docstring)
+    bits = np.zeros((full + 7) // 8, dtype=np.uint8)
+    ok, masks, marked = True, [], 0
     for s in stacks:
-        _, rows, cols = _member_pass(s, v, seen, columns)
+        if isinstance(s, _GridStack) and s.relabels(v):
+            count, _, n = s.shape
+            rows = np.ones(count, dtype=bool)
+            cols = np.ones(n, dtype=bool) if columns else None
+            starts = _pool.blocks(count, 2 * n, _MARK_CODES)
+            marked += _mark(bits, full, _pool.ordered_map(
+                partial(_grid_codes, s, starts.step), starts))
+        else:
+            _, rows, cols, fresh = _member_pass(s, v, bits, columns)
+            marked += fresh
         masks.append(cols)
         ok = ok and _members_ok(s, rows, v, t)
-    return ok and bool(seen.all()), masks
+    return ok and marked == full, masks
 
 
 def verify_large_set(fam: ArrayFamily, t: int) -> bool:

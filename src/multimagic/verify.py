@@ -41,7 +41,8 @@ The consecutive-entry check needs no sort: the compiled ``mark()`` sets
 bit v of an n^2-bit seen-map for each entry v in [0, n^2), on the calling
 thread as the first pass's blocks arrive, and counts the bits it set.
 By pigeonhole the n^2 entries are 0..n^2-1, each once, exactly when they
-set n^2 bits.
+set n^2 bits.  The grid check of oa.py marks its column codes through the
+same ``mark()``, into a v^k-bit map, in the same way.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ from multimagic import gf, linalg
 from multimagic.errors import SearchExhausted
 from multimagic.linalg import FMatrix
 
+import linalg_oracle
+
 # The order-9 fixture pair, used throughout as known-good data.
 E1_ROWS = ((1, 0), (0, 1), (1, 1), (2, 1))
 E2_ROWS = ((0, 1), (2, 0), (1, 2), (1, 1))
@@ -128,6 +130,66 @@ class TestStrength:
             t = int(rng.integers(1, min(k, s) + 1))
             mat = FMatrix.from_rows(table, rng.integers(0, table.q, (k, s)))
             assert linalg.is_strength_t(mat, t) == strength_oracle(mat, t)
+
+
+def random_matrix(table, rows: int, cols: int, deficit: int, rng) -> FMatrix:
+    """A random rows x cols matrix over the table's field; with deficit > 0,
+    its last deficit rows are random combinations of the others, so its
+    rank is at most rows - deficit."""
+    q = table.q
+    m = rng.integers(q, size=(rows, cols))
+    for r in range(rows - deficit, rows):
+        acc = np.zeros(cols, dtype=np.int64)
+        for i in range(rows - deficit):
+            scaled = table.mul_table[int(rng.integers(q)), m[i]]
+            acc = table.add_table[acc, scaled]
+        m[r] = acc
+    return FMatrix.from_rows(table, m)
+
+
+class TestBatchedElimination:
+    """The batched elimination against the scalar one of
+    tests/linalg_oracle.py."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_random_matrices(self, q):
+        table = gf.build_field_q(q)
+        rng = np.random.default_rng(q)
+        ranks = set()
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                for deficit in range(rows):
+                    mats = [random_matrix(table, rows, cols, deficit, rng) for _ in range(3)]
+                    mats.append(FMatrix.from_rows(table, np.zeros((rows, cols), int)))
+                    want = [linalg_oracle.rank(m) for m in mats]
+                    assert [linalg.rank(m) for m in mats] == want
+                    stack = np.array([m.rows for m in mats])
+                    assert linalg._ranks(table, stack).tolist() == want
+                    ranks.update(want)
+                    if rows == cols:
+                        assert ([linalg.is_nonsingular(m) for m in mats]
+                                == [linalg_oracle.is_nonsingular(m) for m in mats])
+                    for t in range(1, min(rows, cols) + 1):
+                        for m in mats:
+                            assert (linalg.is_strength_t(m, t)
+                                    == linalg_oracle.is_strength_t(m, t)), (m.rows, t)
+        assert ranks == set(range(7))
+
+    def test_stack_leaves_its_input(self, f5):
+        stack = np.array([[[1, 2], [2, 4]], [[0, 3], [1, 0]]])
+        before = stack.copy()
+        assert linalg._ranks(f5, stack).tolist() == [1, 2]
+        assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("q,t", [(5, 2), (7, 3), (8, 3), (9, 2)])
+    def test_certificates(self, q, t):
+        table = gf.build_field_q(q)
+        for cert in (linalg.find_sdloa_pair(table, t), linalg.find_cms_pair(table, t)):
+            for mat in (cert.e1, cert.e2, linalg.mat_add(cert.e1, cert.e2),
+                        linalg.mat_sub(cert.e1, cert.e2)):
+                assert linalg.is_strength_t(mat, t) == linalg_oracle.is_strength_t(mat, t)
+            e = linalg.hstack(cert.e1, cert.e2)
+            assert linalg.is_nonsingular(e) == linalg_oracle.is_nonsingular(e)
 
 
 class TestVandermondeBase:

@@ -1,8 +1,9 @@
 """The compiled member pass against the numpy oracle (tests/oa_oracle.py):
-column codes, seen marks, and the masks of members and column slabs
-proved relabellings, on built grids, file families and corrupted stacks,
-at pool sizes 1-3 and blocks down to one member; and the verdicts of the
-checks built on it."""
+column codes, coverage bit map marks, and the masks of members and column
+slabs proved relabellings, on built grids, file families and corrupted stacks,
+at pool sizes 1-3 and blocks down to one member; the verdicts of the
+checks built on it; and the structural proof that spares built grids the
+pass."""
 
 from functools import lru_cache
 
@@ -43,33 +44,46 @@ def file_stacks() -> dict:
             "fixed l=2": np.stack([grid[i, :, :, 2].T for i in range(9)])}
 
 
+def new_bits(v: int, k: int) -> np.ndarray:
+    """An empty v^k-bit coverage map."""
+    return np.zeros((v**k + 7) // 8, dtype=np.uint8)
+
+
+def pass_with_bits(source, v: int):
+    """Codes, member mask, column-slab mask and coverage bit map of one
+    pass over a _HeldStack or _GridStack; the pass's count of fresh marks
+    is checked against the bits it set."""
+    bits = new_bits(v, source.shape[1])
+    codes, rows, cols, marked = oa._member_pass(source, v, bits, columns=True, codes=True)
+    assert marked == int(np.unpackbits(bits).sum())
+    return codes, rows, cols, bits
+
+
 def kernel(stack: np.ndarray, v: int):
-    """Codes, member mask, column-slab mask and seen-map of one pass."""
-    seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
-    codes, rows, cols = oa._member_pass(oa._HeldStack(stack), v, seen, columns=True,
-                                        codes=True)
-    return codes, rows, cols, seen
+    """Codes, member mask, column-slab mask and bit map of one pass."""
+    return pass_with_bits(oa._HeldStack(stack), v)
 
 
 def oracle(stack: np.ndarray, v: int):
     """The same four from the oracle's numpy pass.  A member or slab with a
     symbol outside 0..v-1 is never proved, and no slab is when slab 0
-    holds one; only columns within 0..v-1 are marked."""
+    holds one; only columns within 0..v-1 are marked, and the code of a
+    column outside is -1."""
     inside = (stack >= 0) & (stack < v)
     by_col = stack.transpose(2, 1, 0)
     rows = oa_oracle._relabelled(stack, stack[0]) & inside.all(axis=(1, 2))
     cols = oa_oracle._relabelled(by_col, by_col[0]) & inside.all(axis=(0, 1))
     rows &= bool(inside[0].all())
     cols &= bool(inside[:, :, 0].all())
-    codes = oa_oracle._column_codes(stack, v)
+    codes = np.where(inside.all(axis=1), oa_oracle._column_codes(stack, v), -1)
     seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
-    seen[codes[inside.all(axis=1)]] = 1
-    return codes, rows, cols, seen
+    seen[codes[codes >= 0]] = 1
+    return codes, rows, cols, np.packbits(seen, bitorder="little")
 
 
 def assert_pass_matches(stack: np.ndarray, v: int) -> None:
     got, want = kernel(stack, v), oracle(stack, v)
-    for name, a, b in zip(("codes", "rows", "cols", "seen"), got, want):
+    for name, a, b in zip(("codes", "rows", "cols", "bits"), got, want):
         assert np.array_equal(a, b), name
 
 
@@ -120,8 +134,8 @@ class TestKernelMatchesOracle:
     def test_grids(self, q, t):
         stack = grid_stack(q, t)
         assert_pass_matches(stack, q)
-        codes, rows, cols, seen = kernel(stack, q)
-        assert rows.all() and cols.all() and seen.all()
+        codes, rows, cols, bits = kernel(stack, q)
+        assert rows.all() and cols.all() and np.unpackbits(bits).sum() == q ** (2 * t)
 
     @pytest.mark.parametrize("name", ["members 0-8", "fixed k=4", "fixed l=2"])
     def test_file_families(self, name):
@@ -147,7 +161,7 @@ class TestKernelMatchesOracle:
         want = oracle(stack, q)
         for size, rows in pool_configs(stack.shape[0]):
             with_blocks(monkeypatch, pool_size, stack, size, rows)
-            for name, a, b in zip(("codes", "rows", "cols", "seen"), kernel(stack, q), want):
+            for name, a, b in zip(("codes", "rows", "cols", "bits"), kernel(stack, q), want):
                 assert np.array_equal(a, b), (name, size, rows)
 
 
@@ -186,8 +200,8 @@ class TestVerdicts:
 
 class TestOutOfRange:
     """A symbol outside 0..v-1 is never used as a table index: its member
-    and column slab stay unproved, its column is not marked, and the
-    member goes to the exhaustive tally."""
+    and column slab stay unproved, its column's code is -1 and is not
+    marked, and the member goes to the exhaustive tally."""
 
     @pytest.mark.parametrize("value", [-1, 5, 6, 32767, -32768])
     @pytest.mark.parametrize("where", [(0, 1, 3), (2, 1, 0), (2, 1, 3), (0, 0, 0)])
@@ -199,14 +213,18 @@ class TestOutOfRange:
             value *= 2**47  # far outside any table
         stack[where] = value
         s, _, j = where
-        codes, rows, cols, seen = kernel(stack, 5)
+        codes, rows, cols, bits = kernel(stack, 5)
         assert not rows[s] and not cols[j]
         if s == 0:  # member 0 is the reference: nothing is proved
             assert not rows.any()
         if j == 0:  # so is column slab 0
             assert not cols.any()
-        assert np.array_equal(codes, oa_oracle._column_codes(stack, 5))
-        assert seen.sum() == 5**4 - 1  # every column but the corrupted one
+        want = oa_oracle._column_codes(stack, 5)
+        assert codes[s, j] == -1
+        codes[s, j] = want[s, j]
+        assert np.array_equal(codes, want)
+        # every column but the corrupted one
+        assert np.unpackbits(bits).sum() == 5**4 - 1
 
     def test_unproved_member_is_tallied(self, monkeypatch):
         stack = corrupt(grid_stack(5, 2), "symbol v", 5, late=True)
@@ -272,25 +290,20 @@ def gathered(grid: oa._GridStack) -> np.ndarray:
     return grid.table[grid.a[:, None, :] + grid.b[None, :, :]].transpose(0, 2, 1)
 
 
-def grid_kernel(grid: oa._GridStack, v: int):
-    seen = np.zeros(v ** grid.shape[1], dtype=np.uint8)
-    codes, rows, cols = oa._member_pass(grid, v, seen, columns=True, codes=True)
-    return codes, rows, cols, seen
-
-
 def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypatch):
     """The grid stack and the held stack of the same entries give the
-    oracle's codes, masks and seen-map and, if every entry lies in
-    0..v-1 (the oracle's checks need it), its verdicts, at pool sizes 1-3
-    and blocks of one member up to all members; the grid's square, filled
-    by grid_rows, holds the oracle's codes.  Returns the SDLOA verdict,
-    None if not checked."""
+    oracle's codes, masks and bit map and, if every entry lies in 0..v-1
+    (the oracle's checks need it), its verdicts, at pool sizes 1-3 and
+    blocks of one member up to all members; the grid's square, filled by
+    grid_rows, holds the oracle's Horner codes, whatever the symbols.
+    Returns the SDLOA verdict, None if not checked."""
     stack = gathered(grid)
     want_pass = oracle(stack, v)
+    horner = oa_oracle._column_codes(stack, v)
     n = grid.shape[0]
-    assert np.array_equal(grid.codes(0, n), want_pass[0])
+    assert np.array_equal(grid.codes(0, n), horner)
     for r0, r1 in ((0, 0), (n - 1, n), (1, n - 1), (n // 3, n // 2 + 1)):
-        assert np.array_equal(grid.codes(r0, r1), want_pass[0][r0:r1]), (r0, r1)
+        assert np.array_equal(grid.codes(r0, r1), horner[r0:r1]), (r0, r1)
     want_sd = None
     if ((stack >= 0) & (stack < v)).all():
         want_ls = oa_oracle._large_set_ok([stack], v, t)
@@ -298,8 +311,8 @@ def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypat
     for size, rows in pool_configs(grid.shape[0]):
         with_blocks(monkeypatch, pool_size, stack, size, rows)
         for source in (grid, oa._HeldStack(stack)):
-            got = grid_kernel(source, v)
-            for name, a, b in zip(("codes", "rows", "cols", "seen"), got, want_pass):
+            got = pass_with_bits(source, v)
+            for name, a, b in zip(("codes", "rows", "cols", "bits"), got, want_pass):
                 assert np.array_equal(a, b), (name, size, rows, type(source))
             if want_sd is None:
                 continue
@@ -344,8 +357,8 @@ class TestGridStack:
     def test_built_grids(self, q, t, pool_size, monkeypatch):
         grid = grid_source(q, t)
         assert assert_grid_agrees(grid, q, t, pool_size, monkeypatch)
-        codes, rows, cols, seen = grid_kernel(grid, q)
-        assert rows.all() and cols.all() and seen.all()
+        codes, rows, cols, bits = pass_with_bits(grid, q)
+        assert rows.all() and cols.all() and np.unpackbits(bits).sum() == q ** (2 * t)
 
     @pytest.mark.parametrize("q,t,kind,late", GRID_CASES)
     def test_corrupted_grids(self, q, t, kind, late, pool_size, monkeypatch):
@@ -414,3 +427,114 @@ class TestGridStack:
         assert np.array_equal(cells, gathered(grid_source(3, 2)).transpose(0, 2, 1))
         assert np.array_equal((cells.astype(np.int64) * 3 ** np.arange(4)).sum(axis=2),
                               grid.square.entries)
+
+
+# ---------------------------------------------------------------------------
+# The structural proof of a grid: a Latin table, row starts and columns
+# ---------------------------------------------------------------------------
+
+class MembersSpy:
+    """The compiled library with its member kernel counted."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def members(self, *args):
+        self.calls += 1
+        return self.lib.members(*args)
+
+
+def spy_members(monkeypatch) -> MembersSpy:
+    spy = MembersSpy(oa._lib)
+    monkeypatch.setattr(oa, "_lib", spy)
+    return spy
+
+
+def latin_grid(grid: oa._GridStack, kind: str, q: int) -> oa._GridStack:
+    """The grid's sums read through a Latin table that is not a field's:
+    the addition table with its symbols permuted, or with its rows and
+    columns permuted; the grid's a and b are kept."""
+    rng = np.random.default_rng(5)
+    square = grid.table.reshape(q, q)
+    if kind == "symbols permuted":
+        square = rng.permutation(q)[square]
+    else:
+        square = square[rng.permutation(q)][:, rng.permutation(q)]
+    return oa._GridStack(square.ravel(), grid.a, grid.b)
+
+
+def broken_grid(grid: oa._GridStack, kind: str, q: int) -> oa._GridStack:
+    """A grid that the structure does not prove: a table with two entries
+    of one column swapped (two rows not permutations, every column one),
+    or of one row swapped (two columns not permutations, every row one),
+    or one entry of a that is not a row start, moved one table entry on
+    within its row.  Every entry stays in 0..q-1."""
+    table, a = grid.table.copy().reshape(q, q), grid.a.copy()
+    if kind == "row not a permutation":
+        table[[0, 1], 2] = table[[1, 0], 2]
+    elif kind == "column not a permutation":
+        table[1, [0, 2]] = table[1, [2, 0]]
+    else:  # "a not a row start": in a row below the last, so within the table
+        s, i = np.argwhere(a < q * (q - 1))[len(a) // 2]
+        a[s, i] += 1
+    return oa._GridStack(table.ravel(), a, grid.b)
+
+
+class TestStructuralProof:
+    @pytest.mark.parametrize("q,t", [(3, 2), (5, 2), (5, 3), (7, 3)])
+    def test_built_grids_run_no_member_pass(self, q, t, pool_size, monkeypatch):
+        grid = grid_source(q, t)
+        assert grid.relabels(q)
+        assert not grid.relabels(q + 1) and not grid.T.relabels(q)
+        for size in (1, 2, 3):
+            pool_size(size)
+            spy = spy_members(monkeypatch)
+            assert oa._sdloa_ok(grid, q, t)
+            ok, [cols] = oa._large_set_ok([grid], q, t, True)
+            assert ok and cols.all()
+            assert spy.calls == 0, size
+
+    @pytest.mark.parametrize("q,t", [(5, 2), (5, 3), (7, 3)])
+    def test_pipeline_runs_no_member_pass(self, q, t, monkeypatch):
+        spy = spy_members(monkeypatch)
+        table = gf.build_field_q(q)
+        construct.build_ms_qt(table, t)
+        assert spy.calls == 0
+
+    def test_random_table_runs_the_member_pass(self, monkeypatch):
+        grid = grid_source(5, 2)
+        table = grid.table.copy()
+        table[7] = (table[7] + 1) % 5
+        source = oa._GridStack(table, grid.a, grid.b)
+        assert not source.relabels(5)
+        spy = spy_members(monkeypatch)
+        assert oa._large_set_ok([source], 5, 2)[0] == oa_oracle._large_set_ok(
+            [gathered(source)], 5, 2)
+        assert spy.calls > 0
+
+    @pytest.mark.parametrize("kind", ["symbols permuted", "rows and columns permuted"])
+    @pytest.mark.parametrize("q,t", [(3, 2), (5, 2), (5, 3)])
+    def test_latin_tables(self, q, t, kind, pool_size, monkeypatch):
+        grid = latin_grid(grid_source(q, t), kind, q)
+        assert grid.relabels(q)
+        verdict = assert_grid_agrees(grid, q, t, pool_size, monkeypatch)
+        if kind == "symbols permuted":  # a relabelling of a valid grid
+            assert verdict is True
+        spy = spy_members(monkeypatch)
+        oa._sdloa_ok(grid, q, t)
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("kind", ["row not a permutation", "column not a permutation",
+                                      "a not a row start"])
+    @pytest.mark.parametrize("q,t", [(3, 2), (5, 2), (5, 3)])
+    def test_unproved_grids_fall_back(self, q, t, kind, pool_size, monkeypatch):
+        grid = broken_grid(grid_source(q, t), kind, q)
+        assert not grid.relabels(q)
+        assert assert_grid_agrees(grid, q, t, pool_size, monkeypatch) is not None
+        spy = spy_members(monkeypatch)
+        oa._sdloa_ok(grid, q, t)
+        assert spy.calls > 0

@@ -15,8 +15,8 @@ from conftest import cells_family, rows_family
 
 def kernel_rows(stack: np.ndarray, v: int) -> np.ndarray:
     """The member pass's mask of members proved relabellings of member 0."""
-    seen = np.zeros(v ** stack.shape[1], dtype=np.uint8)
-    return oa._member_pass(oa._HeldStack(stack), v, seen)[1]
+    bits = np.zeros((v ** stack.shape[1] + 7) // 8, dtype=np.uint8)
+    return oa._member_pass(oa._HeldStack(stack), v, bits)[1]
 
 
 def kernel_members_ok(stack: np.ndarray, v: int, t: int) -> bool:

@@ -16,7 +16,7 @@ from multimagic import _pool, cli, construct, io, linalg, oa, verify
 from multimagic.errors import ConstructionError, FormatError
 from multimagic.verify import MagicSquare, verify_cms, verify_ms
 
-from conftest import GOLDEN_CMS9
+from conftest import GOLDEN_CMS9, GOLDEN_LOA
 from text_oracle import text_rows
 
 POOL_SIZES = (1, 2, 3)
@@ -462,7 +462,8 @@ class TestWriterAgreement:
 # ---------------------------------------------------------------------------
 
 KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode"),
-           "decode": (io, "_scan"), "codes": (oa, "_pass_block")}
+           "decode": (io, "_scan"), "codes": (oa, "_grid_codes"),
+           "member pass": (oa, "_pass_block")}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -488,6 +489,13 @@ def test_worker_errors_keep_exit_codes(kernel, exc, code, tmp_path, monkeypatch,
         # a user's file
         assert cli.main(command) == 0
         command = ["verify-ms", str(out)]
+    elif kernel == "member pass":
+        # a built grid is proved from its structure, so the per-entry pass
+        # runs on a held family: nine arrays of the frozen file, a large set
+        fam = io.read_oa_family(GOLDEN_LOA)
+        io.write_oa_family(out, oa.ArrayFamily(fam.members[:9]))
+        command = ["verify-oa", str(out), "--large-set"]
+        assert cli.main(command) == 0
     monkeypatch.setattr(module, name, failing)
     assert cli.main([*command, "--threads", "2"]) == code
     assert ran_on and threading.main_thread() not in ran_on
