@@ -1,8 +1,8 @@
 /* The compiled kernels of multimagic, built by _codec.py: the integer
  * text codec of the MMS, OAF and CMS bodies (see io.py), and below it the
- * grid gather, the grid square's rows and the member pass of the
- * large-set and SDLOA checks (see oa.py), the power sums of verify.py,
- * and the bit seen-map that verify.py and oa.py both mark.
+ * grid square's rows and the member pass of the large-set and SDLOA
+ * checks (see oa.py), the power sums of verify.py, and the bit seen-map
+ * that verify.py and oa.py both mark.
  *
  * The text codec.  A body token is [+-]?[0-9]+ within the int64 range;
  * tokens are separated by spaces, tabs and line breaks, and a line break
@@ -238,29 +238,6 @@ size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out)
 }
 
 /* ---------------------------------------------------------------------
- * The grid gather of the SDLOA check (see oa.py).
- *
- * Entry (s, j, i) of a gathered block, at out[(s * n + j) * k + i], is
- * table[a[s * k + i] + b[j * k + i]], for s < count, j < n and i < k:
- * a grid's cells E1 X + E2 Y, read from the flat addition table with a
- * holding q * E1 X, or with a and b swapped, its column orientation.  The
- * caller checks that every sum indexes the table.
- * ------------------------------------------------------------------- */
-
-void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t *b,
-            size_t n, size_t k, int16_t *out)
-{
-    for (size_t s = 0; s < count; s++) {
-        const int64_t *as = a + s * k;
-        for (size_t j = 0; j < n; j++) {
-            const int64_t *bj = b + j * k;
-            for (size_t i = 0; i < k; i++)
-                *out++ = table[as[i] + bj[i]];
-        }
-    }
-}
-
-/* ---------------------------------------------------------------------
  * The rows of a grid's square (see oa._GridStack.codes).
  *
  * Entry (r, c) of the square, at out[(r - r0) * n + c] for r0 <= r < r1
@@ -326,10 +303,10 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
  *
  * A block holds members first..last-1 of a stack of members, each k x n
  * over the symbols 0..v-1, read in place through byte strides: entry
- * (m, i, j) is at byte (m - first) * sm + i * si + j * sj of data, an
- * int16, or an int64 if wide.  ref is member 0 of the stack, laid out
- * with the same strides si and sj; it need not lie in the block.  For
- * each member m of the block and each of its columns j, members():
+ * (m, i, j) is the int64 at byte (m - first) * sm + i * si + j * sj of
+ * data.  ref is member 0 of the stack, laid out with the same strides si
+ * and sj; it need not lie in the block.  For each member m of the block
+ * and each of its columns j, members():
  *   - writes codes[(m - first) * n + j], the block's own codes: the
  *     column's base-v code, row 0 least significant, when every entry of
  *     the column lies in 0..v-1, so that code < v^k, and -1 otherwise;
@@ -341,9 +318,8 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
  *     equals cols[(j * k + i) * v + entry (m, i, 0)] for every i: column
  *     slab j (entry (i, m) = entry (m, i, j)) is then column slab 0 with
  *     each row relabelled by the images in cols.
- * The image tables are contiguous, of the entries' width.  An entry
- * outside 0..v-1 clears rows_ok[m] and cols_ok[j] and makes its column's
- * code -1.
+ * An entry outside 0..v-1 clears rows_ok[m] and cols_ok[j] and makes its
+ * column's code -1.
  * The caller passes rows only if member 0, and cols only if column 0 of
  * every member, lies in 0..v-1, so that every table index is in bounds,
  * and needs v^k < 2^63, so that k <= MAX_ROWS.
@@ -351,45 +327,44 @@ void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
 
 #define MAX_ROWS 63
 
-static inline int64_t entry(const char *data, int wide, ptrdiff_t at)
+static inline int64_t entry(const char *data, ptrdiff_t at)
 {
-    return wide ? *(const int64_t *)(data + at) : *(const int16_t *)(data + at);
+    return *(const int64_t *)(data + at);
 }
 
-static inline __attribute__((always_inline)) void
-pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
-     ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-     const char *rows, unsigned char *rows_ok, const char *cols, unsigned char *cols_ok,
-     int64_t *codes)
+void members(const void *data, const void *ref, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
+             size_t first, size_t last, size_t k, size_t n, int64_t v, const int64_t *rows,
+             unsigned char *rows_ok, const int64_t *cols, unsigned char *cols_ok,
+             int64_t *codes)
 {
     const uint64_t uv = (uint64_t)v;
-    const ptrdiff_t width = wide ? 8 : 2, table = (ptrdiff_t)k * v * width;
+    const ptrdiff_t table = (ptrdiff_t)k * v;
     ptrdiff_t col0[MAX_ROWS];
     uint64_t power[MAX_ROWS];
     power[0] = 1;
     for (size_t i = 1; i < k; i++)
         power[i] = power[i - 1] * uv;
     for (size_t m = first; m < last; m++) {
-        const char *member = data + (ptrdiff_t)(m - first) * sm;
-        const char *img = rows ? rows + (ptrdiff_t)m * table : NULL;
-        if (cols)  /* offsets of column slab 0's symbols in the tables */
+        const char *member = (const char *)data + (ptrdiff_t)(m - first) * sm;
+        const int64_t *img = rows ? rows + (ptrdiff_t)m * table : NULL;
+        if (cols)  /* indices of column slab 0's symbols in the tables */
             for (size_t i = 0; i < k; i++)
-                col0[i] = ((ptrdiff_t)i * v + entry(member, wide, (ptrdiff_t)i * si)) * width;
+                col0[i] = (ptrdiff_t)i * v + entry(member, (ptrdiff_t)i * si);
         unsigned bad = 0;
         for (size_t j = 0; j < n; j++) {
             const ptrdiff_t jo = (ptrdiff_t)j * sj;
-            const char *cimg = cols ? cols + (ptrdiff_t)j * table : NULL;
+            const int64_t *cimg = cols ? cols + (ptrdiff_t)j * table : NULL;
             uint64_t code = 0;
             unsigned out = 0, rbad = 0, cbad = 0;
             for (size_t i = 0; i < k; i++) {
                 const ptrdiff_t at = jo + (ptrdiff_t)i * si;
-                int64_t x = entry(member, wide, at);
+                int64_t x = entry(member, at);
                 out |= (uint64_t)x >= uv;
                 code += (uint64_t)x * power[i];
                 if (rows)
-                    rbad |= x != entry(img, wide, ((ptrdiff_t)i * v + entry(ref, wide, at)) * width);
+                    rbad |= x != img[(ptrdiff_t)i * v + entry(ref, at)];
                 if (cols)
-                    cbad |= x != entry(cimg, wide, col0[i]);
+                    cbad |= x != cimg[col0[i]];
             }
             codes[(m - first) * n + j] = out ? -1 : (int64_t)code;
             if (cols && (cbad | out))
@@ -399,20 +374,6 @@ pass(const char *data, const char *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
         if (rows && bad)
             rows_ok[m] = 0;
     }
-}
-
-void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
-             ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-             const void *rows, unsigned char *rows_ok, const void *cols,
-             unsigned char *cols_ok, int64_t *codes)
-{
-    /* one specialised copy of the pass per entry width */
-    if (wide)
-        pass(data, ref, 1, sm, si, sj, first, last, k, n, v, rows, rows_ok, cols, cols_ok,
-             codes);
-    else
-        pass(data, ref, 0, sm, si, sj, first, last, k, n, v, rows, rows_ok, cols, cols_ok,
-             codes);
 }
 
 /* ---------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The compiled kernels: ``_codec.c``, built with cffi in API mode.
 
-The library holds the text codec of io.py, the grid gather, the grid
-square's rows and the member pass of the large-set and SDLOA checks in
-oa.py, the power sums of verify.py, and the bit seen-map that verify.py
-and oa.py both mark.  It is built on
+The library holds the text codec of io.py, the grid square's rows and
+the int64 member pass of the large-set and SDLOA checks in oa.py, the
+power sums of verify.py, and the bit seen-map that verify.py and oa.py
+both mark.  It is built on
 first import into the per-user cache (``$XDG_CACHE_HOME/multimagic``, else
 ``~/.cache/multimagic``), in a directory ``codec-<abi>-<key>`` named by the
 interpreter's cache tag and by checksums of the C source, its
@@ -40,15 +40,13 @@ int check(const char *text, size_t size, size_t cut, size_t *counts);
 int parse(const char *text, size_t size, size_t cut, int64_t *values,
           size_t n_values, int64_t *lines, size_t n_lines, size_t *bad);
 size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out);
-void gather(const int16_t *table, const int64_t *a, size_t count, const int64_t *b,
-            size_t n, size_t k, int16_t *out);
 void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
                const int32_t *index, size_t n, size_t r0, size_t r1, int64_t *work,
                int64_t *out);
-void members(const void *data, const void *ref, int wide, ptrdiff_t sm, ptrdiff_t si,
-             ptrdiff_t sj, size_t first, size_t last, size_t k, size_t n, int64_t v,
-             const void *rows, unsigned char *rows_ok, const void *cols,
-             unsigned char *cols_ok, int64_t *codes);
+void members(const void *data, const void *ref, ptrdiff_t sm, ptrdiff_t si, ptrdiff_t sj,
+             size_t first, size_t last, size_t k, size_t n, int64_t v, const int64_t *rows,
+             unsigned char *rows_ok, const int64_t *cols, unsigned char *cols_ok,
+             int64_t *codes);
 void sums(const int64_t *block, size_t rows, size_t n, size_t r0, int64_t base,
           const uint64_t *odd, size_t count, const unsigned char *reduce, size_t top,
           const size_t *needs, uint64_t *work, int64_t *rows_out, int64_t *cols_out,

@@ -1,5 +1,5 @@
-"""One worker pool shared by the per-entry passes (power sums, grid
-gather, column codes, text encoding and decoding).
+"""One worker pool shared by the per-entry passes (power sums, member
+pass, grid square rows, text encoding and decoding).
 
 The pool is created on first use, so importing the package starts no
 thread.  Its workers run private kernels only; public functions always

@@ -28,6 +28,7 @@ both through rows(), one block per pool task, so neither the grid square
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -170,9 +171,9 @@ class GridSquare(_RowSource):
 @dataclass(frozen=True)
 class SdloaGrid:
     """A q^t x q^t grid of 2t-component cells E1 X + E2 Y, plus its
-    provenance.  Nothing of size N^2 is held: the grid check reads the
-    cells block by block, the square fills its cell codes on demand, and
-    cells gathers them whole only on request."""
+    provenance and the row orientation its check read.  Nothing of size
+    N^2 is held: the square fills its cell codes on demand, and cells
+    gathers them whole only on request."""
 
     table: FieldTable
     t: int
@@ -182,17 +183,22 @@ class SdloaGrid:
     def n(self) -> int:
         return self.table.q**self.t
 
+    @cached_property
+    def stack(self) -> oa._GridStack:
+        """The grid's row orientation, built from the certificate once."""
+        return _grid_stack(self.cert)
+
     @property
     def cells(self) -> np.ndarray:
         """The (N, N, 2t) element labels, gathered whole on every call, for
         tests and API users: no pipeline stage reads them."""
-        return _grid_stack(self.cert).pick(slice(None)).transpose(0, 2, 1)
+        return self.stack.pick(slice(None)).transpose(0, 2, 1)
 
     @property
     def square(self) -> GridSquare:
         """The grid's square of cell codes, component 0 least significant,
         as a row source; grid_to_ms verifies it."""
-        return GridSquare(_grid_stack(self.cert), self.t)
+        return GridSquare(self.stack, self.t)
 
 
 def _require_pair_flags(cert: MatrixPairCertificate) -> None:
@@ -210,10 +216,10 @@ def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
     large set before returning."""
     _require_pair_flags(cert)
-    # the check gathers the cells block by block
-    if not oa._sdloa_ok(_grid_stack(cert), cert.table.q, cert.t):
+    grid = SdloaGrid(cert.table, cert.t, cert)
+    if not oa._sdloa_ok(grid.stack, cert.table.q, cert.t):
         raise ConstructionError("grid failed strong-double-large-set verification")
-    return SdloaGrid(cert.table, cert.t, cert)
+    return grid
 
 
 def grid_to_ms(grid: SdloaGrid) -> GridSquare:
@@ -284,10 +290,11 @@ class CmsFamily:
 
 
 def _covers(codes: np.ndarray) -> bool:
-    """The codes mark every value 0..codes.size-1, so each exactly once."""
-    seen = np.zeros(codes.size, dtype=bool)
-    seen[codes.ravel()] = True  # a contiguous copy indexes faster
-    return bool(seen.all())
+    """The codes cover every value 0..codes.size-1, so each exactly once:
+    marked in a map of codes.size bits, they set every bit."""
+    full = codes.size
+    bits = np.zeros((full + 7) // 8, dtype=np.uint8)
+    return oa._mark(bits, full, [np.ascontiguousarray(codes, dtype=np.int64)]) == full
 
 
 def build_cms(cert: MatrixPairCertificate,

@@ -5,17 +5,15 @@ tally and one member pass.  A stack is held in memory (_HeldStack, a
 file family, possibly a strided view) or is a grid's row orientation
 that is never held whole (_GridStack): entry (m, i, j) is component i of
 cell(X_m, Y_j) = E1 X_m + E2 Y_j, table[q * E1 X_m + E2 Y_j] in the flat
-addition table.  The checks read both kinds alike, block by block; only
-where a block comes from differs.  A held stack's blocks are views of
-it, and a grid's are gathered by the compiled gather of _codec.c, one
-block of grid rows per pool task, as each task needs it.  Everything
-else the checks read (member 0, column slab 0, the relabelling images,
-unproved members or slabs, the diagonal selections) is gathered alone.
-A grid's column codes, the cell codes that make its square, are filled
-on request, any run of members at a time, by _GridStack.codes (the
-compiled grid_rows), so the N^2 codes are never held either.  The check
-of a valid grid gathers no block at all (see Members below): it holds
-O(N k) cells, the code blocks in flight and the v^k-bit coverage map:
+addition table.  A grid gathers from the table just what the checks
+read of it (member 0, column slab 0, unproved members or slabs, the
+diagonal selections), and its column codes, the cell codes that make its
+square, are filled on request, any run of members at a time, by
+_GridStack.codes (the compiled grid_rows), so the N^2 codes are never
+held either.  The check of a valid grid is proved from its structure
+(see Members below): it holds O(N k) cells, the code blocks in flight
+and the v^k-bit coverage map.  A grid its structure does not prove is
+gathered whole, once, for the member pass:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
   base v by one float64 BLAS product and counted against the index
@@ -26,14 +24,14 @@ O(N k) cells, the code blocks in flight and the v^k-bit coverage map:
   any v^k.
 * The member pass is the compiled kernel ``members`` of _codec.c, run
   over blocks of members on the worker pool with the interpreter lock
-  released.  It reads the stack once, each block in place (int16 or
-  int64 entries; a held stack of any other integer type is converted
-  once) and checked against member 0 and column slab 0, read before the
-  pass.  Per column it writes the base-v int64 code, row 0 least
-  significant, exact while v^k < 2^63 (column_codes raises ValueError
-  beyond; a large set holds v^k columns in memory, so its codes are
-  always in range), or -1 for a column holding a symbol outside 0..v-1,
-  into the block's own codes, which the pool task returns.
+  released.  It reads an int64 held stack once, each block in place (any
+  other stack, a grid included, is gathered whole into one first) and
+  checked against member 0 and column slab 0, read before the pass.  Per
+  column it writes the base-v int64 code, row 0 least significant, exact
+  while v^k < 2^63 (column_codes raises ValueError beyond; a large set
+  holds v^k columns in memory, so its codes are always in range), or -1
+  for a column holding a symbol outside 0..v-1, into the block's own
+  codes, which the pool task returns.
 * Coverage: the family holds exactly v^k columns (checked first, a
   ValueError otherwise), and every column code is marked in a v^k-bit
   map by the compiled mark() that verify.py also uses, on the calling
@@ -244,9 +242,8 @@ class _GridStack:
     b[j, i]], never held whole.  With table the flat addition table of
     GF(q), a holding q * E1 X and b holding E2 Y, it is a grid's row
     orientation, member r the cells of grid row r.  Its reads are those of
-    _HeldStack, but each gathers just the entries it returns: members
-    through the compiled gather, with no index temporary, and selected
-    entries in O(count k w)."""
+    _HeldStack, but each gathers from the table just the entries it
+    returns."""
 
     def __init__(self, table: np.ndarray, a: np.ndarray, b: np.ndarray):
         self.table = np.ascontiguousarray(table, dtype=np.int16)
@@ -262,7 +259,6 @@ class _GridStack:
                 a_lo + b_lo < 0 or a_hi + b_hi >= self.table.size):
             raise ValueError("grid sums index outside the table")
         self.shape = (self.a.shape[0], self.a.shape[1], self.b.shape[0])
-        self.dtype = self.table.dtype
 
     @property
     def T(self) -> "_GridStack":
@@ -291,14 +287,10 @@ class _GridStack:
                     and b_lo >= 0 and b_hi < v)
 
     def pick(self, index) -> np.ndarray:
-        """The members at index, a slice or an integer array, gathered into
-        a (count, N, k) array and returned as its (count, k, N) view."""
-        a = np.ascontiguousarray(self.a[index])
-        (count, k), n = a.shape, self.shape[2]
-        out = np.empty((count, n, k), dtype=np.int16)
-        _lib.gather(_buffer("int16_t[]", self.table), _buffer("int64_t[]", a), count,
-                    _buffer("int64_t[]", self.b), n, k, _buffer("int16_t[]", out))
-        return out.transpose(0, 2, 1)
+        """The members at index, a slice or an integer array, as a stack;
+        the table index is int32 when the table allows it, half the size."""
+        kind = np.int32 if self.table.size <= 2**31 else np.int64
+        return self.table[np.add(self.a[index][:, :, None], self.b.T, dtype=kind)]
 
     def entries(self, cols: np.ndarray) -> np.ndarray:
         """The (count, k, w) entries (m, i, cols[m, i, a]), cols being
@@ -366,9 +358,9 @@ def _images(ref: np.ndarray, slabs, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Relabelling tables of a stack of slabs against its slab 0, ref
     (k, L), whose entries lie in 0..v-1: images[s, i, a] is entry (i, j)
     of slab s at the first j with ref[i, j] == a, the map sigma_i of slab
-    s taken from first occurrences, contiguous and of the stack's dtype;
-    and a mask over the slabs, True where every sigma_i is injective on
-    the symbols of ref's row i.  Symbols absent from a row get distinct
+    s taken from first occurrences, contiguous and int64; and a mask over
+    the slabs, True where every sigma_i is injective on the symbols of
+    ref's row i.  Symbols absent from a row get distinct
     negative images."""
     k, size = ref.shape
     first = np.full((k, v), size, dtype=np.intp)
@@ -390,17 +382,17 @@ def _buffer(kind: str, arr: np.ndarray | None):
     return _ffi.NULL if arr is None else _ffi.from_buffer(kind, arr)
 
 
-def _pass_block(stack, codes: np.ndarray | None, head: tuple, tail: tuple, step: int,
+def _pass_block(stack, codes: np.ndarray | None, ref, tail: tuple, step: int,
                 first: int) -> np.ndarray:
     """Members first..first+step-1 through the kernel, the pooled body of
-    _member_pass: the block is a view of a held stack, or gathered here
-    for a grid.  Returns the block's column codes, written into its rows
-    of codes or, if codes is None, into a new array."""
+    _member_pass, the block a view of an int64 held stack and ref the
+    address of its member 0.  Returns the block's column codes, written
+    into its rows of codes or, if codes is None, into a new array."""
     blk = stack.pick(slice(first, first + step))
     count, _, n = blk.shape
     out = (np.empty((count, n), dtype=np.int64) if codes is None
            else codes[first:first + count])
-    _lib.members(_ffi.cast("void *", blk.ctypes.data), *head, *blk.strides,
+    _lib.members(_ffi.cast("void *", blk.ctypes.data), ref, *blk.strides,
                  first, first + count, *tail, _buffer("int64_t[]", out))
     return out
 
@@ -424,13 +416,13 @@ def _grid_codes(grid: "_GridStack", step: int, first: int) -> np.ndarray:
 
 def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = False,
                  codes: bool = False):
-    """One pass of the compiled kernel over a (count, k, N) _HeldStack or
-    _GridStack, in blocks of members on the pool, each block read in place
-    if its entries are int16 or int64 (a held stack of any other integer
-    type is converted once).  Each block writes its own base-v column
-    codes, row 0 least significant, -1 for a column holding a symbol
-    outside 0..v-1.  Returns three arrays, each None unless asked for,
-    and a count:
+    """One pass of the compiled kernel over a (count, k, N) _HeldStack of
+    int64 entries, in blocks of members on the pool, each block read in
+    place; any other stack, a _GridStack or entries of another integer
+    type, is gathered whole into one first.  Each block writes its own
+    base-v column codes, row 0 least significant, -1 for a column holding
+    a symbol outside 0..v-1.  Returns three arrays, each None unless asked
+    for, and a count:
 
     * with codes, the (count, N) column codes;
     * with bits (a v^k-bit map, (v^k + 7) // 8 uint8), rows is True where
@@ -448,7 +440,7 @@ def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = 
     count, k, n = stack.shape
     if max(v, 2)**k >= 2**63:  # also bounds k for the kernel
         raise ValueError(f"column codes of {k} rows over {v} symbols overflow int64")
-    if stack.dtype not in (np.int16, np.int64):
+    if not isinstance(stack, _HeldStack) or stack.dtype != np.int64:
         stack = _HeldStack(stack.pick(slice(None)).astype(np.int64))
     codes = np.empty((count, n), dtype=np.int64) if codes else None
     ref = stack.pick(slice(0, 1))[0] if count else None
@@ -463,12 +455,11 @@ def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = 
         if n and _in_range(slab := by_col.pick(slice(0, 1))[0], v):
             col_images, cols[:] = _images(slab, by_col, v)
     # ref has the strides of every block's members (see members() in _codec.c)
-    head = (_ffi.NULL if ref is None else _ffi.cast("void *", ref.ctypes.data),
-            stack.dtype != np.int16)
-    tail = (k, n, v, _buffer("char[]", row_images), _buffer("unsigned char[]", rows),
-            _buffer("char[]", col_images), _buffer("unsigned char[]", cols))
+    at = _ffi.NULL if ref is None else _ffi.cast("void *", ref.ctypes.data)
+    tail = (k, n, v, _buffer("int64_t[]", row_images), _buffer("unsigned char[]", rows),
+            _buffer("int64_t[]", col_images), _buffer("unsigned char[]", cols))
     starts = _pool.blocks(count, k * n, _CODE_ENTRIES)
-    block = partial(_pass_block, stack, codes, head, tail, starts.step)
+    block = partial(_pass_block, stack, codes, at, tail, starts.step)
     if bits is None:
         _pool.each(block, starts)
         return codes, rows, cols, 0

@@ -1,10 +1,11 @@
 """The build cache of the compiled kernels: one compile per source, reuse
 on later imports, a rebuild when the source changes that keeps the few
 most recently used builds of the same interpreter, and no half-built
-module left behind."""
+module left behind; and no unused parameter or variable in the kernels."""
 
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,3 +122,12 @@ def test_failed_build_names_the_tools(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="gcc and cffi"):
         _codec._load()
     assert list((tmp_path / "multimagic").iterdir()) == []
+
+
+def test_kernels_leave_nothing_unused():
+    # the kernels alone: a parameter or variable that a change to a kernel
+    # leaves unused is an error; other warnings vary with gcc's version
+    done = subprocess.run(["gcc", "-O3", "-c", "-o", os.devnull, "-Werror=unused-parameter",
+                           "-Werror=unused-variable", "-Werror=unused-but-set-variable",
+                           str(_codec._SOURCE)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -145,7 +145,7 @@ class TestKernelMatchesOracle:
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.int32, np.uint8, ">i2"])
     def test_entry_types(self, dtype):
-        # int16 and int64 are read in place, others converted once
+        # int64 is read in place, others converted once
         stack = grid_stack(5, 2)
         want = kernel(stack, 5)
         for a, b in zip(kernel(stack.astype(dtype), 5), want):
@@ -274,7 +274,8 @@ class TestProperty:
 
 
 # ---------------------------------------------------------------------------
-# The grid check without held cells: a _GridStack, gathered block by block
+# The grid check without held cells: a _GridStack, gathered whole only
+# for the member pass
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)

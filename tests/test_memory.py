@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multimagic import _pool, construct, gf, io, linalg, oa, verify
+from multimagic import construct, gf, io, linalg, oa, verify
 
 
 def traced_peak(fn, *args):
@@ -65,11 +65,10 @@ def test_grid_check_holds_no_cells():
 
 
 def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
-    """build_ms_qt, build_cms_family and build_ms_q2t1 read their grids
-    block by block: neither the whole-cell gather nor the grid square's
-    whole-square gather is ever called, and no gather holds more members
-    than a block of the member pass, one member at least (member 0,
-    column slab 0)."""
+    """build_ms_qt, build_cms_family and build_ms_q2t1 prove their grids
+    from the grid's structure: neither the whole-cell gather nor the grid
+    square's whole-square gather is ever called, and every gather of grid
+    members fetches one member (member 0, column slab 0)."""
     def whole(self):
         raise AssertionError("the whole cell grid was gathered")
 
@@ -78,7 +77,6 @@ def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
 
     monkeypatch.setattr(construct.SdloaGrid, "cells", property(whole))
     monkeypatch.setattr(construct.GridSquare, "entries", property(whole_square))
-    monkeypatch.setattr(oa, "_CODE_ENTRIES", 3000)
     picks = []
     pick = oa._GridStack.pick
 
@@ -92,8 +90,7 @@ def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
     construct.build_cms_family(f5, 2)
     construct.build_ms_q2t1(f5, 3)
     assert {(k, n) for _, k, n in picks} == {(6, 125), (4, 25)}
-    for count, k, n in picks:
-        assert count <= max(1, oa._CODE_ENTRIES // _pool.size() // (k * n))
+    assert {count for count, _, _ in picks} == {1}
 
 
 def test_verify_in_row_blocks(cert625, monkeypatch):

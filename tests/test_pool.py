@@ -409,8 +409,8 @@ def test_stress_more_workers_than_cores(ms125, f5, pool_size, monkeypatch, tmp_p
 
 
 class TestGridAgreement:
-    """The cell gather and the column codes, in blocks of any size on any
-    pool, give the whole-array results."""
+    """The grid's cells and the member pass's column codes, in blocks of
+    any size on any pool, give the whole-array results."""
 
     def test_cells_and_codes(self, f5, pool_size, monkeypatch):
         cert = linalg.find_sdloa_pair(f5, 3)
@@ -428,8 +428,8 @@ class TestGridAgreement:
         for size, rows in _configs():
             pool_size(size)
             monkeypatch.setattr(oa, "_CODE_ENTRIES", rows * size * n * k)
-            # one code path: the member pass, for a grid gathered block by
-            # block, a held stack and a single array alike
+            # one code path: the member pass, for a grid gathered whole, a
+            # held stack and a single array alike
             assert np.array_equal(oa._member_pass(grid, 5, codes=True)[0], want_codes), \
                 (size, rows)
             assert np.array_equal(oa._member_pass(oa._HeldStack(members), 5, codes=True)[0],
