@@ -3,92 +3,85 @@
 The package builds t-multimagic squares of prime-power orders through
 vector grids over GF(q) and verifies every claimed combinatorial
 property with exact integer arithmetic.
+
+Importing the package loads none of its modules: each public name and
+submodule is imported on first use (PEP 562).  ``import multimagic`` so
+loads neither numpy nor the compiled kernels, which the first import of
+a module that needs them builds or loads from the cache (see _codec.py),
+and the command line can limit numpy's BLAS threads before numpy loads
+(see cli.py).
 """
 
-# Built, or loaded from the cache, at import: the first read or write
-# then pays no compile.
-from . import _codec  # noqa: F401
-from .construct import (
-    BlockAssignment,
-    CmsFamily,
-    ComposedSquare,
-    GridSquare,
-    OrderPlan,
-    SdloaGrid,
-    TranslationScheme,
-    build_cms,
-    build_cms_family,
-    build_loa,
-    build_ms_q2t1,
-    build_ms_qt,
-    build_sdloa_grid,
-    cms_compose,
-    grid_to_ms,
-    make_block_assignment,
-    plan_order,
-    product_compose,
-)
-from .errors import ConstructionError, FormatError, SearchExhausted
-from .gf import FieldSpec, FieldTable, build_field, build_field_q, primitive_element
-from .linalg import (
-    FMatrix,
-    MatrixPairCertificate,
-    find_cms_pair,
-    find_sdloa_pair,
-    is_nonsingular,
-    is_strength_t,
-    rank,
-    vandermonde_base,
-)
-from .oa import ArrayFamily, OrthArray, is_simple, verify_large_set, verify_oa, verify_sdloa
-from .verify import MagicSquare, VerifyReport, magic_sum, verify_cms, verify_ms
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayFamily",
-    "BlockAssignment",
-    "CmsFamily",
-    "ComposedSquare",
-    "ConstructionError",
-    "FieldSpec",
-    "FieldTable",
-    "FMatrix",
-    "FormatError",
-    "GridSquare",
-    "MagicSquare",
-    "MatrixPairCertificate",
-    "OrderPlan",
-    "OrthArray",
-    "SdloaGrid",
-    "SearchExhausted",
-    "TranslationScheme",
-    "VerifyReport",
-    "build_cms",
-    "build_cms_family",
-    "build_field",
-    "build_field_q",
-    "build_loa",
-    "build_ms_q2t1",
-    "build_ms_qt",
-    "build_sdloa_grid",
-    "cms_compose",
-    "find_cms_pair",
-    "find_sdloa_pair",
-    "grid_to_ms",
-    "is_nonsingular",
-    "is_simple",
-    "is_strength_t",
-    "magic_sum",
-    "make_block_assignment",
-    "plan_order",
-    "primitive_element",
-    "product_compose",
-    "rank",
-    "vandermonde_base",
-    "verify_cms",
-    "verify_large_set",
-    "verify_ms",
-    "verify_oa",
-    "verify_sdloa",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "ArrayFamily": "oa",
+    "BlockAssignment": "construct",
+    "CmsFamily": "construct",
+    "ComposedSquare": "construct",
+    "ConstructionError": "errors",
+    "FieldSpec": "gf",
+    "FieldTable": "gf",
+    "FMatrix": "linalg",
+    "FormatError": "errors",
+    "GridSquare": "construct",
+    "MagicSquare": "verify",
+    "MatrixPairCertificate": "linalg",
+    "OrderPlan": "construct",
+    "OrthArray": "oa",
+    "SdloaGrid": "construct",
+    "SearchExhausted": "errors",
+    "TranslationScheme": "construct",
+    "VerifyReport": "verify",
+    "build_cms": "construct",
+    "build_cms_family": "construct",
+    "build_field": "gf",
+    "build_field_q": "gf",
+    "build_loa": "construct",
+    "build_ms_q2t1": "construct",
+    "build_ms_qt": "construct",
+    "build_sdloa_grid": "construct",
+    "cms_compose": "construct",
+    "find_cms_pair": "linalg",
+    "find_sdloa_pair": "linalg",
+    "grid_to_ms": "construct",
+    "is_nonsingular": "linalg",
+    "is_simple": "oa",
+    "is_strength_t": "linalg",
+    "magic_sum": "verify",
+    "make_block_assignment": "construct",
+    "plan_order": "construct",
+    "primitive_element": "gf",
+    "product_compose": "construct",
+    "rank": "linalg",
+    "vandermonde_base": "linalg",
+    "verify_cms": "verify",
+    "verify_large_set": "oa",
+    "verify_ms": "verify",
+    "verify_oa": "oa",
+    "verify_sdloa": "oa",
+}
+
+# Submodules reachable as attributes of the bare package.
+_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "io", "_codec", "_pool"})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+        value = getattr(module, name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    if name in _SUBMODULES:
+        # Importing a submodule binds it in the package namespace.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

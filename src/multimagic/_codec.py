@@ -16,10 +16,11 @@ two source trees that share the cache, such as a checkout and its parent,
 each keep their build instead of recompiling at every start.  There is no
 pure-Python fallback: without gcc and cffi the import fails.
 
-The package imports this module, so that ``import multimagic`` pays the
-compile once rather than the first check, read or write.  cffi releases
-the interpreter lock during each call, so the kernels scale on the worker
-pool.
+The modules that call the kernels (io, oa and verify) import this
+module, so the first import of one of them pays the compile once rather
+than the first check, read or write; ``import multimagic`` alone loads
+neither it nor numpy.  cffi releases the interpreter lock during each
+call, so the kernels scale on the worker pool.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 pass, grid square rows, text encoding and decoding).
 
 The pool is created on first use, so importing the package starts no
-thread.  Its workers run private kernels only; public functions always
-run on the calling thread.  A call made on a worker runs inline, so
-nested maps cannot deadlock.
+thread: the package's import loads no module, and so not numpy, whose
+OpenBLAS starts worker threads as it loads.  The command line limits
+OpenBLAS to one thread before numpy loads, so its processes run the
+calling thread and these workers only.  The workers run private kernels
+only; public functions always run on the calling thread.  A call made
+on a worker runs inline, so nested maps cannot deadlock.
 """
 
 from __future__ import annotations

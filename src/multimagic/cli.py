@@ -14,8 +14,17 @@ import os
 import sys
 from math import gcd
 
-from . import _pool, construct, gf, io, linalg, oa, verify
-from .errors import ConstructionError, FormatError
+# The worker pool (--threads) is the command line's only parallelism.
+# OpenBLAS reads its thread count once, when numpy loads it, and its
+# workers spin on every core whether or not BLAS is called; the only
+# BLAS call here, the strength tally's product over at most 2t rows,
+# runs as fast on one thread.  So it is limited before the modules below
+# load numpy, unless the caller has set a count.  The package's own
+# import loads nothing (see __init__.py).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import _pool, construct, gf, io, linalg, oa, verify  # noqa: E402
+from .errors import ConstructionError, FormatError  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

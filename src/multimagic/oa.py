@@ -19,7 +19,9 @@ gathered whole, once, for the member pass:
   base v by one float64 BLAS product and counted against the index
   N / v^t.  Every code is below v^t, and v^t divides N (a slab whose N it
   does not divide fails untallied), so v^t <= N < 2^53 keeps the codes
-  exact.  In-scope arrays have at most 2t <= 20 rows.
+  exact.  In-scope arrays have at most 2t <= 20 rows, so the product
+  is small and one BLAS thread runs it as fast as several: the command
+  line runs OpenBLAS on one thread (see cli.py).
 * Distinct columns are found by a lexicographic column sort, exact for
   any v^k.
 * The member pass is the compiled kernel ``members`` of _codec.c, run
