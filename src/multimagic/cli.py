@@ -4,7 +4,9 @@ Exit codes: 0 success or verified, 1 verified-false, 2 usage error,
 3 construction failure, running out of memory included.  Generation
 commands self-verify before writing and re-read their own artifact
 through the file formats as a final consistency check; the artifact
-reaches its ``--out`` path only after that check passes.
+reaches its ``--out`` path only after that check passes.  Before
+building, they compute the exact size of the artifact's text and refuse,
+as a usage error, one that the file system of ``--out`` has no room for.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path}: no directory {parent}")
 
 
+def _check_space(path: str, size: int) -> None:
+    """Refuse, before anything is written, an artifact of size bytes that
+    the file system holding path has no room for.  The check is skipped
+    where os.statvfs is unavailable."""
+    try:
+        stat = os.statvfs(os.path.dirname(path) or ".")
+    except (AttributeError, OSError):
+        return
+    free = stat.f_bavail * stat.f_frsize
+    if size > free:
+        raise ValueError(f"--out {path}: the artifact takes {size} bytes, "
+                         f"and its file system has {free} bytes free")
+
+
 def _write_checked(write, path, artifact) -> None:
     """Write artifact to path + ".tmp" and rename it to path only once its
     read-back matches, so that path never holds an unverified artifact;
@@ -85,6 +101,9 @@ def _write_checked(write, path, artifact) -> None:
 def _cmd_gen_ms(args) -> int:
     _check_out(args.out)
     table = gf.build_field_q(args.q)
+    if args.t >= 1:  # else the builders refuse the degree
+        order = args.q ** (args.t if args.method == "qt" else 2 * args.t - 1)
+        _check_space(args.out, io.ms_text_bytes(order, args.t))
     progress = (lambda msg: print(f"# {msg}")) if args.verbose else None
     if args.method == "qt":
         sq = construct.build_ms_qt(table, args.t)
@@ -98,6 +117,8 @@ def _cmd_gen_ms(args) -> int:
 def _cmd_gen_cms(args) -> int:
     _check_out(args.out)
     table = gf.build_field_q(args.q)
+    if args.t >= 1:
+        _check_space(args.out, io.cms_text_bytes(args.q**args.t, args.q**args.t, args.t))
     fam = construct.build_cms_family(table, args.t)
     _write_checked(io.write_cms_bundle, args.out, fam)
     print(f"wrote {fam.m}-CMS({fam.n},{fam.t}) to {args.out}")
@@ -133,10 +154,12 @@ def _cmd_compose(args) -> int:
     if args.product:
         a = io.read_ms(args.product[0])
         b = io.read_ms(args.product[1])
+        _check_space(args.out, io.ms_text_bytes(a.n * b.n, a.t))
         sq = construct.product_compose(a, b)
     else:
         a = io.read_ms(args.cms[0])
         fam = io.read_cms_bundle(args.cms[1])
+        _check_space(args.out, io.ms_text_bytes(a.n * fam.n, a.t))
         assign = _infer_block_assignment(a.n, fam.m)
         sq = construct.cms_compose(a, fam, assign)
     _write_checked(io.write_ms, args.out, sq)

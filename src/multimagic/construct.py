@@ -19,10 +19,11 @@ filled on demand from q E1 X and E2 Y by the compiled grid_rows.  The
 compositions (product_compose, cms_compose, build_ms_q2t1) return a
 ComposedSquare: one implementation, a stack of member squares, an outer
 square and a block assignment, whose rows are filled block row by block
-row on demand.  Verification, the writers and the read-back check read
-both through rows(), one block per pool task, so neither the grid square
-(6.08 GiB as int64 at order 28561) nor the composite (8 GiB at order
-32768) is ever held.
+row on demand.  The writers and the read-back check read both through
+rows(), one block per pool task, and so does verification of a grid
+square, so neither the grid square (6.08 GiB as int64 at order 28561)
+nor the composite (8 GiB at order 32768) is ever held; a composite is
+verified from its parts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import linalg, oa, verify
 from .errors import ConstructionError
 from .gf import FieldTable, prime_power
 from .linalg import FMatrix, MatrixPairCertificate
-from .verify import MagicSquare
+from .verify import MagicSquare, _covers
 
 
 def index_to_vec(j: int, q: int, dim: int) -> tuple[int, ...]:
@@ -289,14 +290,6 @@ class CmsFamily:
         return self.members[0].n
 
 
-def _covers(codes: np.ndarray) -> bool:
-    """The codes cover every value 0..codes.size-1, so each exactly once:
-    marked in a map of codes.size bits, they set every bit."""
-    full = codes.size
-    bits = np.zeros((full + 7) // 8, dtype=np.uint8)
-    return oa._mark(bits, full, [np.ascontiguousarray(codes, dtype=np.int64)]) == full
-
-
 def build_cms(cert: MatrixPairCertificate,
               scheme: TranslationScheme | None = None) -> CmsFamily:
     """One member per (H, H*) pair, each an index permutation of grid 0's
@@ -406,7 +399,9 @@ class ComposedSquare(_RowSource):
     member f[I, J] of the (m', n, n) stack of normalised members, shifted
     by outer[I, J].  Block row I depends only on row I of outer and of f,
     so rows() fills any run of rows on demand, in O(rows * m * n) time
-    and memory."""
+    and memory.  verify.verify_ms checks it from these parts, with no
+    pass over its (m*n)^2 entries (see verify.py), so a square far beyond
+    what could be held or written, such as MS(7^7, 4), is verified."""
 
     outer: np.ndarray  # (m, m) block shifts, n^2 times the outer square
     stack: np.ndarray  # (m', n, n) members, entries 0..n^2-1 when valid

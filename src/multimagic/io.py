@@ -348,6 +348,31 @@ def write_ms(path, sq, binary: bool = False) -> None:
             f.write(np.ascontiguousarray(rows, dtype="<i8").tobytes())
 
 
+def _digit_bytes(count: int) -> int:
+    """The decimal digits of 0..count-1, all together."""
+    total, low, width = 0, 0, 1
+    while low < count:
+        high = 10**width
+        total += width * (min(count, high) - low)
+        low, width = high, width + 1
+    return total
+
+
+def ms_text_bytes(n: int, t: int) -> int:
+    """The exact size of the text file of any order-n square on 0..n^2-1,
+    such as every generated square that passes verification: its header,
+    every entry's digits, and n separators per row."""
+    return len(f"{_MS_MAGIC} {_VERSION} n={n} t={t} base=0\n") + _digit_bytes(n * n) + n * n
+
+
+def cms_text_bytes(m: int, n: int, t: int) -> int:
+    """The exact size of the bundle of m squares of order n on 0..n^2-1,
+    such as every family that passes verification: its header, m square
+    bodies, and a blank line between each two."""
+    return (len(f"{_CMS_MAGIC} {_VERSION} m={m} n={n} t={t}\n")
+            + m * (_digit_bytes(n * n) + n * n) + m - 1)
+
+
 def _read_binary_ms(raw: bytes) -> MagicSquare:
     nl = raw.find(b"\n")
     if nl < 0:

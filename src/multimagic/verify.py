@@ -8,6 +8,15 @@ whole: a construct.GridSquare fills its rows from the grid's cells, and a
 construct.ComposedSquare from its blocks, on demand.  Each pool task
 reads its own block, so a generated square is filled on the workers.
 
+``verify_ms`` takes one of two routes, chosen by the square's type.  A
+construct.ComposedSquare, the output of every composition, is checked
+from its parts: the outer shifts, the member stack and the block
+assignment f (see "The factored route" below); none of its N^2 entries
+is filled unless its parts fail the consecutive-entry check.  Every
+other square, held or generated, is read entry by entry through rows():
+the exhaustive route, which is also the tests' oracle for the factored
+one.  Both give the same report, failure by failure.
+
 No floating point anywhere.  Line power sums are taken modulo 2**64
 (int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then
 recombined exactly by the CRT.  Products of residues below 2**31, and
@@ -43,6 +52,33 @@ thread as the first pass's blocks arrive, and counts the bits it set.
 By pigeonhole the n^2 entries are 0..n^2-1, each once, exactly when they
 set n^2 bits.  The grid check of oa.py marks its column codes through the
 same ``mark()``, into a v^k-bit map, in the same way.
+
+The factored route.  Row I*n + lo of a composed square holds outer[I, J]
++ b_s[lo, c] with s = f[I, J], so by the binomial theorem its degree-e
+power sum is sum_k C(e, k) sum_s W_{e-k}[I, s] S_k[s, lo]: W_i[I, s] sums
+outer[I, J]^i over the blocks J of block row I that hold member s (a
+scatter-add grouped by f), S_k[s, lo] is row lo's k-th power sum in
+member s, and S_0 = n.  Columns are the same with column sums, and the
+diagonals cross blocks (I, I) and (I, m-1-I), reading the members' main
+and back diagonals.  So the N^2 entries of order N = m*n cost, per
+degree and modulus, a product of an (m, m') and an (m', n) matrix for
+the rows and one for the columns.  The moduli are those of _plan for
+order N and the bound of the parts' extremes, and also of [0, N^2), so
+that the targets lie within it; the members' residues come from the same
+sums() kernel, one member per call.  Each line's residues are compared
+with the target's, and only a line that misses is recombined by the CRT,
+for its exact sum.  The arithmetic stays in integers: modulo 2**64 the
+uint64 products and sums wrap exactly; for the odd moduli, _moduli is
+given a lower ceiling, isqrt((2**63 - 1) / m'), so that numpy's int64
+matrix product, a sum of m' products of residues, cannot overflow (six
+moduli instead of five for degree 4 at MS(7^7, 4), rather than a
+reduction per product or 16-bit limbs, which would double the products).
+The entries are 0..N^2-1 when outer is n^2 times a permutation of
+0..m^2-1 and every member that f names is a permutation of 0..n^2-1
+(each marked in a bit map).  The converse fails, so a square whose parts
+fail this is filled and marked entry by entry, as on the exhaustive
+route.  A square whose entries may leave the int64 range, which rows()
+would wrap, takes the exhaustive route.
 """
 
 from __future__ import annotations
@@ -216,10 +252,10 @@ def magic_sum(n: int, e: int) -> int:
 # Exact line sums over a square
 # ---------------------------------------------------------------------------
 
-def _moduli(bound: int) -> list[int]:
+def _moduli(bound: int, below: int = 2**31) -> list[int]:
     """Pairwise coprime moduli whose product exceeds 2 * bound: 2**64
-    first, then odd m < 2**31 stepping down from 2**31 - 1."""
-    moduli, product, m = [2**64], 2**64, 2**31 - 1
+    first, then odd m < below stepping down from the largest."""
+    moduli, product, m = [2**64], 2**64, (below - 2) | 1
     while product <= 2 * bound:
         if math.gcd(m, product) == 1:
             moduli.append(m)
@@ -233,13 +269,13 @@ def _moduli(bound: int) -> list[int]:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _plan(n: int, top: int, lo: int, hi: int):
-    """The moduli of the power sums of degrees 1..top of an order-n square
-    with entries in [lo, hi], the count each degree needs, and whether
-    entries need reducing modulo each."""
+def _plan(n: int, top: int, lo: int, hi: int, below: int = 2**31):
+    """The moduli, odd ones below below, of the power sums of degrees
+    1..top of an order-n square with entries in [lo, hi], the count each
+    degree needs, and whether entries need reducing modulo each."""
     big = max(-lo, hi)
-    needs = [len(_moduli(n * big ** e)) for e in range(1, top + 1)]
-    moduli = _moduli(n * big ** top)
+    needs = [len(_moduli(n * big ** e, below)) for e in range(1, top + 1)]
+    moduli = _moduli(n * big ** top, below)
     reduce = [j > 0 and not (0 <= lo and hi < m) for j, m in enumerate(moduli)]
     return moduli, needs, reduce
 
@@ -354,43 +390,211 @@ def _square_sums(sq, top: int):
     return marked == n * n, sums
 
 
-def _failures(targets: dict, consecutive_ok: bool, sums,
+def _exact_misses(target: int, sums) -> list:
+    """The (kind, index, got) of every line whose exact sum misses target:
+    rows, columns, then the main and the back diagonal."""
+    rows, cols, diag, back = sums
+    return ([("row", i, s) for i, s in enumerate(rows) if s != target]
+            + [("col", j, s) for j, s in enumerate(cols) if s != target]
+            + [(kind, None, s) for kind, s in (("diag-main", diag), ("diag-back", back))
+               if s != target])
+
+
+def _residue_misses(residues: np.ndarray, moduli: list[int], target: int) -> list:
+    """The misses of _exact_misses from a (K, 2n + 2) array of line sum
+    residues modulo the first K moduli, laid out rows, columns, main and
+    back diagonal.  A line misses iff a residue differs from the target's,
+    as the moduli's product exceeds twice a bound on both; only the lines
+    that miss are recombined by the CRT, for their exact sums."""
+    n = (residues.shape[1] - 2) // 2
+    want = np.array([(target + 2**63) % 2**64 - 2**63] + [target % m for m in moduli[1:]],
+                    dtype=np.int64)
+    miss = np.flatnonzero((residues != want[:, None]).any(axis=0))
+    got = _crt(residues[:, miss], moduli) if miss.size else []
+    kinds = ("row", "col", "diag-main", "diag-back")
+    return [(kinds[i // n], i % n, s) if i < 2 * n else (kinds[i - 2 * n + 2], None, s)
+            for i, s in zip(miss.tolist(), got)]
+
+
+def _failures(targets: dict, consecutive_ok: bool, misses,
               member: int | None = None) -> list[LineFailure]:
-    """Every line whose degree-e sum misses targets[e], degree by degree,
-    then the consecutive-entry failure, if any."""
-    failures = []
-    for (e, target), (rows, cols, diag, back) in zip(targets.items(), sums):
-        for i, s in enumerate(rows):
-            if s != target:
-                failures.append(LineFailure(e, "row", i, s, target, member))
-        for j, s in enumerate(cols):
-            if s != target:
-                failures.append(LineFailure(e, "col", j, s, target, member))
-        if diag != target:
-            failures.append(LineFailure(e, "diag-main", None, diag, target, member))
-        if back != target:
-            failures.append(LineFailure(e, "diag-back", None, back, target, member))
+    """A failure for each (kind, index, got) miss of each degree, misses
+    holding one list per degree of targets, then the consecutive-entry
+    failure, if any."""
+    failures = [LineFailure(e, kind, index, got, target, member)
+                for (e, target), lines in zip(targets.items(), misses)
+                for kind, index, got in lines]
     if not consecutive_ok:
         failures.append(LineFailure(0, "entries", member=member))
     return failures
 
 
+# ---------------------------------------------------------------------------
+# Line sums of a composed square from its parts
+# ---------------------------------------------------------------------------
+
+def _covers(values: np.ndarray) -> bool:
+    """The values cover every value 0..values.size-1, so each exactly
+    once: marked in a map of values.size bits, they set every bit."""
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    full = values.size
+    bits = np.zeros((full + 7) // 8, dtype=np.uint8)
+    return _lib.mark(_ffi.from_buffer("int64_t[]", values), full, 0, full,
+                     _ffi.from_buffer("unsigned char[]", bits)) == full
+
+
+def _member_sums(moduli: list[int], top: int, reduce: list[bool], run):
+    """The pooled kernel of the member stack: for each (n, n) member of
+    the run, its row and column sums (top, K, n) and its diagonal sums
+    (top, K) of the powers 1..top modulo each of the K moduli, from the
+    compiled sums(), and whether its entries are 0..n^2-1."""
+    out = []
+    for member in run:
+        sq = MagicSquare(member, 1)
+        n, k = sq.n, len(moduli)
+        rows, cols, diag, back, _, _, blk = _block_sums(sq, moduli, [k] * top, reduce, n, 0)
+        out.append((rows.reshape(top, k, n), cols.reshape(top, k, n), diag.reshape(top, k),
+                    back.reshape(top, k), _covers(blk)))
+    return out
+
+
+def _modulus_lines(outer, f, groups, lines, residues, moduli, j):
+    """The pooled kernel of the composed square's lines: row j of
+    residues[e], the line sums of degree e modulo moduli[j], for every
+    degree e whose bound needs that modulus (residues[e] has a row j),
+    laid out rows, columns, main and back diagonal.
+
+    Row I*n + lo holds outer[I, J] + b_s[lo, c], s = f[I, J], so by the
+    binomial theorem its degree-e sum is n * sum_J outer[I, J]^e plus
+    sum_{k>=1} C(e, k) sum_s W_{e-k}[I, s] S_k[s, lo], W_i[I, s] the sum of
+    outer[I, J]^i over the J with f[I, J] = s and S_k[s, lo] row lo's k-th
+    power sum in member s: a product of (m, m') and (m', n) matrices.
+    Columns are the same, grouped by block column.  The diagonals cross
+    blocks (I, I) and (I, m-1-I), and read the members' diagonal sums.
+    groups holds the flat (I, s) and the flat (J, s) of each block, and
+    lines the members' (rows, cols, diag, back) sums of residues."""
+    m, p = outer.shape[0], moduli[j]
+    top, _, count, n = lines[0].shape
+    wide = j == 0  # modulo 2**64, uint64 products and sums wrap
+    dtype = np.uint64 if wide else np.int64
+
+    def red(x):  # a product of two residues below p < 2**31 fits int64
+        return x if wide else x % p
+
+    def add(acc, term):  # in place, acc and term below p
+        np.add(acc, term, out=acc)
+        if not wide:
+            np.remainder(acc, p, out=acc)
+
+    comb = [[math.comb(e, k) % p for k in range(e + 1)] for e in range(top + 1)]
+    a = outer.view(np.uint64) if wide else outer % p
+    rows, cols, diag, back = (red(x[:, j].astype(dtype)) for x in lines)
+    ar = np.arange(m)
+    ends = ((ar, ar, diag), (ar, m - 1 - ar, back))
+    accs = {}
+    for e, res in residues.items():
+        if j < len(res):
+            acc = res[j].view(dtype)
+            acc[:] = 0
+            accs[e] = (acc[:m * n].reshape(m, n), acc[m * n:-2].reshape(m, n),
+                       acc[-2:-1], acc[-1:])
+    power = np.ones((m, m), dtype)
+    for i in range(top + 1):  # the power of outer, i = e - k
+        if i:
+            np.multiply(power, a, out=power)
+            if not wide:
+                np.remainder(power, p, out=power)
+        weights = []
+        if any(e > i for e in accs):
+            for key in groups:
+                w = np.zeros(m * count, dtype)
+                np.add.at(w, key, power.ravel())
+                weights.append(red(w).reshape(m, count))
+        for e, acc in accs.items():
+            if e == i:  # k = 0: the n entries of each block line share outer's term
+                add(acc[0], red(red(power.sum(axis=1)) * (n % p))[:, None])
+                add(acc[1], red(red(power.sum(axis=0)) * (n % p))[:, None])
+                for end, (r, c, _) in zip(acc[2:], ends):
+                    add(end, red(red(power[r, c].sum(keepdims=True)) * (n % p)))
+            elif e > i:
+                k = e - i
+                binom = dtype(comb[e][k])
+                add(acc[0], red(binom * red(weights[0] @ rows[k - 1])))
+                add(acc[1], red(binom * red(weights[1] @ cols[k - 1])))
+                for end, (r, c, sums) in zip(acc[2:], ends):
+                    term = red(red(power[r, c] * sums[k - 1][f[r, c]]).sum(keepdims=True))
+                    add(end, red(binom * term))
+
+
+def _composed_misses(sq, targets: dict):
+    """Whether the entries of sq, a construct.ComposedSquare, are
+    consecutive, and the misses of each degree of targets, computed from
+    its parts with no pass over its entries; None when its entries may
+    leave the int64 range, which the exhaustive pass reads wrapped."""
+    outer = np.asarray(sq.outer, dtype=np.int64)
+    stack = np.asarray(sq.stack, dtype=np.int64)
+    count, n = stack.shape[:2]
+    m, size, top = outer.shape[0], sq.n, len(targets)
+    f = np.asarray(sq.f, dtype=np.int64) % count  # rows() reads f with mode="wrap"
+    b_lo, b_hi = int(stack.min()), int(stack.max())
+    lo, hi = int(outer.min()) + b_lo, int(outer.max()) + b_hi
+    if not (-2**63 <= lo and hi < 2**63):
+        return None
+    # the bound covers the entries and [0, size^2), and so the targets;
+    # below keeps a sum of count products of residues within int64
+    below = min(2**31, math.isqrt((2**63 - 1) // count) + 1)
+    moduli, needs, _ = _plan(size, top, min(lo, 0), max(hi, size * size - 1), below)
+    reduce = [j > 0 and not (0 <= b_lo and b_hi < p) for j, p in enumerate(moduli)]
+    starts = _pool.blocks(count, n * n, _BLOCK_ENTRIES)
+    runs = _pool.ordered_map(partial(_member_sums, moduli, top, reduce),
+                             (stack[i:i + starts.step] for i in starts))
+    *lines, covered = zip(*(x for run in runs for x in run))
+    lines = [np.stack(x, axis=2) for x in lines]  # (top, K, count, ...)
+
+    ar = np.arange(m)
+    groups = ((ar[:, None] * count + f).ravel(), (f + ar * count).ravel())
+    residues = {e: np.empty((needs[e - 1], 2 * size + 2), dtype=np.int64)
+                for e in targets}
+    _pool.each(partial(_modulus_lines, outer, f, groups, lines, residues, moduli),
+               range(len(moduli)))
+    misses = [_residue_misses(residues[e], moduli[:needs[e - 1]], target)
+              for e, target in targets.items()]
+
+    # the parts suffice: n^2 times a permutation of 0..m^2-1 plus members
+    # that are each a permutation of 0..n^2-1 gives 0..size^2-1; the
+    # converse fails, so otherwise the entries are filled and marked
+    nn = n * n
+    consecutive_ok = (np.array(covered)[np.unique(f)].all() and not (outer % nn).any()
+                      and _covers(outer // nn))
+    if not consecutive_ok:
+        seen = np.zeros((size * size + 7) // 8, dtype=np.uint8)
+        consecutive_ok = _line_power_sums(sq, 0, 0, size * size - 1, seen)[3] == size * size
+    return consecutive_ok, misses
+
+
 def verify_ms(sq, t: int | None = None) -> VerifyReport:
     """Check the consecutive-entry property and, for each degree 1..t,
     every row, column, and diagonal power sum of sq, a MagicSquare or any
-    square read through rows(r0, r1)."""
+    square read through rows(r0, r1).  A construct.ComposedSquare is
+    checked from its parts; any other square entry by entry."""
+    from .construct import ComposedSquare  # construct imports this module
+
     if t is None:
         t = sq.t
     if t < 1:
         raise ValueError("degree must be at least 1")
     targets = {e: magic_sum(sq.n, e) for e in range(1, t + 1)}
-    consecutive_ok, sums = _square_sums(sq, t)
+    found = _composed_misses(sq, targets) if isinstance(sq, ComposedSquare) else None
+    if found is None:
+        consecutive_ok, sums = _square_sums(sq, t)
+        found = consecutive_ok, [_exact_misses(targets[e], s) for e, s in zip(targets, sums)]
+    consecutive_ok, misses = found
     return VerifyReport(
         order=sq.n,
         degree=t,
         magic_sums=targets,
         consecutive_ok=consecutive_ok,
-        failures=tuple(_failures(targets, consecutive_ok, sums)),
+        failures=tuple(_failures(targets, consecutive_ok, misses)),
     )
 
 
@@ -439,7 +643,8 @@ def verify_cms(members, t: int | None = None) -> VerifyReport:
     runs = _pool.ordered_map(kernel, (members[i:i + starts.step] for i in starts))
     for idx, (ok, sums) in enumerate(r for run in runs for r in run):
         consecutive_ok = consecutive_ok and ok
-        failures += _failures(each, ok, sums[:t], member=idx)
+        failures += _failures(each, ok, [_exact_misses(each[d], s) for d, s in zip(each, sums)],
+                              member=idx)
         rows, cols, diag, back = sums[t]
         for i in range(n):
             row_tot[i] += rows[i]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,10 @@ class TestGenVerifyLoop:
             raise MemoryError("Unable to allocate 64.9 GiB for an array")
 
         monkeypatch.setattr(construct, "build_ms_qt", exhausted)
+        # room for the 37 GB text, so that the build, not the disk
+        # preflight, is what runs out
+        monkeypatch.setattr(os, "statvfs", lambda path: SimpleNamespace(
+            f_bavail=2**40, f_frsize=4096))
         out = tmp_path / "x.mms"
         assert run_cli("gen-ms", "--q", "9", "--t", "5", "--method", "qt",
                        "--out", str(out)) == 3
