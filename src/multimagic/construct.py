@@ -142,7 +142,7 @@ class _RowSource:
     def entries(self) -> np.ndarray:
         """The whole (n, n) square, gathered on every call, for tests and
         API users: no pipeline stage reads it."""
-        return self.rows(0, self.n)
+        return self.normalized()
 
     def normalized(self) -> np.ndarray:
         """The whole square, which starts at 0, gathered on every call: a

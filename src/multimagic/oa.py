@@ -36,7 +36,7 @@ gathered whole, once, for the member pass:
   codes, which the pool task returns.
 * Coverage: the family holds exactly v^k columns (checked first, a
   ValueError otherwise), and every column code is marked in a v^k-bit
-  map by the compiled mark() that verify.py also uses, on the calling
+  map by the compiled mark(), through verify._mark, on the calling
   thread as the code blocks arrive: a grid's from _GridStack.codes, one
   block per pool task, any other stack's from the member pass.  mark()
   counts the bits it sets that were clear, and by pigeonhole v^k codes
@@ -81,6 +81,7 @@ import numpy as np
 
 from . import _pool
 from ._codec import ffi as _ffi, lib as _lib
+from .verify import _mark
 
 
 def _check_strength(k: int, n: int, v: int, t: int) -> None:
@@ -399,13 +400,13 @@ def _pass_block(stack, codes: np.ndarray | None, ref, tail: tuple, step: int,
     return out
 
 
-def _mark(bits: np.ndarray, full: int, blocks) -> int:
+def _mark_blocks(bits: np.ndarray, full: int, blocks) -> int:
     """Mark every code in [0, full) of each block of codes in the bit map
-    bits, on the calling thread as the blocks arrive, by the compiled
-    mark() of verify.py; returns the number of bits set that were clear."""
-    where, marked = _buffer("unsigned char[]", bits), 0
+    bits, on the calling thread as the blocks arrive, by verify._mark;
+    returns the number of bits set that were clear."""
+    marked = 0
     for blk in blocks:
-        marked += _lib.mark(_buffer("int64_t[]", blk), blk.size, 0, full, where)
+        marked += _mark(blk, bits, full)
         del blk  # before the next block is made
     return marked
 
@@ -465,7 +466,7 @@ def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = 
     if bits is None:
         _pool.each(block, starts)
         return codes, rows, cols, 0
-    return codes, rows, cols, _mark(bits, v**k, _pool.ordered_map(block, starts))
+    return codes, rows, cols, _mark_blocks(bits, v**k, _pool.ordered_map(block, starts))
 
 
 def _members_ok(stack, proved: np.ndarray, v: int, t: int) -> bool:
@@ -507,7 +508,7 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
             rows = np.ones(count, dtype=bool)
             cols = np.ones(n, dtype=bool) if columns else None
             starts = _pool.blocks(count, 2 * n, _MARK_CODES)
-            marked += _mark(bits, full, _pool.ordered_map(
+            marked += _mark_blocks(bits, full, _pool.ordered_map(
                 partial(_grid_codes, s, starts.step), starts))
         else:
             _, rows, cols, fresh = _member_pass(s, v, bits, columns)

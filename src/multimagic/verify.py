@@ -18,18 +18,22 @@ the exhaustive route, which is also the tests' oracle for the factored
 one.  Both give the same report, failure by failure.
 
 No floating point anywhere.  Line power sums are taken modulo 2**64
-(int64 wraparound) and, as the bound requires, modulo odd m < 2**31, then
-recombined exactly by the CRT.  Products of residues below 2**31, and
-line sums of n < 2**32 of them, fit in int64.
+(int64 wraparound) and, as the bound requires, modulo odd m < 2**31.  On
+every route a line misses iff a residue differs from its target's, the
+moduli's product exceeding twice a bound on both, and only a line that
+misses is recombined by the CRT, for its exact sum (_residue_misses).
+Products of residues below 2**31, and line sums of n < 2**32 of them,
+fit in int64.
 
 One fused pass covers every degree 1..t, each degree using the moduli its
 own bound needs, a prefix of those of degree t.  The bound needs the
 entries' range, which a generated square does not know before it is
 read: the first pass takes its moduli for the range [0, n^2) of a valid
 square, and each block reports its least and greatest entry.  If any
-block falls outside, the pass's sums are discarded and a second pass runs
-with the true bound.  The CRT of any sufficient moduli gives the exact
-sums, so the sums, and the reports, do not depend on which were used.
+block falls outside, the pass's residues are discarded and a second pass
+runs with the true bound, widened to [0, n^2) so that it covers the
+targets.  The CRT of any sufficient moduli gives the exact sums, so the
+reports do not depend on which were used.
 The pass runs over row blocks on the shared worker pool (``_pool``); each
 worker holds a block of _BLOCK_ENTRIES entries divided by the pool size.
 The residues of a block come from the compiled kernel ``sums()`` of
@@ -39,19 +43,21 @@ m, the product below 2**62 reduced by Barrett's method with one
 correction.  A row sum lies in one block.  Column and diagonal partials
 are added in block order, on the calling thread, in int64: modulo 2**64
 the adds wrap, which keeps them congruent, and for an odd modulus a
-column sum of n residues stays below n * 2**31.  The CRT needs only
-congruent residues, so it runs once, after the last block, with Garner's
-digits found in int64.  ``verify_cms`` maps runs of members over the
-pool, each member one pass over degrees 1..t+1, and builds the report on
-the calling thread.  Workers run only private kernels, so results and
-reports do not depend on the pool size.
+column sum of n residues stays below n * 2**31.  The comparison needs
+only congruent residues, so it runs once, after the last block.
+``verify_cms`` takes one set of moduli, _plan's at order m * n for the
+members' extremes and [0, n^2), and maps runs of members over the pool
+through the factored route's member kernel; on the calling thread it
+compares each member's lines of degrees 1..t, then the int64 sums of
+their degree-(t+1) residues, R1, R2 and R3.  Workers run only private
+kernels, so results and reports do not depend on the pool size.
 
 The consecutive-entry check needs no sort: the compiled ``mark()`` sets
 bit v of an n^2-bit seen-map for each entry v in [0, n^2), on the calling
 thread as the first pass's blocks arrive, and counts the bits it set.
 By pigeonhole the n^2 entries are 0..n^2-1, each once, exactly when they
-set n^2 bits.  The grid check of oa.py marks its column codes through the
-same ``mark()``, into a v^k-bit map, in the same way.
+set n^2 bits.  One wrapper, _mark, calls it; the grid check of oa.py
+marks its column codes through it, into a v^k-bit map, in the same way.
 
 The factored route.  Row I*n + lo of a composed square holds outer[I, J]
 + b_s[lo, c] with s = f[I, J], so by the binomial theorem its degree-e
@@ -65,14 +71,14 @@ degree and modulus, a product of an (m, m') and an (m', n) matrix for
 the rows and one for the columns.  The moduli are those of _plan for
 order N and the bound of the parts' extremes, and also of [0, N^2), so
 that the targets lie within it; the members' residues come from the same
-sums() kernel, one member per call.  Each line's residues are compared
-with the target's, and only a line that misses is recombined by the CRT,
-for its exact sum.  The arithmetic stays in integers: modulo 2**64 the
-uint64 products and sums wrap exactly; for the odd moduli, _moduli is
-given a lower ceiling, isqrt((2**63 - 1) / m'), so that numpy's int64
-matrix product, a sum of m' products of residues, cannot overflow (six
-moduli instead of five for degree 4 at MS(7^7, 4), rather than a
-reduction per product or 16-bit limbs, which would double the products).
+sums() kernel, one member per call, as in verify_cms.  Each line's
+residues are compared with the target's, as on every route.  The
+arithmetic stays in integers: modulo 2**64 the uint64 products and sums
+wrap exactly; for the odd moduli, _moduli is given a lower ceiling,
+isqrt((2**63 - 1) / m'), so that numpy's int64 matrix product, a sum
+of m' products of residues, cannot overflow (six moduli instead of five
+for degree 4 at MS(7^7, 4), rather than a reduction per product or
+16-bit limbs, which would double the products).
 The entries are 0..N^2-1 when outer is n^2 times a permutation of
 0..m^2-1 and every member that f names is a permutation of 0..n^2-1
 (each marked in a bit map).  The converse fails, so a square whose parts
@@ -311,15 +317,15 @@ def _block_sums(sq, moduli: list[int], needs: list[int], reduce: list[bool],
 
 
 def _line_power_sums(sq, top: int, lo: int, hi: int, seen: np.ndarray | None = None):
-    """Row sums, column sums, and both diagonal sums of entrywise e-th
-    powers of the normalised square sq, for every degree e = 1..top,
-    exact as Python ints when every normalised entry lies in [lo, hi]: one
-    (rows, cols, diag, back) per degree.  Also the least and the greatest
-    normalised entry, and, if seen is given, the number of bits marked in
-    it, each in-range value v setting bit v.  Each degree-e sum lies in
-    [-B, B], B = n * max(-lo, hi)**e; its residues modulo _moduli(B),
-    summed over row blocks on the pool, are recombined by Garner's CRT
-    into (-M/2, M/2], M their product."""
+    """Residues of the row, column and both diagonal sums of entrywise
+    e-th powers of the normalised square sq, for every degree e = 1..top,
+    when every normalised entry lies in [lo, hi]: a (K, 2n + 2) array,
+    rows, columns, main and back diagonal, congruent but not reduced,
+    degree e on needs[e-1] rows modulo the first needs[e-1] moduli; the
+    moduli; needs; the least and the greatest normalised entry; and, if
+    seen is given, the number of bits marked in it, each in-range value v
+    setting bit v.  Each degree-e sum lies in [-B, B], B = n * max(-lo,
+    hi)**e, and _moduli(B) suffice; row blocks are summed on the pool."""
     n = sq.n
     moduli, needs, reduce = _plan(n, top, lo, hi)
     # each worker holds _BLOCK_ENTRIES / workers entries at a time
@@ -338,15 +344,9 @@ def _line_power_sums(sq, top: int, lo: int, hi: int, seen: np.ndarray | None = N
         back += b
         ranges += span
         if seen is not None:  # plain bit ors, on this thread alone
-            marked += _lib.mark(_ffi.from_buffer("int64_t[]", blk), blk.size, sq.base,
-                                n * n, _ffi.from_buffer("unsigned char[]", seen))
+            marked += _mark(blk, seen, n * n, sq.base)
     residues = np.concatenate((rows, cols, diag[:, None], back[:, None]), axis=1)
-    out, k = [], 0
-    for need in needs:
-        exact = _crt(residues[k:k + need], moduli[:need])
-        out.append((exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]))
-        k += need
-    return out, min(ranges), max(ranges), marked
+    return residues, moduli, needs, min(ranges), max(ranges), marked
 
 
 def _crt(residues: np.ndarray, moduli: list[int]) -> list[int]:
@@ -374,42 +374,38 @@ def _crt(residues: np.ndarray, moduli: list[int]) -> list[int]:
     return [v - scale if 2 * v > scale else v for v in values]
 
 
-def _square_sums(sq, top: int):
+def _square_misses(sq, targets: dict):
     """The per-square kernel: whether the entries are consecutive, and the
-    line power sums of the normalised square for degrees 1..top.  The
-    first pass takes its moduli for entries in [0, n^2) and marks the
-    bit seen-map; if an entry falls outside, its sums are discarded and a
-    second pass runs with the true bound.  The exact sums do not depend on
-    which sufficient moduli were used."""
+    misses of each degree of targets.  The first pass takes its moduli for
+    entries in [0, n^2) and marks the bit seen-map; if an entry falls
+    outside, a second pass runs with the true bound widened to [0, n^2),
+    which covers the targets."""
     n = sq.n
     seen = np.zeros((n * n + 7) // 8, dtype=np.uint8)
-    sums, lo, hi, marked = _line_power_sums(sq, top, 0, n * n - 1, seen)
+    residues, moduli, needs, lo, hi, marked = _line_power_sums(sq, len(targets), 0,
+                                                               n * n - 1, seen)
     if not 0 <= lo <= hi < n * n:
-        sums = _line_power_sums(sq, top, lo, hi)[0]
+        residues, moduli, needs = _line_power_sums(sq, len(targets), min(lo, 0),
+                                                   max(hi, n * n - 1))[:3]
+    firsts = np.cumsum([0] + needs)
+    misses = [_residue_misses(residues[k:k + need], moduli[:need], target)
+              for k, need, target in zip(firsts, needs, targets.values())]
     # n^2 in-range entries set every bit exactly when they are 0..n^2-1
-    return marked == n * n, sums
-
-
-def _exact_misses(target: int, sums) -> list:
-    """The (kind, index, got) of every line whose exact sum misses target:
-    rows, columns, then the main and the back diagonal."""
-    rows, cols, diag, back = sums
-    return ([("row", i, s) for i, s in enumerate(rows) if s != target]
-            + [("col", j, s) for j, s in enumerate(cols) if s != target]
-            + [(kind, None, s) for kind, s in (("diag-main", diag), ("diag-back", back))
-               if s != target])
+    return marked == n * n, misses
 
 
 def _residue_misses(residues: np.ndarray, moduli: list[int], target: int) -> list:
-    """The misses of _exact_misses from a (K, 2n + 2) array of line sum
-    residues modulo the first K moduli, laid out rows, columns, main and
-    back diagonal.  A line misses iff a residue differs from the target's,
-    as the moduli's product exceeds twice a bound on both; only the lines
-    that miss are recombined by the CRT, for their exact sums."""
+    """The (kind, index, got) of every line whose sum misses target, from a
+    (K, 2n + 2) array of line sum residues modulo the first K moduli, laid
+    out rows, columns, main and back diagonal, odd rows only congruent.
+    A line misses iff a reduced residue differs from the target's, as the
+    moduli's product exceeds twice a bound on both; only the lines that
+    miss are recombined by the CRT, for their exact sums."""
     n = (residues.shape[1] - 2) // 2
-    want = np.array([(target + 2**63) % 2**64 - 2**63] + [target % m for m in moduli[1:]],
-                    dtype=np.int64)
-    miss = np.flatnonzero((residues != want[:, None]).any(axis=0))
+    odd = np.array(moduli[1:], dtype=np.int64)[:, None]
+    wide = (target + 2**63) % 2**64 - 2**63
+    want = np.array([target % m for m in moduli[1:]], dtype=np.int64)[:, None]
+    miss = np.flatnonzero((residues[0] != wide) | (residues[1:] % odd != want).any(axis=0))
     got = _crt(residues[:, miss], moduli) if miss.size else []
     kinds = ("row", "col", "diag-main", "diag-back")
     return [(kinds[i // n], i % n, s) if i < 2 * n else (kinds[i - 2 * n + 2], None, s)
@@ -433,28 +429,34 @@ def _failures(targets: dict, consecutive_ok: bool, misses,
 # Line sums of a composed square from its parts
 # ---------------------------------------------------------------------------
 
-def _covers(values: np.ndarray) -> bool:
-    """The values cover every value 0..values.size-1, so each exactly
-    once: marked in a map of values.size bits, they set every bit."""
+def _mark(values: np.ndarray, bits: np.ndarray, limit: int, base: int = 0) -> int:
+    """Mark bit v of the bit map bits for each v = value - base in
+    [0, limit), by the compiled mark(), on the calling thread; returns the
+    number of bits set that were clear."""
     values = np.ascontiguousarray(values, dtype=np.int64)
-    full = values.size
-    bits = np.zeros((full + 7) // 8, dtype=np.uint8)
-    return _lib.mark(_ffi.from_buffer("int64_t[]", values), full, 0, full,
-                     _ffi.from_buffer("unsigned char[]", bits)) == full
+    return _lib.mark(_ffi.from_buffer("int64_t[]", values), values.size, base, limit,
+                     _ffi.from_buffer("unsigned char[]", bits))
+
+
+def _covers(values: np.ndarray, base: int = 0) -> bool:
+    """The values less base cover 0..values.size-1, so each exactly
+    once: marked in a map of values.size bits, they set every bit."""
+    full = np.size(values)
+    return _mark(values, np.zeros((full + 7) // 8, dtype=np.uint8), full, base) == full
 
 
 def _member_sums(moduli: list[int], top: int, reduce: list[bool], run):
-    """The pooled kernel of the member stack: for each (n, n) member of
-    the run, its row and column sums (top, K, n) and its diagonal sums
-    (top, K) of the powers 1..top modulo each of the K moduli, from the
-    compiled sums(), and whether its entries are 0..n^2-1."""
+    """The pooled kernel of a member stack: for each (n, n) square of the
+    run, its row and column sums (top, K, n) and its diagonal sums
+    (top, K) of the powers 1..top of its normalised entries, modulo each
+    of the K moduli, from the compiled sums(), and whether its normalised
+    entries are 0..n^2-1."""
     out = []
-    for member in run:
-        sq = MagicSquare(member, 1)
+    for sq in run:
         n, k = sq.n, len(moduli)
         rows, cols, diag, back, _, _, blk = _block_sums(sq, moduli, [k] * top, reduce, n, 0)
         out.append((rows.reshape(top, k, n), cols.reshape(top, k, n), diag.reshape(top, k),
-                    back.reshape(top, k), _covers(blk)))
+                    back.reshape(top, k), _covers(blk, sq.base)))
     return out
 
 
@@ -545,9 +547,10 @@ def _composed_misses(sq, targets: dict):
     below = min(2**31, math.isqrt((2**63 - 1) // count) + 1)
     moduli, needs, _ = _plan(size, top, min(lo, 0), max(hi, size * size - 1), below)
     reduce = [j > 0 and not (0 <= b_lo and b_hi < p) for j, p in enumerate(moduli)]
+    squares = [MagicSquare(member, 1) for member in stack]
     starts = _pool.blocks(count, n * n, _BLOCK_ENTRIES)
     runs = _pool.ordered_map(partial(_member_sums, moduli, top, reduce),
-                             (stack[i:i + starts.step] for i in starts))
+                             (squares[i:i + starts.step] for i in starts))
     *lines, covered = zip(*(x for run in runs for x in run))
     lines = [np.stack(x, axis=2) for x in lines]  # (top, K, count, ...)
 
@@ -567,8 +570,7 @@ def _composed_misses(sq, targets: dict):
     consecutive_ok = (np.array(covered)[np.unique(f)].all() and not (outer % nn).any()
                       and _covers(outer // nn))
     if not consecutive_ok:
-        seen = np.zeros((size * size + 7) // 8, dtype=np.uint8)
-        consecutive_ok = _line_power_sums(sq, 0, 0, size * size - 1, seen)[3] == size * size
+        consecutive_ok = _square_misses(sq, {})[0]
     return consecutive_ok, misses
 
 
@@ -586,8 +588,7 @@ def verify_ms(sq, t: int | None = None) -> VerifyReport:
     targets = {e: magic_sum(sq.n, e) for e in range(1, t + 1)}
     found = _composed_misses(sq, targets) if isinstance(sq, ComposedSquare) else None
     if found is None:
-        consecutive_ok, sums = _square_sums(sq, t)
-        found = consecutive_ok, [_exact_misses(targets[e], s) for e, s in zip(targets, sums)]
+        found = _square_misses(sq, targets)
     consecutive_ok, misses = found
     return VerifyReport(
         order=sq.n,
@@ -627,41 +628,31 @@ def verify_cms(members, t: int | None = None) -> VerifyReport:
     sums_at = {**each, e: magic_sum(n, e)}
     target = m_count * sums_at[e]
 
-    failures: list[LineFailure] = []
-    consecutive_ok = True
-    row_tot = [0] * n
-    col_tot = [0] * n
-    diag_tot = 0
-    back_tot = 0
+    # one set of moduli covers every member line, family total and target
+    lo, hi = 0, n * n - 1
+    for sq in members:
+        norm = sq.normalized()
+        lo, hi = min(lo, int(norm.min())), max(hi, int(norm.max()))
+    moduli, _, reduce = _plan(m_count * n, e, lo, hi)
     # runs of members of about _BLOCK_ENTRIES / workers entries per task,
     # as for row blocks, so that small members do not pay a task each
     starts = _pool.blocks(m_count, n * n, _BLOCK_ENTRIES)
-
-    def kernel(run):
-        return [_square_sums(sq, e) for sq in run]
-
-    runs = _pool.ordered_map(kernel, (members[i:i + starts.step] for i in starts))
-    for idx, (ok, sums) in enumerate(r for run in runs for r in run):
+    runs = _pool.ordered_map(partial(_member_sums, moduli, e, reduce),
+                             (members[i:i + starts.step] for i in starts))
+    failures: list[LineFailure] = []
+    consecutive_ok = True
+    # modulo 2**64 the adds wrap; an odd row stays below m * n * 2**31,
+    # within int64 for any family whose m * n^2 entries are held
+    totals = np.zeros((len(moduli), 2 * n + 2), dtype=np.int64)
+    for idx, (rows, cols, diag, back, ok) in enumerate(x for run in runs for x in run):
+        lines = np.concatenate((rows, cols, diag[..., None], back[..., None]), axis=2)
         consecutive_ok = consecutive_ok and ok
-        failures += _failures(each, ok, [_exact_misses(each[d], s) for d, s in zip(each, sums)],
-                              member=idx)
-        rows, cols, diag, back = sums[t]
-        for i in range(n):
-            row_tot[i] += rows[i]
-            col_tot[i] += cols[i]
-        diag_tot += diag
-        back_tot += back
-
-    for i, s in enumerate(row_tot):
-        if s != target:
-            failures.append(LineFailure(e, "R1", i, s, target))
-    for j, s in enumerate(col_tot):
-        if s != target:
-            failures.append(LineFailure(e, "R2", j, s, target))
-    if diag_tot != target:
-        failures.append(LineFailure(e, "R3-main", None, diag_tot, target))
-    if back_tot != target:
-        failures.append(LineFailure(e, "R3-back", None, back_tot, target))
+        failures += _failures(each, ok, [_residue_misses(lines[d - 1], moduli, each[d])
+                                         for d in each], member=idx)
+        totals += lines[t]
+    kinds = {"row": "R1", "col": "R2", "diag-main": "R3-main", "diag-back": "R3-back"}
+    failures += [LineFailure(e, kinds[kind], index, got, target)
+                 for kind, index, got in _residue_misses(totals, moduli, target)]
 
     return VerifyReport(
         order=n,

@@ -1,9 +1,11 @@
 """The package namespace: every public name is imported on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,35 @@ def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_name"):
         multimagic.no_such_name  # noqa: B018
     assert not hasattr(multimagic, "no_such_name")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _bound_names(stmt: ast.stmt) -> set:
+    """The names a module-level statement defines: a function, a class,
+    or the targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def test_modules_leave_nothing_unused():
+    # every module-level private function, class or constant of the
+    # package is read by some other module-level statement of the
+    # package, as a name or an attribute: a helper that a change leaves
+    # behind, referenced only by itself or by the tests, fails here
+    defined, used = {}, set()
+    for path in sorted(Path(multimagic.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _bound_names(stmt)
+            defined.update((name, path.name) for name in own if _private(name))
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - own
+    unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
+    assert not unused, unused

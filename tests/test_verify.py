@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import multimagic.verify as V
+from multimagic import construct
 from multimagic.verify import MagicSquare, magic_sum, power_sum, verify_cms, verify_ms
 
 import sums_oracle
@@ -192,8 +193,7 @@ class TestConsecutiveSeenMap:
             base = int(rng.integers(-50, 50))
             entries = rng.integers(-20, limit + 20, size=3 * limit) + base
             bits = np.zeros((limit + 7) // 8, dtype=np.uint8)
-            marked = sum(V._lib.mark(V._ffi.from_buffer("int64_t[]", chunk), chunk.size,
-                                     base, limit, V._ffi.from_buffer("unsigned char[]", bits))
+            marked = sum(V._mark(chunk, bits, limit, base)
                          for chunk in np.array_split(entries, 4))
             seen = np.zeros(limit, dtype=bool)
             values = entries - base
@@ -202,9 +202,19 @@ class TestConsecutiveSeenMap:
             assert marked == seen.sum()
 
 
-def _sums(mat, top):
-    """The verifier's exact line power sums of mat for degrees 1..top."""
-    return V._square_sums(MagicSquare(mat, 1), top)[1]
+def _sums(mat, top, base=0):
+    """The verifier's exact line power sums of mat for degrees 1..top: the
+    CRT of _line_power_sums's residues under the true bound, the square's
+    entries mat + base read with that base."""
+    n = mat.shape[0]
+    residues, moduli, needs, *_ = V._line_power_sums(
+        MagicSquare(mat + base, 1, base=base), top, int(mat.min()), int(mat.max()))
+    out, k = [], 0
+    for need in needs:
+        exact = V._crt(residues[k:k + need], moduli[:need])
+        out.append((exact[:n], exact[n:2 * n], exact[2 * n], exact[2 * n + 1]))
+        k += need
+    return out
 
 
 def _kernel_agrees(mat, top, step):
@@ -260,8 +270,7 @@ class TestExactPowerSums:
         rng = np.random.default_rng(5)
         mat = rng.integers(-(2**40), 2**40, size=(11, 11), dtype=np.int64)
         for base in (7, -(2**45)):
-            got = V._square_sums(MagicSquare(mat + base, 1, base=base), 4)[1]
-            assert got == _reference_all(mat, 4)
+            assert _sums(mat, 4, base) == _reference_all(mat, 4)
 
     def test_largest_in_scope_width(self):
         # entries of an order-16807 square at degree 3, the widest point
@@ -374,3 +383,105 @@ class TestVerifyCms:
         tiny = MagicSquare(np.array([[0]]), 2)
         with pytest.raises(ValueError):
             verify_cms([golden_cms9.members[0], tiny], 2)
+
+
+def _lines(p):
+    """(kind, index, sum) of every line of the object array p: rows,
+    columns, then the main and the back diagonal."""
+    n = p.shape[0]
+    return ([("row", i, sum(p[i, :])) for i in range(n)]
+            + [("col", j, sum(p[:, j])) for j in range(n)]
+            + [("diag-main", None, sum(p[i, i] for i in range(n))),
+               ("diag-back", None, sum(p[i, n - 1 - i] for i in range(n)))])
+
+
+_R_KINDS = {"row": "R1", "col": "R2", "diag-main": "R3-main", "diag-back": "R3-back"}
+
+
+def _cms_oracle(members, t):
+    """The (degree, kind, index, got, want, member) of every failure of
+    verify_cms, in its order, and consecutive_ok, from Python ints."""
+    n, e = members[0].n, t + 1
+    failures, consecutive_ok, totals = [], True, None
+    for idx, sq in enumerate(members):
+        norm = sq.entries.astype(object) - sq.base
+        for d in range(1, e):
+            want = magic_sum(n, d)
+            failures += [(d, kind, i, s, want, idx) for kind, i, s in _lines(norm**d)
+                         if s != want]
+        ok = sorted(norm.ravel().tolist()) == list(range(n * n))
+        if not ok:
+            failures.append((0, "entries", None, None, None, idx))
+        consecutive_ok = consecutive_ok and ok
+        lines = _lines(norm**e)
+        totals = lines if totals is None else [
+            (kind, i, a + s) for (kind, i, a), (_, _, s) in zip(totals, lines)]
+    want = len(members) * magic_sum(n, e)
+    failures += [(e, _R_KINDS[kind], i, s, want, None) for kind, i, s in totals if s != want]
+    return failures, consecutive_ok
+
+
+def _random_families(rng):
+    """(name, members, t): permutations of 0..n^2-1, with and without a
+    base, and signed entries near +-2**62."""
+    out = []
+    for k in range(12):
+        n, t, m = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        perms = [rng.permutation(n * n).reshape(n, n) for _ in range(m)]
+        out.append((f"perm-{k}", [MagicSquare(p, t) for p in perms], t))
+        bases = rng.integers(-(2**40), 2**40, size=m)
+        based = [MagicSquare(p + b, t, base=int(b)) for p, b in zip(perms, bases)]
+        if k % 3 == 0:  # a wrong base
+            based[-1] = MagicSquare(perms[-1] + bases[-1], t, base=int(bases[-1]) - 1)
+        out.append((f"based-{k}", based, t))
+        wide = [rng.integers(-(2**62), 2**62, size=(n, n)) for _ in range(m)]
+        wide[0][0, 0] = 2**62 - int(rng.integers(1, 5))
+        wide[-1][-1, -1] = -(2**62) + int(rng.integers(0, 5))
+        out.append((f"wide-{k}", [MagicSquare(w, t, base=int(rng.integers(-9, 9)))
+                                 for w in wide], t))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cms25(f5):
+    """The 25-member CMS(25, 2) family of gen-cms --q 5 --t 2."""
+    return construct.build_cms_family(f5, 2)
+
+
+def _order25_families(fam):
+    """The order-25 family, with two entries of one member swapped, with
+    one entry shifted, and member 0 alone, at degree 1."""
+    members = list(fam.members)
+    swapped = members[7].entries.copy()
+    swapped[0, 1], swapped[4, 6] = swapped[4, 6], swapped[0, 1]
+    shifted = members[20].entries.copy()
+    shifted[12, 3] += 625
+    return [("order25", members, fam.t),
+            ("swapped", members[:7] + [MagicSquare(swapped, fam.t)] + members[8:], fam.t),
+            ("shifted", members[:20] + [MagicSquare(shifted, fam.t)] + members[21:], fam.t),
+            ("one member", members[:1], 1)]
+
+
+class TestVerifyCmsOracle:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_reports_match_python_ints(self, cms25, golden_cms9, pool_size, monkeypatch,
+                                       size):
+        pool_size(size)
+        # runs of several small members, one order-25 member a run
+        monkeypatch.setattr(V, "_BLOCK_ENTRIES", 64 * size)
+        families = (_random_families(np.random.default_rng(31)) + _order25_families(cms25)
+                    + [("golden", list(golden_cms9.members), 2),
+                       ("golden member", list(golden_cms9.members[:1]), 1)])
+        verdicts: dict = {}
+        for name, members, t in families:
+            rep = verify_cms(members, t)
+            failures, consecutive_ok = _cms_oracle(members, t)
+            got = [(f.degree, f.kind, f.index, f.got, f.want, f.member) for f in rep.failures]
+            assert got == failures, name
+            assert rep.consecutive_ok == consecutive_ok, name
+            verdicts.setdefault(name.split("-")[0], set()).add(rep.passed)
+        # the valid families pass; every other kind of family fails
+        assert all(verdicts[name] == {True}
+                   for name in ("order25", "one member", "golden", "golden member"))
+        assert verdicts["swapped"] == verdicts["shifted"] == {False}
+        assert all(False in verdicts[name] for name in ("perm", "based", "wide"))
