@@ -2,11 +2,12 @@
 
 Exit codes: 0 success or verified, 1 verified-false, 2 usage error,
 3 construction failure, running out of memory included.  Generation
-commands self-verify before writing and re-read their own artifact
-through the file formats as a final consistency check; the artifact
-reaches its ``--out`` path only after that check passes.  Before
-building, they compute the exact size of the artifact's text and refuse,
-as a usage error, one that the file system of ``--out`` has no room for.
+commands self-verify before writing, and their writers decode each piece
+of text and read its bytes back as they write it, a final consistency
+check; the artifact reaches its ``--out`` path only after that check
+passes.  Before building, they compute the exact size of the artifact's
+text and refuse, as a usage error, one that the file system of ``--out``
+has no room for.
 """
 
 from __future__ import annotations
@@ -79,19 +80,14 @@ def _check_space(path: str, size: int) -> None:
 
 
 def _write_checked(write, path, artifact) -> None:
-    """Write artifact to path + ".tmp" and rename it to path only once its
-    read-back matches, so that path never holds an unverified artifact;
-    the temporary file is removed on any failure.  The file is the
-    generator's own, so a format error in it is a construction failure."""
+    """Write artifact to path + ".tmp" and rename it to path once written.
+    The writers check each piece of the file as they write it (see
+    io._write_blocks) and raise ConstructionError if it would not read
+    back to the artifact, so path never holds an unverified artifact; the
+    temporary file is removed on any failure."""
     tmp = f"{path}.tmp"
     try:
         write(tmp, artifact)
-        try:
-            same = io.read_matches(tmp, artifact)
-        except FormatError as exc:
-            raise ConstructionError(f"artifact did not round-trip: {exc}") from None
-        if not same:
-            raise ConstructionError("artifact did not round-trip")
         os.replace(tmp, path)
     finally:
         if os.path.lexists(tmp):

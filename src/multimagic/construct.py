@@ -19,11 +19,11 @@ filled on demand from q E1 X and E2 Y by the compiled grid_rows.  The
 compositions (product_compose, cms_compose, build_ms_q2t1) return a
 ComposedSquare: one implementation, a stack of member squares, an outer
 square and a block assignment, whose rows are filled block row by block
-row on demand.  The writers and the read-back check read both through
-rows(), one block per pool task, and so does verification of a grid
-square, so neither the grid square (6.08 GiB as int64 at order 28561)
-nor the composite (8 GiB at order 32768) is ever held; a composite is
-verified from its parts.
+row on demand.  The writers read both through rows(), one block per
+pool task, filled into the worker's buffer, and so does verification of
+a grid square, so neither the grid square (6.08 GiB as int64 at order
+28561) nor the composite (8 GiB at order 32768) is ever held; a
+composite is verified from its parts.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ def _grid_stack(cert: MatrixPairCertificate) -> oa._GridStack:
 
 
 class _RowSource:
-    """A generated square of entries from 0, never held whole: rows(r0, r1)
-    fills rows r0..r1-1 on demand, and verification, the writers and the
-    read-back check read the square through it, one block of rows per
-    pool task."""
+    """A generated square of entries from 0, never held whole: rows(r0, r1,
+    out=None) fills rows r0..r1-1 on demand, into out if given, and
+    verification and the writers read the square through it, one block
+    of rows per pool task."""
 
     base = 0
 
@@ -164,9 +164,10 @@ class GridSquare(_RowSource):
     def n(self) -> int:
         return self.stack.shape[0]
 
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1, filled from the grid rows they code."""
-        return self.stack.codes(r0, r1)
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1-1, filled from the grid rows they code, into out
+        if given."""
+        return self.stack.codes(r0, r1, out)
 
 
 @dataclass(frozen=True)
@@ -412,10 +413,13 @@ class ComposedSquare(_RowSource):
     def n(self) -> int:
         return self.outer.shape[0] * self.stack.shape[1]
 
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1, filled from the block rows they cross."""
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1-1, filled from the block rows they cross, into out
+        if given."""
         m, inner = self.outer.shape[0], self.stack.shape[1]
-        out = np.empty((r1 - r0, m, inner), dtype=np.int64)
+        if out is None:
+            out = np.empty((r1 - r0, m, inner), dtype=np.int64)
+        out = out.reshape(r1 - r0, m, inner)
         r = r0
         while r < r1:
             i, lo = divmod(r, inner)

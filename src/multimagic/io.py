@@ -25,12 +25,13 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
 * The body is read in pieces cut at separators.  Each piece is validated
   and parsed on the worker pool, and the pieces are stitched in file
   order, so a file raises the errors of a serial read, in its order.
-* Squares are written, and compared on read-back, through their
-  row-block interface ``rows(r0, r1)`` (see verify.py): each pool task
-  fills and encodes its own rows, and each decoded piece is compared, in
-  its own pool task, with the rows it covers, so a generated square
-  (construct.GridSquare or construct.ComposedSquare) is never held
-  whole, only regenerated on the workers.
+* Writers check each piece as they write it, so nothing unverified is
+  written and the file is never read a second time (see _write_blocks).
+  Squares are written through their row-block interface ``rows(r0, r1,
+  out)`` (see verify.py): each pool task fills its own rows into its
+  worker's buffer, encodes them and decodes the text with the readers'
+  kernels, so a generated square (construct.GridSquare or
+  construct.ComposedSquare) is never held whole, and filled once.
 
 Readers raise ``FormatError`` on any payload that breaks these rules or
 whose dimensions disagree with its header, and on unknown header keys.
@@ -39,7 +40,7 @@ whose dimensions disagree with its header, and on unknown header keys.
 from __future__ import annotations
 
 import os
-from functools import partial
+import threading
 from io import BytesIO
 from pathlib import Path
 
@@ -48,7 +49,7 @@ import numpy as np
 from . import _pool
 from ._codec import ffi as _ffi, lib as _lib
 from .construct import CmsFamily
-from .errors import FormatError
+from .errors import ConstructionError, FormatError
 from .linalg import MatrixPairCertificate
 from .oa import ArrayFamily, OrthArray
 from .verify import MagicSquare, VerifyReport
@@ -61,11 +62,11 @@ _VERSION = "1"
 
 
 _SEPARATORS = (b" ", b"\t", b"\n", b"\r")
-_ENTRY_BYTES = 21           # most text bytes of an int64 entry and its separator
 _ENCODE_ENTRIES = 1 << 16   # entries being encoded at once, over all workers
 _DECODE_BYTES = 1 << 18     # most text bytes decoded in one piece
 _DECODE_MIN = 1 << 14       # fewest, unless _DECODE_BYTES is less
 _HEADER_BYTES = 1 << 12     # bytes read per try at the header line
+_BACK_BYTES = 1 << 16       # bytes read back from a written file at once
 
 
 def _parse_header(line: str, magic: str, keys: tuple[str, ...],
@@ -131,14 +132,16 @@ def _read_header(f) -> tuple[str, bytes]:
 def _encode(block: np.ndarray) -> memoryview:
     """ASCII text of an integer row block: each row's decimal entries joined
     by single spaces and ended by a newline, the bytes of
-    ``" ".join(map(str, row)) + "\\n"`` for every row."""
+    ``" ".join(map(str, row)) + "\\n"`` for every row.  The text is written
+    into a buffer the writer has handed back, else a new one (_text)."""
     rows, cols = block.shape
     entries = np.ascontiguousarray(block, dtype=np.int64)
-    text = np.empty(rows * max(_ENTRY_BYTES * cols, 1), dtype=np.uint8)
-    with _ffi.from_buffer(text) as out:  # released before the resize
-        size = _lib.encode(_ffi.from_buffer("int64_t[]", entries), rows, cols, out)
-    text.resize(size, refcheck=False)  # shrinks in place
-    return memoryview(text)
+    # sign and digits of the widest entry, and a separator
+    width = max(len(str(entries.min())), len(str(entries.max()))) + 1 if entries.size else 1
+    text = _text(rows * max(width * cols, 1))
+    size = _lib.encode(_ffi.from_buffer("int64_t[]", entries), rows, cols,
+                       _ffi.from_buffer(text))
+    return memoryview(text)[:size]
 
 
 def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
@@ -190,31 +193,34 @@ def _pieces(f, body: bytes, size: int):
         carry = data[cut:]
 
 
-def _scan(piece: tuple[bytes, int]):
+def _scan(piece: tuple[bytes, int], buffers: dict | None = None):
     """(per_line, values, error, last) of one (data, cut) piece, the
-    pooled kernel of _decode.  per_line counts the tokens before the
-    first line break, between breaks and after the last; values are the
-    parsed tokens; error is the message of the first token outside the
-    int64 range, else None; last marks the final piece.  A byte or sign
+    pooled kernel of _decode, in buffers (see _buffer) if given, else new
+    ones.  per_line counts the tokens before the first line break,
+    between breaks and after the last; values are the parsed tokens;
+    error is the message of the first token outside the int64 range, else
+    None; last marks the final piece.  A byte or sign
     error raises: the pool raises it in piece order, after every earlier
     piece was checked.  The range error is returned, since the caller's
     count and row checks on the same piece come first."""
     data, cut = piece
+    text = _ffi.from_buffer(data)
     counts = _ffi.new("size_t[2]")  # tokens and line breaks before cut
-    status = _lib.check(data, len(data), cut, counts)
+    status = _lib.check(text, len(data), cut, counts)
     if status == _lib.BAD_BYTE:
         raise FormatError("body holds a byte other than a digit, sign, "
                           "space, tab or line break")
     if status == _lib.BAD_SIGN:
         raise FormatError("a sign must start a token and precede a digit")
-    vals = np.empty(counts[0], dtype=np.int64)
-    per_line = np.empty(counts[1] + 1, dtype=np.int64)
+    buffers = {} if buffers is None else buffers
+    vals = _buffer(buffers, "values", counts[0])
+    per_line = _buffer(buffers, "lines", counts[1] + 1)
     bad = _ffi.new("size_t[2]")  # the first out-of-range token's offsets
     error = None
-    if _lib.parse(data, len(data), cut, _ffi.from_buffer("int64_t[]", vals), vals.size,
+    if _lib.parse(text, len(data), cut, _ffi.from_buffer("int64_t[]", vals), vals.size,
                   _ffi.from_buffer("int64_t[]", per_line), per_line.size, bad):
-        text = data[bad[0]:bad[1]][:24].decode()
-        error = f"token {text} is outside the int64 range"
+        token = bytes(data[bad[0]:bad[1]][:24]).decode()
+        error = f"token {token} is outside the int64 range"
     return per_line, vals, error, cut == len(data)
 
 
@@ -275,77 +281,161 @@ def _read_entries(pieces, total: int) -> np.ndarray:
     return out
 
 
-def _piece_matches(squares, piece) -> bool:
-    """Whether one (position, values) piece of _decode matches the entries
-    of squares, all of one order, laid end to end: the pooled kernel of
-    _same.  The piece is compared with the rows it covers, read through
-    the squares' rows(), so a generated square is regenerated on the
-    worker, never held."""
-    pos, vals = piece
-    n = squares[0].n
-    at = 0
-    while at < vals.size:
-        k, off = divmod(pos + at, n * n)
-        take = min(vals.size - at, n * n - off)
-        r0 = off // n
-        want = squares[k].rows(r0, -(-(off + take) // n)).ravel()
-        if not np.array_equal(vals[at:at + take], want[off - r0 * n:off - r0 * n + take]):
-            return False
-        at += take
-    return True
+# ---------------------------------------------------------------------------
+# The checked writer
+# ---------------------------------------------------------------------------
+
+def _buffer(buffers: dict, name: str, size: int, dtype=np.int64) -> np.ndarray:
+    """The first size entries of buffers[name], grown to hold them: reused
+    from piece to piece, its pages are mapped once."""
+    if name not in buffers or buffers[name].size < size:
+        buffers[name] = np.empty(size, dtype=dtype)
+    return buffers[name][:size]
 
 
-def _same(pieces, squares) -> bool:
-    """Whether the pieces of _decode match the entries of squares; each
-    piece is compared on the pool, and no comparison is awaited past the
-    first piece that differs.  The pieces are stitched on this thread as
-    the pool takes them, so a stitching error raises here in file
-    order."""
-    return all(_pool.ordered_map(partial(_piece_matches, squares), pieces))
+# Text buffers that a write has written to its file and handed back for
+# _encode to reuse.  A write has at most its pool window and the piece it
+# is writing in use at once, and empties the list when it ends.  Only free
+# buffers are kept here, so writes on other threads share nothing else.
+_texts: list[np.ndarray] = []
 
 
-def _held(entries: np.ndarray):
-    """A 2-D array as a block of _write_blocks."""
-    return entries.shape, lambda r0, r1: entries[r0:r1]
+def _text(size: int) -> np.ndarray:
+    """A uint8 buffer of at least size bytes, handed back or new."""
+    try:
+        text = _texts.pop()
+    except IndexError:
+        text = None
+    return text if text is not None and text.size >= size else np.empty(size, dtype=np.uint8)
 
 
-def _write_blocks(path, header: str, blocks) -> None:
+def _unchecked(detail=None) -> ConstructionError:
+    return ConstructionError("artifact did not round-trip" + (f": {detail}" if detail else ""))
+
+
+def _text_matches(text, block: np.ndarray, buffers: dict) -> bool:
+    """Whether text, decoded by the readers' kernels, is block, one row to
+    a line, and ends with a line break; ConstructionError, with the
+    readers' message, on a malformed token or row."""
+    rows, cols = block.shape
+    try:
+        per_line, vals, error, _ = _scan((text, len(text)), buffers)
+    except FormatError as exc:
+        raise _unchecked(exc) from None
+    full = per_line[per_line > 0]
+    if (full != cols).any():
+        raise _unchecked(f"a row holds {full[full != cols][0]} entries, want {cols}")
+    if error:
+        raise _unchecked(error)
+    return (per_line.size == rows + 1 and (per_line[:rows] == cols).all() and not per_line[rows]
+            and (not rows or text[-1] == ord("\n"))
+            and np.array_equal(vals.reshape(block.shape), block))
+
+
+def _write_at(fd: int, data, at: int) -> None:
+    """Write all of data to file fd at byte at."""
+    view = memoryview(data)
+    while view:
+        done = os.pwrite(fd, view, at)
+        view, at = view[done:], at + done
+
+
+def _read_back(fd: int, data, at: int, back: np.ndarray) -> None:
+    """Raise unless file fd holds data at byte at, read into back a part
+    at a time."""
+    want = np.frombuffer(data, dtype=np.uint8)
+    for i in range(0, want.size, back.size):
+        part = want[i:i + back.size]
+        got = back[:os.preadv(fd, [back[:part.size]], at + i)]
+        if got.size < part.size:
+            raise _unchecked(f"the file holds {os.fstat(fd).st_size} bytes, "
+                             f"want {at + want.size}")
+        if not np.array_equal(got, part):
+            raise _unchecked()
+
+
+def _write_blocks(path, header: str, blocks, binary: bool = False) -> None:
     """Header line, then each block's rows, blocks separated by a blank
-    line.  A block is ((rows, cols), fill), fill(r0, r1) giving its rows
-    r0..r1-1; each piece is filled and encoded on the pool, each worker
-    _ENCODE_ENTRIES / workers entries at a time, and written in order."""
-    pieces = []  # (bytes before the piece, fill, first row, end row)
-    for i, ((count, cols), fill) in enumerate(blocks):
+    line, checked as written; ConstructionError if a check fails.  A block
+    is ((rows, cols), source), source a held 2-D array or fill(r0, r1,
+    out), filling rows r0..r1-1 into out, an int64 (r1 - r0, cols) array.
+
+    A pool task per piece of rows (_ENCODE_ENTRIES / workers entries)
+    fills them into its worker's buffer, encodes them (binary: tobytes)
+    and decodes the text with the readers' kernels (binary: frombuffer)
+    into its worker's buffers, to be equal to the rows.  This thread
+    writes the header and the pieces in order, reads each back to compare
+    it with what it wrote, and checks the file's size last.  So the file
+    reads back to the blocks: its bytes are the header, the texts and the
+    blank lines; each text holds its rows one to a line and ends with a
+    line break, so no token spans two pieces; and the blank line before
+    each later block's first piece is the only one."""
+    if binary:
+        encode = lambda block: np.asarray(block, dtype="<i8").tobytes()  # noqa: E731
+        matches = lambda data, block, _: np.array_equal(  # noqa: E731
+            np.frombuffer(data, dtype="<i8"), block.ravel())
+    else:
+        encode, matches = _encode, _text_matches
+    head = header.encode("ascii")
+    pieces = []  # (bytes before the piece, source, first row, end row, cols)
+    for i, ((count, cols), source) in enumerate(blocks):
         starts = _pool.blocks(max(1, count), cols, _ENCODE_ENTRIES)
         for r in starts:
-            pieces.append((b"\n" if i and not r else b"", fill, r, min(r + starts.step, count)))
-    texts = _pool.ordered_map(lambda piece: _encode(piece[1](*piece[2:])), pieces)
-    with open(Path(path), "wb") as f:
-        f.write(header.encode("ascii"))
-        for (lead, *_), text in zip(pieces, texts):
-            f.write(lead)
-            f.write(text)
+            lead = b"" if r else b"\n" if i else head
+            pieces.append((lead, source, r, min(r + starts.step, count), cols))
+    workers = {}  # each worker's buffers, by thread
+
+    def checked(piece):
+        _, source, r0, r1, cols = piece
+        mine = workers.setdefault(threading.get_ident(), {})
+        if isinstance(source, np.ndarray):
+            block = source[r0:r1]
+        else:
+            block = source(r0, r1, _buffer(mine, "rows", (r1 - r0) * cols).reshape(r1 - r0, cols))
+        if block.shape != (r1 - r0, cols):
+            raise _unchecked(f"rows {r0}..{r1 - 1} have shape {block.shape}, "
+                             f"want {(r1 - r0, cols)}")
+        text = encode(block)
+        if not matches(text, block, mine):
+            raise _unchecked()
+        return text
+
+    back = np.empty(_BACK_BYTES, dtype=np.uint8)
+    with open(Path(path), "w+b", buffering=0) as f:
+        fd, at = f.fileno(), 0
+        texts = _pool.ordered_map(checked, pieces)
+        try:
+            for (lead, *_), text in zip(pieces, texts):
+                for data in (lead, text) if lead else (text,):
+                    _write_at(fd, data, at)
+                    _read_back(fd, data, at, back)
+                    at += len(data)
+                if isinstance(getattr(text, "obj", None), np.ndarray):
+                    _texts.append(text.obj)  # an _encode buffer
+        finally:
+            texts.close()
+            _texts.clear()
+        if os.fstat(fd).st_size != at:
+            raise _unchecked(f"the file holds {os.fstat(fd).st_size} bytes, want {at}")
 
 
 # ---------------------------------------------------------------------------
 # Magic squares
 # ---------------------------------------------------------------------------
 
+def _square_block(sq):
+    """A square as a block of _write_blocks: a held one's entries, else
+    its rows()."""
+    return (sq.n, sq.n), sq.entries if isinstance(sq, MagicSquare) else sq.rows
+
+
 def write_ms(path, sq, binary: bool = False) -> None:
-    """Write a MagicSquare, or any square read through rows(r0, r1) such
-    as a construct.GridSquare or ComposedSquare, in row blocks: it is
-    never held whole."""
+    """Write a MagicSquare, or any square read through rows(r0, r1, out)
+    such as a construct.GridSquare or ComposedSquare, in checked row
+    blocks (see _write_blocks): it is never held whole."""
     header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
               f"n={sq.n} t={sq.t} base={sq.base}\n")
-    if not binary:
-        _write_blocks(path, header, [((sq.n, sq.n), sq.rows)])
-        return
-    step = _pool.blocks(max(1, sq.n), sq.n, _ENCODE_ENTRIES).step
-    with open(Path(path), "wb") as f:
-        f.write(header.encode("ascii"))
-        for r0 in range(0, sq.n, step):
-            rows = sq.rows(r0, min(r0 + step, sq.n))
-            f.write(np.ascontiguousarray(rows, dtype="<i8").tobytes())
+    _write_blocks(path, header, [_square_block(sq)], binary)
 
 
 def _digit_bytes(count: int) -> int:
@@ -419,7 +509,7 @@ def write_oa_family(path, fam: ArrayFamily) -> None:
         raise ValueError("family members must share a column count to serialize")
     _write_blocks(path, f"{_OA_MAGIC} {_VERSION} count={len(members)} k={first.k} "
                         f"cols={first.n_cols} v={first.v} t={first.t}\n",
-                  [_held(m.entries) for m in members])
+                  [(m.entries.shape, m.entries) for m in members])
 
 
 def read_oa_family(path) -> ArrayFamily:
@@ -447,20 +537,15 @@ def read_oa_family(path) -> ArrayFamily:
 
 def write_cms_bundle(path, fam: CmsFamily) -> None:
     _write_blocks(path, f"{_CMS_MAGIC} {_VERSION} m={fam.m} n={fam.n} t={fam.t}\n",
-                  [((fam.n, fam.n), member.rows) for member in fam.members])
-
-
-def _read_cms_header(line: str) -> dict:
-    head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
-    if head["m"] < 1:
-        raise FormatError("empty bundle is invalid")
-    return head
+                  [_square_block(member) for member in fam.members])
 
 
 def read_cms_bundle(path) -> CmsFamily:
     with _open(path) as f:
         line, body = _read_header(f)
-        head = _read_cms_header(line)
+        head = _parse_header(line, _CMS_MAGIC, ("m", "n", "t"), dims=("m", "n"))
+        if head["m"] < 1:
+            raise FormatError("empty bundle is invalid")
         m, n, t = head["m"], head["n"], head["t"]
         entries = _read_entries(_decode(f, body, m, n, n, split=True), m * n * n)
     try:
@@ -468,37 +553,6 @@ def read_cms_bundle(path) -> CmsFamily:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return CmsFamily(members, t)
-
-
-# ---------------------------------------------------------------------------
-# Read-back checks
-# ---------------------------------------------------------------------------
-
-def read_matches(path, artifact) -> bool:
-    """Whether the text square or family bundle at path has the header
-    fields and entries of artifact, a CmsFamily or a square read through
-    rows(r0, r1).  Each decoded piece is compared with the rows of
-    artifact it covers, so no decoded copy is held and a generated square
-    is regenerated, never held; the whole body is decoded, and a file the
-    matching reader rejects raises the same FormatError."""
-    with _open(path) as f:
-        line, body = _read_header(f)
-        if isinstance(artifact, CmsFamily):
-            head = _read_cms_header(line)
-            want = {"m": artifact.m, "n": artifact.n, "t": artifact.t}
-            squares = artifact.members
-        else:
-            head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
-            want = {"n": artifact.n, "t": artifact.t, "base": artifact.base}
-            squares = [artifact]
-        pieces = _decode(f, body, head.get("m", 1), head["n"], head["n"],
-                         split="m" in head)
-        same = head == want and _same(pieces, squares)
-        for _ in pieces:  # validate the rest of the body
-            pass
-    if head["t"] < 1:
-        raise FormatError("degree must be at least 1")
-    return same
 
 
 # ---------------------------------------------------------------------------

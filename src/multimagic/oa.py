@@ -325,18 +325,20 @@ class _GridStack:
         index[:k // 2] += self.b[:, 1::2].T
         return v, index
 
-    def codes(self, r0: int, r1: int) -> np.ndarray:
+    def codes(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         """The (r1 - r0, N) codes of the columns of members r0..r1-1, base
         v (table being the flat v x v table), row 0 least significant, as
         the member pass computes them, filled by the compiled grid_rows:
         with a holding q * E1 X and b holding E2 Y, rows r0..r1-1 of the
-        grid's square.  ValueError if the rows or the entries (see _pairs)
-        are out of range."""
+        grid's square, into out, a C-contiguous int64 array of that
+        shape, if given.  ValueError if the rows or the entries (see
+        _pairs) are out of range."""
         count, k, n = self.shape
         if not 0 <= r0 <= r1 <= count:
             raise ValueError(f"rows {r0}..{r1} outside 0..{count}")
         v, index = self._pairs
-        out = np.empty((r1 - r0, n), dtype=np.int64)
+        if out is None:
+            out = np.empty((r1 - r0, n), dtype=np.int64)
         work = np.empty(len(index) * v * v, dtype=np.int64)
         _lib.grid_rows(_buffer("int16_t[]", self.table), _buffer("int64_t[]", self.a), k, v,
                        _buffer("int32_t[]", index), n, r0, r1, _buffer("int64_t[]", work),

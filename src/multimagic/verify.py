@@ -5,8 +5,10 @@ Every square is read through one row-block interface: ``sq.n``, ``sq.t``,
 ``sq.base`` and ``sq.rows(r0, r1)``, the int64 rows r0..r1-1.  A held
 MagicSquare serves views of its entries; a generated square is never held
 whole: a construct.GridSquare fills its rows from the grid's cells, and a
-construct.ComposedSquare from its blocks, on demand.  Each pool task
-reads its own block, so a generated square is filled on the workers.
+construct.ComposedSquare from its blocks, on demand, into ``out`` when
+called as ``rows(r0, r1, out)`` with a C-contiguous (r1 - r0, n) int64
+array.  Each pool task reads its own block, so a generated square is
+filled on the workers.
 
 ``verify_ms`` takes one of two routes, chosen by the square's type.  A
 construct.ComposedSquare, the output of every composition, is checked

@@ -139,22 +139,31 @@ class TestGenVerifyLoop:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["a.mms", "b.mms"] + (["out"] if where == "directory" else []))
 
+    @staticmethod
+    def corrupt_first_piece(monkeypatch, corrupt):
+        """Write the first piece after the header as corrupt(its bytes):
+        the file then differs from the checked text."""
+        real = io._write_at
+        calls = []
+
+        def write_at(fd, data, at):
+            calls.append(at)
+            real(fd, corrupt(bytes(data)) if len(calls) == 2 else data, at)
+
+        monkeypatch.setattr(io, "_write_at", write_at)
+
     @pytest.mark.parametrize("argv, writer", [
         (("gen-ms", "--q", "3", "--t", "2", "--method", "qt"), "write_ms"),
         (("gen-cms", "--q", "3", "--t", "2"), "write_cms_bundle"),
     ])
     def test_read_back_mismatch_is_construction_failure(self, tmp_path, capsys,
                                                         monkeypatch, argv, writer):
-        real = getattr(io, writer)
-
-        def write_then_flip_last(path, artifact):
-            real(path, artifact)
-            raw = bytearray(Path(path).read_bytes())
+        def flip(raw):
+            raw = bytearray(raw)
             raw[-2] = ord("1") if raw[-2] != ord("1") else ord("2")
-            Path(path).write_bytes(bytes(raw))
+            return bytes(raw)
 
-        monkeypatch.setattr(io, writer, write_then_flip_last)
-        monkeypatch.setattr(io, "_DECODE_BYTES", 32)
+        self.corrupt_first_piece(monkeypatch, flip)
         out = tmp_path / "x"
         assert run_cli(*argv, "--out", str(out)) == 3
         assert capsys.readouterr().err == "construction failed: artifact did not round-trip\n"
@@ -163,15 +172,9 @@ class TestGenVerifyLoop:
 
     def test_malformed_read_back_is_construction_failure(self, tmp_path, capsys,
                                                          monkeypatch):
-        # the generator's own artifact failing to parse is a construction
-        # failure, not a usage error
-        real = io.write_ms
-
-        def write_truncated(path, sq):
-            real(path, sq)
-            Path(path).write_bytes(Path(path).read_bytes()[:-20])
-
-        monkeypatch.setattr(io, "write_ms", write_truncated)
+        # the generator's own artifact failing to read back is a
+        # construction failure, not a usage error
+        self.corrupt_first_piece(monkeypatch, lambda raw: raw[:-20])
         out = tmp_path / "x.mms"
         assert run_cli("gen-ms", "--q", "3", "--t", "2", "--method", "qt",
                        "--out", str(out)) == 3

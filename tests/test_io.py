@@ -1,11 +1,9 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from multimagic import construct, gf, io, linalg, oa, verify
 from multimagic.construct import CmsFamily
-from multimagic.errors import FormatError
+from multimagic.errors import ConstructionError, FormatError
 from multimagic.verify import MagicSquare
 
 from conftest import GOLDEN_CMS9
@@ -134,68 +132,178 @@ class TestCmsFormat:
 
 
 class TestReadMatches:
-    """The generators' read-back: each decoder pass is compared with the
-    matching slice of the built artifact."""
+    """The writers' read-back: each piece's text is decoded and compared
+    with the rows it was encoded from, and its bytes are read back from
+    the file, so a write stops at the first piece that would not read
+    back to the artifact."""
 
     @pytest.fixture
-    def square(self, tmp_path):
+    def square(self):
         rng = np.random.default_rng(4)
-        sq = MagicSquare(rng.permutation(40 * 40).reshape(40, 40) + 3, 2, base=3)
-        path = tmp_path / "sq.mms"
-        io.write_ms(path, sq)
-        return path, sq
+        return MagicSquare(rng.permutation(40 * 40).reshape(40, 40) + 3, 2, base=3)
 
     @staticmethod
-    def _changed(sq, i, j):
-        entries = sq.entries.copy()
-        entries[i, j] += 1
-        return MagicSquare(entries, sq.t, sq.base)
+    def encoded_as(monkeypatch, change):
+        """Encode each block as change(block) returns it."""
+        real = io._encode
+        monkeypatch.setattr(io, "_encode", lambda block: real(change(block)))
 
     @pytest.mark.parametrize("chunk", [8, 64, 1 << 16])
-    def test_each_pass_is_compared(self, square, chunk):
-        path, sq = square
-        with mock.patch.object(io, "_DECODE_BYTES", chunk):
-            assert io.read_matches(path, sq)
-            for i, j in ((0, 0), (17, 23), (39, 38), (39, 39)):
-                assert not io.read_matches(path, self._changed(sq, i, j)), (i, j)
+    def test_each_pass_is_compared(self, square, chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(io, "_ENCODE_ENTRIES", chunk)
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, square)
+        got = io.read_ms(path)
+        assert np.array_equal(got.entries, square.entries) and got.base == square.base
+        for i, j in ((0, 0), (17, 23), (39, 38), (39, 39)):
+            value = square.entries[i, j]  # each entry is distinct
+            with monkeypatch.context() as patch:
+                self.encoded_as(patch, lambda b: np.where(b == value, value + 1, b))
+                with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
+                    io.write_ms(path, square)
 
-    def test_header_fields_are_compared(self, square):
-        path, sq = square
-        for other in (MagicSquare(sq.entries, 3, sq.base),
-                      MagicSquare(sq.entries, sq.t, 4),
-                      MagicSquare(sq.entries[:39, :39], sq.t, sq.base)):
-            assert not io.read_matches(path, other)
+    def test_header_fields_are_compared(self, square, monkeypatch, tmp_path):
+        real = io._write_at
+        for old, new in ((b"t=2", b"t=3"), (b"base=3", b"base=4"), (b"n=40", b"n=39")):
+            def write_at(fd, data, at, old=old, new=new):
+                real(fd, bytes(data).replace(old, new) if at == 0 else data, at)
 
-    def test_bundles(self, golden_cms9, tmp_path):
-        with mock.patch.object(io, "_DECODE_BYTES", 16):
-            assert io.read_matches(GOLDEN_CMS9, golden_cms9)
-            for k in (0, 4, 8):
-                members = list(golden_cms9.members)
-                members[k] = self._changed(members[k], 8, 8)
-                assert not io.read_matches(GOLDEN_CMS9, CmsFamily(tuple(members), 2))
-        fewer = CmsFamily(golden_cms9.members[:8], 2)
-        assert not io.read_matches(GOLDEN_CMS9, fewer)
+            monkeypatch.setattr(io, "_write_at", write_at)
+            with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
+                io.write_ms(tmp_path / "sq.mms", square)
 
-    def test_malformed_file_still_raises(self, square, tmp_path):
-        path, sq = square
-        text = path.read_bytes()
+    def test_file_size_is_checked(self, square, monkeypatch, tmp_path):
+        # each write leaves two bytes past its data, which the next piece
+        # overwrites: only the last write's are left, past every piece
+        path = tmp_path / "sq.mms"
+        io.write_ms(path, square)
+        size = path.stat().st_size
+        real = io._write_at
+        monkeypatch.setattr(io, "_write_at",
+                            lambda fd, data, at: real(fd, bytes(data) + b"7\n", at))
+        with pytest.raises(ConstructionError) as got:
+            io.write_ms(path, square)
+        assert str(got.value) == (f"artifact did not round-trip: the file holds "
+                                  f"{size + 2} bytes, want {size}")
+
+    def test_bundles(self, golden_cms9, monkeypatch, tmp_path):
+        path = tmp_path / "fam.cms"
+        monkeypatch.setattr(io, "_ENCODE_ENTRIES", 16)
+        io.write_cms_bundle(path, golden_cms9)
+        assert path.read_bytes() == GOLDEN_CMS9.read_bytes()
+        for k in (0, 4, 8):
+            row = golden_cms9.members[k].entries[8]
+            with monkeypatch.context() as patch:
+                self.encoded_as(patch, lambda b: b + np.may_share_memory(b, row))
+                with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
+                    io.write_cms_bundle(path, golden_cms9)
+        # the blank line between two members is read back too
+        real = io._write_at
+        monkeypatch.setattr(io, "_write_at",
+                            lambda fd, data, at: None if data == b"\n" else real(fd, data, at))
+        with pytest.raises(ConstructionError, match="^artifact did not round-trip: "):
+            io.write_cms_bundle(path, golden_cms9)
+
+    def test_malformed_file_still_raises(self, square, monkeypatch, tmp_path):
+        # a malformed text raises what the reader raises on it
+        text = bytes(io._encode(square.entries))
         cases = {
-            "bad byte after a mismatch": text[:-3] + b"x\n",
-            "short body": text[:len(text) // 2],
-            "degree 0": text.replace(b"t=2", b"t=0", 1),
+            "bad byte": text[:-3] + b"x\n",
+            "short row": text[:text.rindex(b" ")] + b"\n",
+            "out of range": b"9" * 20 + text[text.index(b" "):],
         }
+        bad = tmp_path / "bad.mms"
         for name, raw in cases.items():
-            bad = tmp_path / "bad.mms"
-            bad.write_bytes(raw)
-            with mock.patch.object(io, "_DECODE_BYTES", 64), \
-                    pytest.raises(FormatError):
-                io.read_matches(bad, self._changed(sq, 0, 0))
-            with pytest.raises(FormatError):
+            bad.write_bytes(b"MMS 1 n=40 t=2 base=3\n" + raw)
+            with pytest.raises(FormatError) as want:
                 io.read_ms(bad)
+            with monkeypatch.context() as patch:
+                patch.setattr(io, "_encode", lambda block, raw=raw: memoryview(raw))
+                with pytest.raises(ConstructionError) as got:
+                    io.write_ms(tmp_path / "sq.mms", square)
+            assert str(got.value) == f"artifact did not round-trip: {want.value}", name
 
-    def test_wrong_format_raises(self, golden_cms9, tmp_path):
-        with pytest.raises(FormatError):
-            io.read_matches(GOLDEN_CMS9, golden_cms9.members[0])
+    def test_wrong_format_raises(self, tmp_path):
+        class Narrow:
+            n, t, base = 4, 1, 0
+
+            def rows(self, r0, r1, out):
+                return np.zeros((r1 - r0, 3), dtype=np.int64)
+
+        with pytest.raises(ConstructionError, match=r"have shape \(4, 3\), want \(4, 4\)"):
+            io.write_ms(tmp_path / "sq.mms", Narrow())
+
+
+INT64 = np.iinfo(np.int64)
+HELD = {
+    "order 1": MagicSquare(np.array([[7]]), 1),
+    "negative": MagicSquare(np.arange(-12, 13).reshape(5, 5)[::-1], 1),
+    "base": MagicSquare(np.arange(36).reshape(6, 6).T + 11, 2, base=11),
+    "int64 extremes": MagicSquare(np.array([[INT64.min, INT64.max, 0, -1],
+                                            [1, INT64.max, INT64.min, -10**18],
+                                            [10**18, -9, 9, INT64.min + 1],
+                                            [INT64.max - 1, 0, 0, 0]]), 1),
+}
+
+
+def _square_of(sq):
+    return sq.entries.tolist(), sq.t, sq.base
+
+
+def _bundle_of(fam):
+    return [m.entries.tolist() for m in fam.members], fam.t
+
+
+def _family_of(fam):
+    return [(m.entries.tolist(), m.v, m.t) for m in fam.members]
+
+
+class TestCheckedWriters:
+    """The oracle of the checked writers: each file reads back through
+    its own reader to the artifact, at pool sizes 1 to 3, with pieces of
+    1, 2, 3 or 7 rows, so that a block's last piece is short and the next
+    block's rows start a piece of their own."""
+
+    @staticmethod
+    def written(write, read, artifact, cols, tmp_path, pool_size, monkeypatch):
+        """What read gives, at each pool size and piece height, for the
+        file write made of artifact, whose rows hold cols entries."""
+        path = tmp_path / "artifact"
+        got = set()
+        for size in (1, 2, 3):
+            pool_size(size)
+            for rows in (1, 2, 3, 7):
+                monkeypatch.setattr(io, "_ENCODE_ENTRIES", rows * size * cols)
+                write(path, artifact)
+                got.add(repr(read(path)))
+        return got
+
+    @pytest.mark.parametrize("name", sorted(HELD) + ["grid", "composed"])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_squares(self, name, binary, f3, golden_cms9, tmp_path, pool_size, monkeypatch):
+        sq = {"grid": lambda: construct.build_ms_qt(f3, 2),
+              "composed": lambda: construct.product_compose(*golden_cms9.members[:2]),
+              }.get(name, lambda: HELD[name])()
+        got = self.written(lambda path, sq: io.write_ms(path, sq, binary),
+                           lambda path: _square_of(io.read_ms(path)),
+                           sq, sq.n, tmp_path, pool_size, monkeypatch)
+        assert got == {repr(_square_of(sq))}
+
+    @pytest.mark.parametrize("members", ["one", "golden", "built"])
+    def test_bundles(self, members, golden_cms9, f5, tmp_path, pool_size, monkeypatch):
+        fam = {"one": lambda: CmsFamily(golden_cms9.members[:1], 2),
+               "golden": lambda: golden_cms9,
+               "built": lambda: construct.build_cms_family(f5, 2)}[members]()
+        got = self.written(io.write_cms_bundle, lambda path: _bundle_of(io.read_cms_bundle(path)),
+                           fam, fam.n, tmp_path, pool_size, monkeypatch)
+        assert got == {repr(_bundle_of(fam))}
+
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_array_families(self, count, golden_loa, tmp_path, pool_size, monkeypatch):
+        fam = oa.ArrayFamily(golden_loa.members[:count])
+        got = self.written(io.write_oa_family, lambda path: _family_of(io.read_oa_family(path)),
+                           fam, fam.members[0].n_cols, tmp_path, pool_size, monkeypatch)
+        assert got == {repr(_family_of(fam))}
 
 
 class TestCertificates:

@@ -412,11 +412,9 @@ class TestDifferential:
 
 
 def decoded(fmt, path):
-    """The entries read from path, as lists, and the read-back verdict on
-    them (squares and bundles), or the FormatError message."""
+    """The entries read from path, as lists, or the FormatError message."""
     try:
-        obj = READERS[fmt](path)
-        return entries_of(obj).tolist(), fmt == "OAF" or io.read_matches(path, obj)
+        return entries_of(READERS[fmt](path)).tolist()
     except FormatError as exc:
         return str(exc)
 
@@ -444,7 +442,6 @@ class TestPoolSizes:
             with mock.patch.object(io, "_scan", codec_oracle._scan):
                 want = decoded(fmt, path)
         assert got == [want] * 3, (raw, got, want)
-        assert isinstance(got[0], str) or got[0][1]
 
     @staticmethod
     def two_defects(tmp_path):
@@ -497,7 +494,6 @@ class TestPoolSizes:
                 for size in (1, 2, 3):
                     pool_size(size)
                     assert np.array_equal(io.read_ms(path).entries, sq.entries)
-                    assert io.read_matches(path, sq)
 
 
 # ---------------------------------------------------------------------------

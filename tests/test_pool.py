@@ -281,103 +281,139 @@ class TestStreamedVerify:
 
     def test_write_and_read_back(self, composed, pool_size, monkeypatch, tmp_path):
         sq = composed["product"]
-        want = b"MMS 1 n=225 t=2 base=0\n" + text_rows(sq.entries)
+        held = sq.entries
+        want = b"MMS 1 n=225 t=2 base=0\n" + text_rows(held)
         path = tmp_path / "sq.mms"
-        bad = _composed_defects(sq)
         for size, rows in _configs():
             pool_size(size)
             monkeypatch.setattr(io, "_ENCODE_ENTRIES", rows * size * sq.n)
             io.write_ms(path, sq)
             assert path.read_bytes() == want, (size, rows)
-            assert io.read_matches(path, sq)
-            assert not any(io.read_matches(path, bad[key]) for key in bad if key != "built")
+            assert np.array_equal(io.read_ms(path).entries, held)
+            io.write_ms(path, sq, binary=True)
+            assert np.array_equal(io.read_ms(path).entries, held)
         io.write_ms(path, sq, binary=True)
         assert np.array_equal(io.read_ms(path).entries, sq.entries)
 
 
 class TestPooledReadBack:
-    """read_matches compares each decoded piece with the rows it covers in
-    a pool task of its own, stops waiting for comparisons at the first
-    piece that differs, and still validates the rest of the body: its
-    verdicts and errors are those of a serial read."""
+    """The checked write decodes each piece in a pool task of its own and
+    reads it back on the calling thread, in file order: the first piece
+    that fails decides the error, at every pool size, and no piece is
+    checked past a window after it."""
+
+    PIECE_ROWS = 4
 
     @pytest.fixture
-    def pieces(self, ms125, tmp_path, monkeypatch):
-        """The order-125 square written, read in pieces of about 2 KB, and
-        the starting entry of each piece."""
-        monkeypatch.setattr(io, "_DECODE_BYTES", 2048)
-        monkeypatch.setattr(io, "_DECODE_MIN", 2048)
-        path = tmp_path / "sq.mms"
-        io.write_ms(path, ms125)
-        starts = []
-        real = io._piece_matches
+    def pieces(self, ms125, monkeypatch):
+        """A setter of the pool size that keeps pieces of PIECE_ROWS rows of
+        the order-125 square, and a spy on _encode: the list of the first
+        rows it encoded, and a table of changes, by first row, applied to
+        the text of a piece."""
+        row_of = {int(x): r for r, x in enumerate(ms125.entries[:, 0])}
+        encoded, changes = [], {}
+        real = io._encode
 
-        def record(squares, piece):
-            starts.append(piece[0])
-            return real(squares, piece)
+        def encode(block):
+            r0 = row_of[int(block[0, 0])]
+            encoded.append(r0)
+            text = bytes(real(block))
+            return memoryview(changes[r0](text) if r0 in changes else text)
 
-        monkeypatch.setattr(io, "_piece_matches", record)
-        assert io.read_matches(path, ms125)
-        assert len(set(starts)) == len(starts) > 20  # compared on any worker
-        return path, sorted(starts), starts
+        def size(workers):
+            _pool.set_size(workers)
+            monkeypatch.setattr(io, "_ENCODE_ENTRIES", self.PIECE_ROWS * ms125.n * workers)
+
+        monkeypatch.setattr(io, "_encode", encode)
+        before = _pool.size()
+        yield size, encoded, changes
+        _pool.set_size(before)
 
     @staticmethod
-    def changed(sq: MagicSquare, at: int) -> MagicSquare:
-        e = sq.entries.copy()
-        e.flat[at] += 1
-        return MagicSquare(e, sq.t)
+    def change_line(line: int, how):
+        """A change of a piece's text: how(text of its line-th row)."""
+        def change(text):
+            lines = text.split(b"\n")
+            lines[line] = how(lines[line])
+            return b"\n".join(lines)
+        return change
+
+    @staticmethod
+    def bump(text):
+        """The text with its first entry one greater."""
+        first, _, rest = text.partition(b" ")
+        return b"%d %s" % (int(first) + 1, rest)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_mismatch_stops_the_comparisons(self, ms125, pieces, where, pool_size):
-        path, starts, compared = pieces
-        piece = {"first": 0, "middle": len(starts) // 2, "last": len(starts) - 1}[where]
-        at = starts[piece] + 1 if piece + 1 < len(starts) else ms125.n ** 2 - 1
-        other = self.changed(ms125, at)
-        for size in POOL_SIZES:
-            pool_size(size)
-            compared.clear()
-            assert not io.read_matches(path, other), size
-            # the differing piece and at most a window of pieces after it
-            assert piece in [starts.index(c) for c in compared]
-            assert len(compared) <= piece + 2 * size, (size, len(compared))
+    def test_mismatch_stops_the_comparisons(self, ms125, pieces, where, tmp_path):
+        size, encoded, changes = pieces
+        count = -(-ms125.n // self.PIECE_ROWS)
+        piece = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+        changes[piece * self.PIECE_ROWS] = self.bump
+        for workers in POOL_SIZES:
+            size(workers)
+            encoded.clear()
+            with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
+                io.write_ms(tmp_path / "sq.mms", ms125)
+            # the differing piece and at most the pool's window after it
+            assert piece * self.PIECE_ROWS in encoded
+            assert len(encoded) <= piece + 2 * workers, (workers, len(encoded))
 
     @pytest.mark.parametrize("where", ["first", "middle"])
-    def test_bad_byte_after_a_mismatch_raises(self, ms125, pieces, where, pool_size):
-        path, starts, _ = pieces
-        piece = {"first": 0, "middle": len(starts) // 2}[where]
-        other = self.changed(ms125, starts[piece])
-        text = bytearray(path.read_bytes())
-        text[-3] = ord("x")  # in the last piece
-        path.write_bytes(bytes(text))
-        with pytest.raises(FormatError) as serial:
-            io.read_ms(path)
-        for size in POOL_SIZES:
-            pool_size(size)
-            with pytest.raises(FormatError) as got:
-                io.read_matches(path, other)
-            assert str(got.value) == str(serial.value), size
+    def test_bad_byte_after_a_mismatch_raises(self, ms125, pieces, where, tmp_path):
+        # the mismatch comes first in the file, so it is what is raised
+        size, _, changes = pieces
+        last = (ms125.n - 1) // self.PIECE_ROWS * self.PIECE_ROWS
+        changes[last] = lambda text: text[:-3] + b"x\n"
+        changes[{"first": 0, "middle": last // 2 // self.PIECE_ROWS * self.PIECE_ROWS}[where]] \
+            = self.bump
+        for workers in POOL_SIZES:
+            size(workers)
+            with pytest.raises(ConstructionError) as got:
+                io.write_ms(tmp_path / "sq.mms", ms125)
+            assert str(got.value) == "artifact did not round-trip", workers
 
     @pytest.mark.parametrize("order", ["byte first", "row first"])
-    def test_errors_in_file_order(self, ms125, pieces, order, pool_size):
-        path, starts, _ = pieces
-        lines = path.read_bytes().split(b"\n")
-        early, late = 20, 110  # body rows, in different pieces
+    def test_errors_in_file_order(self, ms125, pieces, order, tmp_path):
+        size, _, changes = pieces
+        early, late = 20, 110  # rows of different pieces
         bad_byte = lambda row: row.replace(b" ", b"\x0c", 1)
         long_row = lambda row: row + b" 7"
         first, second = (bad_byte, long_row) if order == "byte first" else (long_row, bad_byte)
-        lines[1 + early] = first(lines[1 + early])
-        lines[1 + late] = second(lines[1 + late])
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(FormatError) as serial:
-            io.read_ms(path)
+        for row, how in ((early, first), (late, second)):
+            changes[row - row % self.PIECE_ROWS] = self.change_line(row % self.PIECE_ROWS, how)
         want = ("byte other than" if order == "byte first" else "a row holds 126 entries")
-        assert want in str(serial.value)
-        for size in POOL_SIZES:
-            pool_size(size)
-            for sq in (ms125, self.changed(ms125, 0)):
-                with pytest.raises(FormatError) as got:
-                    io.read_matches(path, sq)
-                assert str(got.value) == str(serial.value), size
+        for workers in POOL_SIZES:
+            size(workers)
+            with pytest.raises(ConstructionError) as got:
+                io.write_ms(tmp_path / "sq.mms", ms125)
+            assert str(got.value).startswith("artifact did not round-trip: ")
+            assert want in str(got.value), workers
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_first_piece_failure_returns_promptly(self, ms125, pieces, workers, tmp_path):
+        size, encoded, changes = pieces
+        release = threading.Event()
+
+        def hold(text):
+            release.wait(10)
+            return text
+
+        for r0 in range(self.PIECE_ROWS, ms125.n, self.PIECE_ROWS):
+            changes[r0] = hold  # every later piece waits
+        changes[0] = self.bump
+        size(workers)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
+                io.write_ms(tmp_path / "sq.mms", ms125)
+            assert time.perf_counter() - start < 5
+        finally:
+            release.set()
+        # no worker is left blocked: a map needing every worker at once runs
+        meet = threading.Barrier(workers, timeout=5)
+        assert list(_pool.ordered_map(lambda _: meet.wait() >= 0, range(workers))) \
+            == [True] * workers
 
 
 def test_stress_more_workers_than_cores(ms125, f5, pool_size, monkeypatch, tmp_path):
@@ -403,7 +439,6 @@ def test_stress_more_workers_than_cores(ms125, f5, pool_size, monkeypatch, tmp_p
             assert verify_ms(grid, 3) == want[0]
             io.write_ms(tmp_path / "grid.mms", grid)
             assert (tmp_path / "grid.mms").read_bytes() == (tmp_path / "serial.mms").read_bytes()
-            assert io.read_matches(tmp_path / "serial.mms", grid)
     finally:
         sys.setswitchinterval(interval)
 
