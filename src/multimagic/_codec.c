@@ -10,10 +10,8 @@
  * cut): data[0] is a separator, the tokens that start before data[cut]
  * end before it, and the bytes from cut on begin the next piece.
  *
- * decode is two calls: check() validates a piece and counts its tokens
- * and line breaks, so that the caller can size the outputs exactly, and
- * parse() fills them.  Every byte below '!' that passes check() is a
- * separator, and every other one belongs to a token.
+ * decode() validates, parses and counts a piece in one pass over its
+ * bytes; encode() writes the text of a block of entries.
  */
 
 #include <stddef.h>
@@ -21,6 +19,7 @@
 
 #define BAD_BYTE 1
 #define BAD_SIGN 2
+#define BAD_RANGE 3
 
 static inline unsigned is_digit(unsigned char c)
 {
@@ -32,76 +31,16 @@ static inline unsigned is_sign(unsigned char c)
     return (c == '+') | (c == '-');
 }
 
+/* Whether c is a digit, sign, space, tab or line break. */
+static inline unsigned is_body(unsigned char c)
+{
+    return is_digit(c) | is_sign(c) | (c == ' ') | ((unsigned char)(c - '\t') < 2) | (c == '\r');
+}
+
 /* Whether c breaks a line when next follows it. */
 static inline unsigned is_break(unsigned char c, unsigned char next)
 {
     return (c == '\n') | ((c == '\r') & (next != '\n'));
-}
-
-/* Whether c is a sign without a separator before it or a digit after it. */
-static inline unsigned bad_sign(unsigned char prev, unsigned char c, unsigned char next)
-{
-    return is_sign(c) & ((prev > ' ') | !is_digit(next));
-}
-
-/* 0, BAD_BYTE if any byte of data[0, size) is not a digit, sign, space,
- * tab or line break, else BAD_SIGN if a sign in data[0, cut) does not
- * start a token or precede a digit.  On 0, counts[0] is the number of
- * tokens starting in data[0, cut) and counts[1] the number of line
- * breaks there. */
-int check(const char *text, size_t size, size_t cut, size_t *counts)
-{
-    const unsigned char *s = (const unsigned char *)text;
-    unsigned char bad = 0;
-    for (size_t i = 0; i < size; i++) {
-        unsigned char c = s[i];
-        /* a sum, not an or: gcc turns a chain of == into a bit test
-         * that it cannot vectorize */
-        unsigned char ok = is_digit(c) + (c == '+') + (c == '-') + (c == ' ')
-                           + ((unsigned char)(c - '\t') < 2) + (c == '\r');
-        bad |= ok ^ 1;
-    }
-    if (bad)
-        return BAD_BYTE;
-    if (cut > size)
-        cut = size;
-    size_t tokens = 0, breaks = 0;
-    unsigned sign = 0;
-    /* the bytes before data[0] and after data[size - 1] count as spaces */
-    size_t end = cut < size ? cut : size - 1;
-    if (cut) {
-        unsigned char next = size > 1 ? s[1] : ' ';
-        tokens += s[0] > ' ';
-        breaks += is_break(s[0], next);
-        sign |= bad_sign(' ', s[0], next);
-    } else {
-        end = 0;
-    }
-    for (size_t i = 1; i < end;) {
-        /* byte counters, vectorized, for at most 255 bytes at a time */
-        size_t stop = end - i > 255 ? i + 255 : end;
-        unsigned char t = 0, b = 0, g = 0;
-        for (; i < stop; i++) {
-            unsigned char prev = s[i - 1], c = s[i], next = s[i + 1];
-            t += (prev <= ' ') & (c > ' ');
-            b += is_break(c, next);
-            g |= bad_sign(prev, c, next);
-        }
-        tokens += t;
-        breaks += b;
-        sign |= g;
-    }
-    if (end && end < cut) {  /* cut == size: the last byte has no successor */
-        unsigned char prev = s[end - 1], c = s[end];
-        tokens += (prev <= ' ') & (c > ' ');
-        breaks += is_break(c, ' ');
-        sign |= bad_sign(prev, c, ' ');
-    }
-    if (sign)
-        return BAD_SIGN;
-    counts[0] = tokens;
-    counts[1] = breaks;
-    return 0;
 }
 
 /* The exact magnitude of the digits s[first, end) and whether it exceeds
@@ -119,33 +58,43 @@ static unsigned over_limit(const unsigned char *s, size_t first, size_t end,
     return mag > limit;
 }
 
-/* Parse the tokens of a piece that passed check(): values[k] is token k,
- * and lines[j] the number of tokens on line j of the piece (before its
- * first break, between breaks, after its last).  A token outside the
- * int64 range reads as INT64_MAX; the first one's bytes are
- * data[bad[0], bad[1]), and the return value is 1 if there is one, else
- * 0.  At most n_values and n_lines entries are written. */
-int parse(const char *text, size_t size, size_t cut, int64_t *values,
-          size_t n_values, int64_t *lines, size_t n_lines, size_t *bad)
+/* Validate and parse a piece in one pass: values[k] is token k, and
+ * lines[j] the number of tokens on line j of the piece (before its first
+ * break, between breaks, after its last).  At most n_values and n_lines
+ * entries are written; counts[0] and counts[1] are set to the numbers of
+ * tokens and lines, whatever the room.  Returns the first that holds of
+ *   BAD_BYTE: a byte of data[0, size) is not a digit, sign, space, tab
+ *     or line break;
+ *   BAD_SIGN: a sign in data[0, cut) does not start a token or precede a
+ *     digit;
+ *   BAD_RANGE: a token lies outside the int64 range; each such reads as
+ *     INT64_MAX, and the first one's bytes are data[counts[2], counts[3]);
+ * else 0. */
+int decode(const char *text, size_t size, size_t cut, int64_t *values, size_t n_values,
+           int64_t *lines, size_t n_lines, size_t *counts)
 {
     const unsigned char *s = (const unsigned char *)text;
     size_t v = 0, l = 0, i = 0;
     int64_t on_line = 0;
-    int found = 0;
+    unsigned bad = 0, sign = 0, range = 0;
     if (cut > size)
         cut = size;
     while (i < cut) {
         unsigned char c = s[i];
-        if (c <= ' ') {
+        if (c <= ' ') {  /* a separator or a bad byte */
             if (is_break(c, i + 1 < size ? s[i + 1] : ' ')) {
                 if (l < n_lines)
                     lines[l] = on_line;
                 l++;
                 on_line = 0;
+            } else {
+                bad |= !is_body(c);
             }
             i++;
             continue;
         }
+        /* a run of bytes above ' ': a token, a sign and its digits, then
+         * in a bad piece only, more signs, digits and bad bytes */
         size_t start = i;
         int neg = c == '-';
         i += is_sign(c);
@@ -153,25 +102,34 @@ int parse(const char *text, size_t size, size_t cut, int64_t *values,
         uint64_t mag = 0;
         while (i < size && is_digit(s[i]))
             mag = mag * 10 + (s[i++] - '0');
+        sign |= i == first;  /* no digit: a lone sign, or a bad byte */
         int64_t value = neg ? (int64_t)(0 - mag) : (int64_t)mag;
         /* up to 18 digits cannot leave the range */
         if (i - first > 18
                 && over_limit(s, first, i, neg ? (uint64_t)1 << 63 : ((uint64_t)1 << 63) - 1)) {
             value = INT64_MAX;
-            if (!found) {
-                bad[0] = start;
-                bad[1] = i;
-                found = 1;
+            if (!range) {
+                counts[2] = start;
+                counts[3] = i;
+                range = 1;
             }
         }
         if (v < n_values)
             values[v] = value;
         v++;
         on_line++;
+        for (; i < size && s[i] > ' '; i++) {
+            bad |= !is_digit(s[i]) & !is_sign(s[i]);
+            sign |= is_sign(s[i]) & (i < cut);
+        }
     }
     if (l < n_lines)
         lines[l] = on_line;
-    return found;
+    for (; i < size; i++)
+        bad |= !is_body(s[i]);
+    counts[0] = v;
+    counts[1] = l + 1;
+    return bad ? BAD_BYTE : sign ? BAD_SIGN : range ? BAD_RANGE : 0;
 }
 
 static const char PAIRS[] =

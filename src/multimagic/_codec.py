@@ -37,9 +37,9 @@ _SOURCE = Path(__file__).with_name("_codec.c")
 _DECLARATIONS = """
 #define BAD_BYTE ...
 #define BAD_SIGN ...
-int check(const char *text, size_t size, size_t cut, size_t *counts);
-int parse(const char *text, size_t size, size_t cut, int64_t *values,
-          size_t n_values, int64_t *lines, size_t n_lines, size_t *bad);
+#define BAD_RANGE ...
+int decode(const char *text, size_t size, size_t cut, int64_t *values, size_t n_values,
+           int64_t *lines, size_t n_lines, size_t *counts);
 size_t encode(const int64_t *entries, size_t rows, size_t cols, char *out);
 void grid_rows(const int16_t *table, const int64_t *a, size_t k, int64_t q,
                const int32_t *index, size_t n, size_t r0, size_t r1, int64_t *work,

@@ -16,12 +16,12 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
 * Every non-blank line holds exactly the header's column count.  Lines
   holding only spaces and tabs separate the member blocks of ``OAF`` and
   ``CMS`` files; in ``MMS`` files they are ignored.
-* Text is encoded and parsed by the C kernel in ``_codec.c`` (see
-  ``_codec.py``).  Decoding a piece takes two calls: the first checks its
-  byte classes and signs and counts its tokens and line breaks, so that
-  the outputs are allocated at their exact size; the second parses each
-  token exactly, with overflow detection, and reports the first one
-  outside the int64 range.
+* Text is encoded and decoded by the C kernels in ``_codec.c`` (see
+  ``_codec.py``).  Decoding a piece is one pass over its bytes: it checks
+  their classes and signs, parses each token exactly, with overflow
+  detection, and counts the tokens on each line.  A reader's outputs hold
+  the most its piece can; a writer's hold its block's shape, and a text
+  that decodes to more is decoded again into larger ones (see _scan).
 * The body is read in pieces cut at separators.  Each piece is validated
   and parsed on the worker pool, and the pieces are stitched in file
   order, so a file raises the errors of a serial read, in its order.
@@ -106,13 +106,13 @@ def _open(path):
         return BytesIO(f.read())
 
 
-def _read_header(f) -> tuple[str, bytes]:
-    """The first line of binary file f, and the bytes read past it, from
-    its line break on."""
+def _read_header(f, breaks: bytes = b"\n\r") -> tuple[str, bytes]:
+    """The first line of binary file f, ended by the first of breaks, and
+    the bytes read past it, from its line break on."""
     parts = []
     while True:
         more = f.read(_HEADER_BYTES)
-        ends = [i for i in (more.find(b"\n"), more.find(b"\r")) if i >= 0]
+        ends = [i for i in map(more.find, breaks) if i >= 0]
         if ends or not more:
             break
         parts.append(more)
@@ -195,33 +195,44 @@ def _pieces(f, body: bytes, size: int):
 
 def _scan(piece: tuple[bytes, int], buffers: dict | None = None):
     """(per_line, values, error, last) of one (data, cut) piece, the
-    pooled kernel of _decode, in buffers (see _buffer) if given, else new
-    ones.  per_line counts the tokens before the first line break,
-    between breaks and after the last; values are the parsed tokens;
-    error is the message of the first token outside the int64 range, else
-    None; last marks the final piece.  A byte or sign
+    pooled kernel of _decode.  per_line counts the tokens before the
+    first line break, between breaks and after the last; values are the
+    parsed tokens; error is the message of the first token outside the
+    int64 range, else None; last marks the final piece.  A byte or sign
     error raises: the pool raises it in piece order, after every earlier
     piece was checked.  The range error is returned, since the caller's
-    count and row checks on the same piece come first."""
+    count and row checks on the same piece come first.
+
+    The outputs are views of buffers["values"] and buffers["lines"] (see
+    _buffer), if given, else of new arrays that hold the most a piece can:
+    a token per two bytes and a line per byte before the cut.  Only when
+    the kernel finds more than they hold are they grown and the piece
+    decoded again."""
     data, cut = piece
+    if buffers is None:
+        buffers = {"values": np.empty(len(data) // 2 + 1, dtype=np.int64),
+                   "lines": np.empty(min(cut, len(data)) + 1, dtype=np.int64)}
     text = _ffi.from_buffer(data)
-    counts = _ffi.new("size_t[2]")  # tokens and line breaks before cut
-    status = _lib.check(text, len(data), cut, counts)
-    if status == _lib.BAD_BYTE:
-        raise FormatError("body holds a byte other than a digit, sign, "
-                          "space, tab or line break")
-    if status == _lib.BAD_SIGN:
-        raise FormatError("a sign must start a token and precede a digit")
-    buffers = {} if buffers is None else buffers
-    vals = _buffer(buffers, "values", counts[0])
-    per_line = _buffer(buffers, "lines", counts[1] + 1)
-    bad = _ffi.new("size_t[2]")  # the first out-of-range token's offsets
+    counts = _ffi.new("size_t[4]")  # tokens, lines, the first bad token's bytes
+    while True:
+        vals, per_line = buffers["values"], buffers["lines"]
+        status = _lib.decode(text, len(data), cut, _ffi.from_buffer("int64_t[]", vals),
+                             vals.size, _ffi.from_buffer("int64_t[]", per_line),
+                             per_line.size, counts)
+        if status == _lib.BAD_BYTE:
+            raise FormatError("body holds a byte other than a digit, sign, "
+                              "space, tab or line break")
+        if status == _lib.BAD_SIGN:
+            raise FormatError("a sign must start a token and precede a digit")
+        if counts[0] <= vals.size and counts[1] <= per_line.size:
+            break
+        _buffer(buffers, "values", counts[0])
+        _buffer(buffers, "lines", counts[1])
     error = None
-    if _lib.parse(text, len(data), cut, _ffi.from_buffer("int64_t[]", vals), vals.size,
-                  _ffi.from_buffer("int64_t[]", per_line), per_line.size, bad):
-        token = bytes(data[bad[0]:bad[1]][:24]).decode()
+    if status == _lib.BAD_RANGE:
+        token = bytes(data[counts[2]:counts[3]][:24]).decode()
         error = f"token {token} is outside the int64 range"
-    return per_line, vals, error, cut == len(data)
+    return per_line[:counts[1]], vals[:counts[0]], error, cut == len(data)
 
 
 def _stitch(scanned, count: int, rows: int, cols: int, split: bool):
@@ -318,6 +329,8 @@ def _text_matches(text, block: np.ndarray, buffers: dict) -> bool:
     a line, and ends with a line break; ConstructionError, with the
     readers' message, on a malformed token or row."""
     rows, cols = block.shape
+    _buffer(buffers, "values", rows * cols)  # the block's shape: one decode
+    _buffer(buffers, "lines", rows + 1)
     try:
         per_line, vals, error, _ = _scan((text, len(text)), buffers)
     except FormatError as exc:
@@ -463,20 +476,21 @@ def cms_text_bytes(m: int, n: int, t: int) -> int:
             + m * (_digit_bytes(n * n) + n * n) + m - 1)
 
 
-def _read_binary_ms(raw: bytes) -> MagicSquare:
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError("malformed header: no line break")
-    try:
-        first = raw[:nl].decode("ascii")
-    except UnicodeDecodeError:
-        raise FormatError("malformed header: not ASCII") from None
-    head = _parse_header(first, _MS_BINARY_MAGIC, ("n", "t", "base"), dims=("n",))
+def _read_binary_ms(f, line: str, body: bytes) -> MagicSquare:
+    """The square of MMB file f, from its header line and the bytes read
+    past it, from its ``\\n`` on: the payload is read into the entries."""
+    head = _parse_header(line, _MS_BINARY_MAGIC, ("n", "t", "base"), dims=("n",))
     n = head["n"]
-    body = raw[nl + 1:]
-    if len(body) != n * n * 8:
-        raise FormatError(f"binary payload holds {len(body)} bytes, want {n * n * 8}")
-    entries = np.frombuffer(body, dtype="<i8").reshape(n, n).astype(np.int64)
+    here, ahead = f.tell(), len(body) - 1  # payload bytes read with the header
+    size = ahead + f.seek(0, os.SEEK_END) - here
+    if size == n * n * 8:
+        entries = np.empty((n, n), dtype="<i8")
+        payload = entries.reshape(-1).view(np.uint8)
+        payload[:ahead] = np.frombuffer(body[1:], dtype=np.uint8)
+        f.seek(here)
+        size = ahead + f.readinto(payload[ahead:])  # less if the file shrank
+    if size != n * n * 8:
+        raise FormatError(f"binary payload holds {size} bytes, want {n * n * 8}")
     try:
         return MagicSquare(entries, head["t"], head["base"])
     except ValueError as exc:
@@ -487,8 +501,8 @@ def read_ms(path) -> MagicSquare:
     with _open(path) as f:
         line, body = _read_header(f)
         if line.split()[:1] == [_MS_BINARY_MAGIC]:
-            f.seek(0)
-            return _read_binary_ms(f.read())
+            f.seek(0)  # the binary header ends at its first "\n" only
+            return _read_binary_ms(f, *_read_header(f, b"\n"))
         head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
         n = head["n"]
         entries = _read_entries(_decode(f, body, 1, n, n, split=False), n * n)

@@ -176,13 +176,13 @@ class VerifyReport:
         return self.consecutive_ok and not self.failures
 
     def tallies(self) -> dict:
-        """Per-degree (kind -> failed count) map."""
+        """Per-degree (kind -> failed count) map, a line that fails in
+        several members of a family counted once."""
         out: dict = {}
-        for f in self.failures:
-            if f.kind == "entries":
-                continue
-            out.setdefault(f.degree, {}).setdefault(f.kind, 0)
-            out[f.degree][f.kind] += 1
+        for degree, kind, _ in {(f.degree, f.kind, f.index) for f in self.failures}:
+            if kind != "entries":
+                out.setdefault(degree, {}).setdefault(kind, 0)
+                out[degree][kind] += 1
         return out
 
     def summary(self) -> str:

@@ -21,7 +21,7 @@ def compiles(tmp_path, monkeypatch):
     calls = []
 
     def fake_compile(c_file, module):
-        assert "int check(" in Path(c_file).read_text()  # cffi's C embeds the kernel
+        assert "int decode(" in Path(c_file).read_text()  # cffi's C embeds the kernel
         calls.append(Path(module))
         shutil.copy(_codec._module.__file__, module)
 
@@ -36,9 +36,10 @@ def test_second_import_reuses_the_build(tmp_path, compiles):
     assert len(compiles) == 1
     assert Path(first.__file__) == Path(second.__file__)
     assert Path(first.__file__).parent.parent == tmp_path / "multimagic"
-    counts = second.ffi.new("size_t[2]")
-    assert second.lib.check(b" 1 -2\n", 6, 6, counts) == 0
-    assert list(counts) == [2, 1]
+    values, lines = second.ffi.new("int64_t[2]"), second.ffi.new("int64_t[2]")
+    counts = second.ffi.new("size_t[4]")
+    assert second.lib.decode(b" 1 -2\n", 6, 6, values, 2, lines, 2, counts) == 0
+    assert list(counts)[:2] == [2, 2] and list(values) == [1, -2]
     # the temporary build directory was renamed into place
     assert [p.name for p in (tmp_path / "multimagic").iterdir()] \
         == [Path(first.__file__).parent.name]

@@ -161,6 +161,18 @@ class TestReadMatches:
                 self.encoded_as(patch, lambda b: np.where(b == value, value + 1, b))
                 with pytest.raises(ConstructionError, match="^artifact did not round-trip$"):
                     io.write_ms(path, square)
+        # a piece with an extra row, or with a token more on its last row,
+        # holds more values than its block: it is decoded again into grown
+        # buffers, and raises what a piece of the block's size raises
+        real, n = io._encode, square.n
+        for encode, message in (
+                (lambda b: real(np.vstack([b, b[-1:]])), "^artifact did not round-trip$"),
+                (lambda b: memoryview(bytes(real(b))[:-1] + b" 7\n"),
+                 f"^artifact did not round-trip: a row holds {n + 1} entries, want {n}$")):
+            with monkeypatch.context() as patch:
+                patch.setattr(io, "_encode", encode)
+                with pytest.raises(ConstructionError, match=message):
+                    io.write_ms(path, square)
 
     def test_header_fields_are_compared(self, square, monkeypatch, tmp_path):
         real = io._write_at

@@ -141,6 +141,18 @@ def test_read_back_in_place_at_four_workers(tmp_path, pool_size):
     test_read_back_in_place(tmp_path, pool_size, 4, 0.58)
 
 
+def test_binary_square_is_read_in_place(tmp_path):
+    # an MMB payload is read straight into the entries, 1.0 of the square;
+    # holding the file, its payload slice and a converted copy took 3.0
+    n = 1000
+    sq = verify.MagicSquare(np.random.default_rng(2).permutation(n * n).reshape(n, n), 2)
+    path = tmp_path / "sq.mmb"
+    io.write_ms(path, sq, binary=True)
+    back, peak = traced_peak(io.read_ms, path)
+    assert np.array_equal(back.entries, sq.entries)
+    assert peak <= 1.5 * sq.entries.nbytes
+
+
 def test_composed_square_is_never_held(f5, tmp_path):
     """build_ms_q2t1 at (5, 3), then the checked write of its order-3125
     square, read through row blocks: together they hold a fraction of

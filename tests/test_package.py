@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +80,18 @@ def test_modules_leave_nothing_unused():
                      if isinstance(node, (ast.Name, ast.Attribute))} - own
     unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_every_kernel_is_called():
+    # every function that _codec declares is called as _lib.<name> by
+    # some module of the package: a kernel that a change leaves behind,
+    # declared and compiled but called by no module, fails here
+    from multimagic import _codec
+
+    declared = set(re.findall(r"(\w+)\(", _codec._DECLARATIONS))
+    called = {node.func.attr
+              for path in Path(multimagic.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "_lib"}
+    assert declared and declared <= called, sorted(declared - called)

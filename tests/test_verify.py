@@ -379,6 +379,20 @@ class TestVerifyCms:
         b = verify_cms(golden_cms9.members, 2)
         assert a == b
 
+    def test_summary_counts_each_failing_line_once(self, cms25):
+        # member k swaps entries (r, 0) and (r + 1, 1), r = k % 3: rows
+        # 0..3 and columns 0 and 1 fail, most of them in several members
+        members = []
+        for k, sq in enumerate(cms25.members):
+            e, r = sq.entries.copy(), k % 3
+            e[r, 0], e[r + 1, 1] = e[r + 1, 1], e[r, 0]
+            members.append(MagicSquare(e, 2))
+        lines = verify_cms(members, 2).summary().splitlines()
+        assert lines[2:5] == [
+            "degree 1: target=7800 rows=21/25 cols=23/25 diagonals=2/2",
+            "degree 2: target=3247400 rows=21/25 cols=23/25 diagonals=2/2",
+            "degree 3: target=1521000000 rows=25/25 cols=25/25 diagonals=2/2"]
+
     def test_mismatched_orders(self, golden_cms9):
         tiny = MagicSquare(np.array([[0]]), 2)
         with pytest.raises(ValueError):
