@@ -87,10 +87,6 @@ def _verified_or_raise(report: verify.VerifyReport, what: str) -> None:
         )
 
 
-def _np_of(mat: FMatrix) -> np.ndarray:
-    return np.array(mat.rows, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Large sets and grids
 # ---------------------------------------------------------------------------
@@ -107,7 +103,7 @@ def build_loa(e: FMatrix, e1_cols: int, t: int) -> oa.ArrayFamily:
     e1 = e.col_slice(0, e1_cols)
     if not linalg.is_strength_t(e1, t):
         raise ValueError(f"the first {e1_cols} columns must have strength {t}")
-    mat = _np_of(e)
+    mat = linalg._labels(e)
     e1x = _all_products(table, mat[:, :e1_cols])
     e2y = _all_products(table, mat[:, e1_cols:])
     members = tuple(
@@ -125,8 +121,8 @@ def _grid_stack(cert: MatrixPairCertificate) -> oa._GridStack:
     row r, entry (r, i, c) component i of cell(X_r, Y_c) = E1 X_r +
     E2 Y_c, read from the flat addition table."""
     table = cert.table
-    e1x = _all_products(table, _np_of(cert.e1)).astype(np.int64) * table.q
-    e2y = _all_products(table, _np_of(cert.e2))
+    e1x = _all_products(table, linalg._labels(cert.e1)).astype(np.int64) * table.q
+    e2y = _all_products(table, linalg._labels(cert.e2))
     return oa._GridStack(table.add_table.ravel(), e1x, e2y)
 
 

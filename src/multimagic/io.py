@@ -144,9 +144,8 @@ def _encode(block: np.ndarray) -> memoryview:
     return memoryview(text)[:size]
 
 
-def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
-    """The count * rows * cols int64 entries of a text body, as an
-    iterator of (position, values) pairs, one per piece.
+def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool) -> np.ndarray:
+    """The count * rows * cols int64 entries of a text body, in file order.
 
     ``body`` holds the bytes already read past the header, from its line
     break on; the rest is read from binary file f in pieces of about
@@ -166,7 +165,9 @@ def _decode(f, body: bytes, count: int, rows: int, cols: int, split: bool):
         raise FormatError(f"body is too short for {total} entries")
     size = min(_DECODE_BYTES, max(_DECODE_MIN, left // 64))
     scanned = _pool.ordered_map(_scan, _pieces(f, body, size), max(2, left // 32 // size))
-    return _stitch(scanned, count, rows, cols, split)
+    entries = np.empty(total, dtype=np.int64)
+    _stitch(scanned, entries, count, rows, cols, split)
+    return entries
 
 
 def _pieces(f, body: bytes, size: int):
@@ -235,11 +236,12 @@ def _scan(piece: tuple[bytes, int], buffers: dict | None = None):
     return per_line[:counts[1]], vals[:counts[0]], error, cut == len(data)
 
 
-def _stitch(scanned, count: int, rows: int, cols: int, split: bool):
-    """The (position, values) pairs of _decode: the _scan results of the
-    pieces, stitched in file order.  Line counts carry across pieces;
-    row shapes, block runs and totals are checked here."""
-    total = count * rows * cols
+def _stitch(scanned, entries: np.ndarray, count: int, rows: int, cols: int,
+            split: bool) -> None:
+    """Copy the _scan results of the pieces into entries, in file order,
+    each once it is checked.  Line counts carry across pieces; row
+    shapes, block runs and totals are checked here."""
+    total = entries.size
     pos = 0       # entries parsed
     line = 0      # tokens on the unfinished line
     run = 0       # lines of the unfinished block
@@ -275,21 +277,12 @@ def _stitch(scanned, count: int, rows: int, cols: int, split: bool):
                     blocks += 1
         if error:
             raise FormatError(error)
-        if n:
-            yield pos, vals
-            pos += n
+        entries[pos:pos + n] = vals
+        pos += n
     if split and blocks != count:
         raise FormatError(f"found {blocks} blocks, header says {count}")
     if pos != total:
         raise FormatError(f"body holds {pos} entries, want {total}")
-
-
-def _read_entries(pieces, total: int) -> np.ndarray:
-    """The entries of a text body, from the pieces of _decode."""
-    out = np.empty(total, dtype=np.int64)
-    for pos, vals in pieces:
-        out[pos:pos + vals.size] = vals
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +498,7 @@ def read_ms(path) -> MagicSquare:
             return _read_binary_ms(f, *_read_header(f, b"\n"))
         head = _parse_header(line, _MS_MAGIC, ("n", "t", "base"), dims=("n",))
         n = head["n"]
-        entries = _read_entries(_decode(f, body, 1, n, n, split=False), n * n)
+        entries = _decode(f, body, 1, n, n, split=False)
     try:
         return MagicSquare(entries.reshape(n, n), head["t"], head["base"])
     except ValueError as exc:
@@ -534,8 +527,7 @@ def read_oa_family(path) -> ArrayFamily:
         count, k, cols = head["count"], head["k"], head["cols"]
         if count < 1:
             raise FormatError("empty family is invalid")
-        entries = _read_entries(_decode(f, body, count, k, cols, split=True),
-                                count * k * cols)
+        entries = _decode(f, body, count, k, cols, split=True)
     members = []
     for b, block in enumerate(entries.reshape(count, k, cols)):
         try:
@@ -561,7 +553,7 @@ def read_cms_bundle(path) -> CmsFamily:
         if head["m"] < 1:
             raise FormatError("empty bundle is invalid")
         m, n, t = head["m"], head["n"], head["t"]
-        entries = _read_entries(_decode(f, body, m, n, n, split=True), m * n * n)
+        entries = _decode(f, body, m, n, n, split=True)
     try:
         members = tuple(MagicSquare(block, t) for block in entries.reshape(m, n, n))
     except ValueError as exc:

@@ -53,9 +53,6 @@ class FMatrix:
     def col_slice(self, start: int, stop: int) -> "FMatrix":
         return FMatrix(self.table, tuple(r[start:stop] for r in self.rows))
 
-    def row_slice(self, start: int, stop: int) -> "FMatrix":
-        return FMatrix(self.table, self.rows[start:stop])
-
 
 def hstack(a: FMatrix, b: FMatrix) -> FMatrix:
     if a.table is not b.table:

@@ -92,9 +92,9 @@ would wrap, takes the exhaustive route.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -175,30 +175,28 @@ class VerifyReport:
     def passed(self) -> bool:
         return self.consecutive_ok and not self.failures
 
-    def tallies(self) -> dict:
-        """Per-degree (kind -> failed count) map, a line that fails in
-        several members of a family counted once."""
-        out: dict = {}
-        for degree, kind, _ in {(f.degree, f.kind, f.index) for f in self.failures}:
-            if kind != "entries":
-                out.setdefault(degree, {}).setdefault(kind, 0)
-                out[degree][kind] += 1
-        return out
+    # the summary's side of each line kind: a family's R1, R2 and R3
+    # totals count with its rows, columns and diagonals
+    _SIDES = {"row": "rows", "R1": "rows", "col": "cols", "R2": "cols",
+              "diag-main": "diagonals", "diag-back": "diagonals",
+              "R3-main": "diagonals", "R3-back": "diagonals"}
 
     def summary(self) -> str:
         lines = [
             f"order={self.order} degree={self.degree} members={self.members}",
             f"consecutive_entries={'pass' if self.consecutive_ok else 'FAIL'}",
         ]
-        per = self.tallies()
+        # a line that fails in several members of a family counts once
+        failed = Counter((degree, self._SIDES[kind]) for degree, kind, _ in
+                         {(f.degree, f.kind, f.index) for f in self.failures
+                          if f.kind != "entries"})
         n = self.order
         for e in sorted(self.magic_sums):
-            fails = per.get(e, {})
             lines.append(
                 f"degree {e}: target={self.magic_sums[e]} "
-                f"rows={n - fails.get('row', 0)}/{n} "
-                f"cols={n - fails.get('col', 0)}/{n} "
-                f"diagonals={2 - fails.get('diag-main', 0) - fails.get('diag-back', 0)}/2"
+                f"rows={n - failed[e, 'rows']}/{n} "
+                f"cols={n - failed[e, 'cols']}/{n} "
+                f"diagonals={2 - failed[e, 'diagonals']}/2"
             )
         for f in self.failures[:20]:
             lines.append("FAIL " + f.describe())
@@ -212,38 +210,20 @@ class VerifyReport:
 # Exact power sums
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli(j: int) -> Fraction:
-    """Bernoulli numbers with the B_1 = +1/2 convention."""
-    if j == 0:
-        return Fraction(1)
-    if j == 1:
-        return Fraction(1, 2)
-    if j % 2:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(j):
-        if i == 1:
-            acc -= Fraction(math.comb(j + 1, i), 1) * _bernoulli(i)
-        else:
-            acc += Fraction(math.comb(j + 1, i), 1) * _bernoulli(i)
-    # derived from sum_{i<=j} C(j+1, i) B-_i = 0 after flipping B_1's sign
-    return -acc / (j + 1)
-
-
 def power_sum(limit: int, e: int) -> int:
-    """Exact sum of k**e for k in 0..limit-1, via the closed form."""
+    """Exact sum of k**e for k in 0..limit-1, in integers: k**e is the sum
+    over j of S(e, j) j! C(k, j), S the Stirling numbers of the second
+    kind, and C(k, j) summed over k < limit is C(limit, j + 1)."""
     if e < 1:
         raise ValueError("exponent must be at least 1")
     if limit <= 1:
         return 0
-    k = limit - 1  # sum 1..k
-    total = Fraction(0)
-    for j in range(e + 1):
-        total += math.comb(e + 1, j) * _bernoulli(j) * Fraction(k) ** (e + 1 - j)
-    total /= e + 1
-    assert total.denominator == 1
-    return int(total)
+    stirling = [0, 1] + [0] * (e - 1)  # S(i, 0..e) for i = 1, built up to i = e
+    for i in range(2, e + 1):
+        for j in range(i, 0, -1):
+            stirling[j] = j * stirling[j] + stirling[j - 1]
+    return sum(s * math.factorial(j) * math.comb(limit, j + 1)
+               for j, s in enumerate(stirling))
 
 
 def magic_sum(n: int, e: int) -> int:
@@ -601,23 +581,18 @@ def verify_ms(sq, t: int | None = None) -> VerifyReport:
     )
 
 
-def verify_cms(members, t: int | None = None) -> VerifyReport:
-    """Check that the members are each MS(n, t) and that the three
-    complementary power-sum conditions hold at exponent t+1:
+def verify_cms(members, t: int) -> VerifyReport:
+    """Check that the members, a sequence of squares of one order n, are
+    each MS(n, t) and that the three complementary power-sum conditions
+    hold at exponent t+1:
 
       R1: per row index, the exponent-(t+1) total over all members;
       R2: per column index;
       R3: both diagonals.
 
     Every total must equal m times the degree-(t+1) magic constant.
-    Accepts either a family object carrying .members and .t, or an
-    explicit member sequence plus degree.  Members are summed on the
-    pool, degrees 1..t+1 in one pass each.
+    Members are summed on the pool, degrees 1..t+1 in one pass each.
     """
-    if t is None:
-        if not hasattr(members, "members"):
-            raise ValueError("degree required when passing a plain sequence")
-        members, t = members.members, members.t
     members = list(members)
     if not members:
         raise ValueError("empty family")

@@ -7,7 +7,7 @@ by verify_large_set.  Tests compare the library against it.
 
 import numpy as np
 
-from multimagic import construct, oa, verify
+from multimagic import construct, linalg, oa, verify
 from multimagic.construct import CmsFamily
 from multimagic.errors import ConstructionError
 from multimagic.verify import MagicSquare
@@ -37,8 +37,8 @@ def build_cms(cert, scheme=None) -> CmsFamily:
     scheme.validate(q, t)
     construct._require_pair_flags(cert)
 
-    e1 = construct._np_of(cert.e1)
-    e2 = construct._np_of(cert.e2)
+    e1 = linalg._labels(cert.e1)
+    e2 = linalg._labels(cert.e2)
     base = table.add_table[construct._all_products(table, e1)[:, None, :],
                            construct._all_products(table, e2)[None, :, :]]
     shifts = [table.add_table[_matvec(table, e1, h), _matvec(table, e2, hs)]

@@ -44,6 +44,18 @@ def test_submodules_resolve_after_bare_import():
     assert proc.stdout.split() == ["multimagic.oa", "multimagic.io", "multimagic.cli"]
 
 
+def test_cli_import_loads_no_rational_arithmetic():
+    # every command starts a fresh interpreter, which pays for each module
+    # the command line imports; exact sums need only Python ints
+    code = ("import sys, multimagic.cli\n"
+            "print(' '.join(m for m in ('fractions', 'decimal') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_name"):
         multimagic.no_such_name  # noqa: B018

@@ -450,8 +450,8 @@ class TestGridAgreement:
     def test_cells_and_codes(self, f5, pool_size, monkeypatch):
         cert = linalg.find_sdloa_pair(f5, 3)
         table = cert.table
-        e1x = construct._all_products(table, construct._np_of(cert.e1))
-        e2y = construct._all_products(table, construct._np_of(cert.e2))
+        e1x = construct._all_products(table, linalg._labels(cert.e1))
+        e2y = construct._all_products(table, linalg._labels(cert.e2))
         want_cells = table.add_table[e1x[:, None, :], e2y[None, :, :]]
         n, _, k = want_cells.shape
         members = want_cells.transpose(0, 2, 1)  # (N, k, N), a strided view

