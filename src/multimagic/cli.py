@@ -172,7 +172,7 @@ def _cmd_verify_ms(args) -> int:
 
 def _cmd_verify_cms(args) -> int:
     fam = io.read_cms_bundle(args.file)
-    report = verify.verify_cms(fam.members, fam.t)
+    report = verify.verify_cms(fam.stack, fam.t)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

@@ -265,26 +265,28 @@ def default_scheme(table: FieldTable, t: int, d: int) -> TranslationScheme:
 
 @dataclass(frozen=True)
 class CmsFamily:
-    """m squares of order n forming a complementary degree-t family."""
+    """m squares of order n forming a complementary degree-t family, held
+    as one (m, n, n) int64 stack of entries from 0."""
 
-    members: tuple[MagicSquare, ...]
+    stack: np.ndarray
     t: int
     family_checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("empty family")
-        n = self.members[0].n
-        if any(m.n != n for m in self.members):
-            raise ValueError("member orders disagree")
+        object.__setattr__(self, "stack", verify._family_stack(self.stack, self.t))
 
     @property
     def m(self) -> int:
-        return len(self.members)
+        return self.stack.shape[0]
 
     @property
     def n(self) -> int:
-        return self.members[0].n
+        return self.stack.shape[1]
+
+    @cached_property
+    def members(self) -> tuple[MagicSquare, ...]:
+        """The members as MagicSquares viewing the stack, for API users."""
+        return tuple(MagicSquare(member, self.t) for member in self.stack)
 
 
 def build_cms(cert: MatrixPairCertificate,
@@ -338,9 +340,8 @@ def build_cms(cert: MatrixPairCertificate,
     if require_diagonals and bad:
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
 
-    members = [MagicSquare(member, t) for member in stack]
-    _verified_or_raise(verify.verify_cms(members, t), "complementary family")
-    return CmsFamily(tuple(members), t, checks)
+    _verified_or_raise(verify.verify_cms(stack, t), "complementary family")
+    return CmsFamily(stack, t, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -510,40 +511,32 @@ def make_block_assignment(table: FieldTable, t_big: int, t_small: int) -> BlockA
         )
     alpha, beta = pair
 
-    digits = _digit_matrix(q, t_big)
-    ax = table.mul_table[digits, alpha]
-    by = table.mul_table[digits, beta]
-    sums = table.add_table[ax[:, None, :], by[None, :, :]]
-    if t_small:
-        weights = q ** (t_small - 1 - np.arange(t_small, dtype=np.int64))
-        f = sums[:, :, :t_small].astype(np.int64) @ weights
-    else:
-        f = np.zeros((m, m), dtype=np.int64)
+    # f(X, Y) read as a base-q numeral, leading component first (Horner)
+    index = np.arange(m)
+    f = np.zeros((m, m), dtype=np.int64)
+    for w in q ** np.arange(t_big - 1, t_big - 1 - t_small, -1):
+        x = index // w % q
+        f *= q
+        f += table.add_table[table.mul_table[x, alpha][:, None], table.mul_table[x, beta]]
     return BlockAssignment(m, mp, f)
-
-
-def _check_compose_shapes(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> None:
-    if fam.t != a.t - 1:
-        raise ValueError(f"family degree {fam.t} must be {a.t - 1}")
-    if assign.m != a.n or assign.m_prime != fam.m:
-        raise ValueError("assignment shape does not match the inputs")
 
 
 def _compose_blocks(a: MagicSquare, fam: CmsFamily,
                     assign: BlockAssignment) -> ComposedSquare:
-    """cms_compose without re-verifying its inputs; the output is still
-    verified."""
-    _check_compose_shapes(a, fam, assign)
-    stack = np.stack([mem.normalized() for mem in fam.members])
-    return _composed(a.normalized(), stack, assign.f, a.t, "composed square")
+    """cms_compose without checking its inputs; the output, whose stack is
+    the family's, is still verified."""
+    return _composed(a.normalized(), fam.stack, assign.f, a.t, "composed square")
 
 
 def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> ComposedSquare:
     """Block (I, J) of the output holds member f(I, J) of the family,
     shifted by n^2 * a[I, J].  Both inputs are verified first."""
-    _check_compose_shapes(a, fam, assign)
+    if fam.t != a.t - 1:
+        raise ValueError(f"family degree {fam.t} must be {a.t - 1}")
+    if assign.m != a.n or assign.m_prime != fam.m:
+        raise ValueError("assignment shape does not match the inputs")
     _require_ms(a, a.t, "outer square")
-    rep = verify.verify_cms(fam.members, fam.t)
+    rep = verify.verify_cms(fam.stack, fam.t)
     if not rep.passed:
         raise ValueError("family fails complementary verification")
     return _compose_blocks(a, fam, assign)

@@ -32,6 +32,7 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
   worker's buffer, encodes them and decodes the text with the readers'
   kernels, so a generated square (construct.GridSquare or
   construct.ComposedSquare) is never held whole, and filled once.
+* A ``CMS`` bundle is read into, and written from, a family's stack.
 
 Readers raise ``FormatError`` on any payload that breaks these rules or
 whose dimensions disagree with its header, and on unknown header keys.
@@ -206,13 +207,14 @@ def _scan(piece: tuple[bytes, int], buffers: dict | None = None):
 
     The outputs are views of buffers["values"] and buffers["lines"] (see
     _buffer), if given, else of new arrays that hold the most a piece can:
-    a token per two bytes and a line per byte before the cut.  Only when
-    the kernel finds more than they hold are they grown and the piece
-    decoded again."""
+    a token per two bytes and a line per ``\\n`` or ``\\r`` byte before the
+    cut, counted first.  Only when the kernel finds more than they hold
+    are they grown and the piece decoded again."""
     data, cut = piece
     if buffers is None:
+        breaks = data.count(b"\n", 0, cut) + data.count(b"\r", 0, cut)
         buffers = {"values": np.empty(len(data) // 2 + 1, dtype=np.int64),
-                   "lines": np.empty(min(cut, len(data)) + 1, dtype=np.int64)}
+                   "lines": np.empty(breaks + 1, dtype=np.int64)}
     text = _ffi.from_buffer(data)
     counts = _ffi.new("size_t[4]")  # tokens, lines, the first bad token's bytes
     while True:
@@ -429,19 +431,14 @@ def _write_blocks(path, header: str, blocks, binary: bool = False) -> None:
 # Magic squares
 # ---------------------------------------------------------------------------
 
-def _square_block(sq):
-    """A square as a block of _write_blocks: a held one's entries, else
-    its rows()."""
-    return (sq.n, sq.n), sq.entries if isinstance(sq, MagicSquare) else sq.rows
-
-
 def write_ms(path, sq, binary: bool = False) -> None:
     """Write a MagicSquare, or any square read through rows(r0, r1, out)
     such as a construct.GridSquare or ComposedSquare, in checked row
     blocks (see _write_blocks): it is never held whole."""
     header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
               f"n={sq.n} t={sq.t} base={sq.base}\n")
-    _write_blocks(path, header, [_square_block(sq)], binary)
+    source = sq.entries if isinstance(sq, MagicSquare) else sq.rows
+    _write_blocks(path, header, [((sq.n, sq.n), source)], binary)
 
 
 def _digit_bytes(count: int) -> int:
@@ -543,7 +540,7 @@ def read_oa_family(path) -> ArrayFamily:
 
 def write_cms_bundle(path, fam: CmsFamily) -> None:
     _write_blocks(path, f"{_CMS_MAGIC} {_VERSION} m={fam.m} n={fam.n} t={fam.t}\n",
-                  [_square_block(member) for member in fam.members])
+                  [((fam.n, fam.n), member) for member in fam.stack])
 
 
 def read_cms_bundle(path) -> CmsFamily:
@@ -555,10 +552,9 @@ def read_cms_bundle(path) -> CmsFamily:
         m, n, t = head["m"], head["n"], head["t"]
         entries = _decode(f, body, m, n, n, split=True)
     try:
-        members = tuple(MagicSquare(block, t) for block in entries.reshape(m, n, n))
+        return CmsFamily(entries.reshape(m, n, n), t)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return CmsFamily(members, t)
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,11 @@ the adds wrap, which keeps them congruent, and for an odd modulus a
 column sum of n residues stays below n * 2**31.  The comparison needs
 only congruent residues, so it runs once, after the last block.
 ``verify_cms`` takes one set of moduli, _plan's at order m * n for the
-members' extremes and [0, n^2), and maps runs of members over the pool
-through the factored route's member kernel; on the calling thread it
-compares each member's lines of degrees 1..t, then the int64 sums of
-their degree-(t+1) residues, R1, R2 and R3.  Workers run only private
-kernels, so results and reports do not depend on the pool size.
+extremes of its (m, n, n) member stack and [0, n^2), maps slabs of the
+stack over the pool through the factored route's member kernel, and on
+the calling thread compares each member's lines of degrees 1..t, then
+the int64 sums of their degree-(t+1) residues, R1, R2 and R3.  Results
+and reports do not depend on the pool size: workers run private kernels.
 
 The consecutive-entry check needs no sort: the compiled ``mark()`` sets
 bit v of an n^2-bit seen-map for each entry v in [0, n^2), on the calling
@@ -271,31 +271,37 @@ def _plan(n: int, top: int, lo: int, hi: int, below: int = 2**31):
 def _block_sums(sq, moduli: list[int], needs: list[int], reduce: list[bool],
                 step: int, r0: int):
     """The pooled kernel: rows r0..r0+step-1 of square sq, filled on this
-    worker, and the residues of their power sums from the compiled sums()
-    of _codec.c.  For each degree e = 1..len(needs) in turn, and each of
-    its first needs[e-1] moduli, one residue row: the block's row sums
-    (K, rows), column partials (K, n) and diagonal partials (K,) twice,
-    K = sum(needs); then the least and the greatest normalised entry, and
-    the block itself."""
+    worker, their _sums, and the block itself."""
     n = sq.n
     r1 = min(r0 + step, n)
     blk = np.ascontiguousarray(sq.rows(r0, r1), dtype=np.int64)
     if blk.shape != (r1 - r0, n):  # the kernel reads rows x n entries
         raise ValueError(f"rows({r0}, {r1}) gave a {blk.shape} block of an order-{n} square")
-    total = sum(needs)
+    return *_sums(blk, r0, sq.base, moduli, needs, reduce), blk
+
+
+def _sums(blk: np.ndarray, r0: int, base: int, moduli: list[int], needs: list[int],
+          reduce: list[bool]):
+    """The residues of the power sums of blk, C-contiguous int64 rows r0..
+    of a square, less base, by the compiled sums() of _codec.c: for each
+    degree e = 1..len(needs) and each of its first needs[e-1] moduli, a
+    row of the block's row sums (K, rows), column partials (K, n) and
+    diagonal partials (K,) twice, K = sum(needs); then the least and the
+    greatest normalised entry."""
+    n, total = blk.shape[1], sum(needs)
     rows = np.empty((total, len(blk)), dtype=np.int64)
     cols = np.empty((total, n), dtype=np.int64)
     diag, back = np.empty((2, total), dtype=np.int64)
     lohi = np.empty(2, dtype=np.int64)
     odd = np.array(moduli[1:], dtype=np.uint64)
     buf = _ffi.from_buffer
-    _lib.sums(buf("int64_t[]", blk), len(blk), n, r0, sq.base, buf("uint64_t[]", odd),
+    _lib.sums(buf("int64_t[]", blk), len(blk), n, r0, base, buf("uint64_t[]", odd),
               odd.size, buf("unsigned char[]", np.array(reduce[1:], dtype=np.uint8)),
               len(needs), buf("size_t[]", np.array(needs, dtype=np.uintp)),
               buf("uint64_t[]", np.empty(2 * n, dtype=np.uint64)), buf("int64_t[]", rows),
               buf("int64_t[]", cols), buf("int64_t[]", diag), buf("int64_t[]", back),
               buf("int64_t[]", lohi))
-    return rows, cols, diag, back, int(lohi[0]), int(lohi[1]), blk
+    return rows, cols, diag, back, int(lohi[0]), int(lohi[1])
 
 
 def _line_power_sums(sq, top: int, lo: int, hi: int, seen: np.ndarray | None = None):
@@ -420,25 +426,25 @@ def _mark(values: np.ndarray, bits: np.ndarray, limit: int, base: int = 0) -> in
                      _ffi.from_buffer("unsigned char[]", bits))
 
 
-def _covers(values: np.ndarray, base: int = 0) -> bool:
-    """The values less base cover 0..values.size-1, so each exactly
-    once: marked in a map of values.size bits, they set every bit."""
+def _covers(values: np.ndarray) -> bool:
+    """The values cover 0..values.size-1, so each exactly once: marked
+    in a map of values.size bits, they set every bit."""
     full = np.size(values)
-    return _mark(values, np.zeros((full + 7) // 8, dtype=np.uint8), full, base) == full
+    return _mark(values, np.zeros((full + 7) // 8, dtype=np.uint8), full) == full
 
 
-def _member_sums(moduli: list[int], top: int, reduce: list[bool], run):
+def _member_sums(moduli: list[int], top: int, reduce: list[bool], run: np.ndarray):
     """The pooled kernel of a member stack: for each (n, n) square of the
-    run, its row and column sums (top, K, n) and its diagonal sums
-    (top, K) of the powers 1..top of its normalised entries, modulo each
-    of the K moduli, from the compiled sums(), and whether its normalised
+    run, a slab of the stack, its row and column sums (top, K, n) and its
+    diagonal sums (top, K) of the powers 1..top of its entries, modulo
+    each of the K moduli, from the compiled sums(), and whether its
     entries are 0..n^2-1."""
     out = []
-    for sq in run:
-        n, k = sq.n, len(moduli)
-        rows, cols, diag, back, _, _, blk = _block_sums(sq, moduli, [k] * top, reduce, n, 0)
+    for member in run:
+        n, k = member.shape[0], len(moduli)
+        rows, cols, diag, back, _, _ = _sums(member, 0, 0, moduli, [k] * top, reduce)
         out.append((rows.reshape(top, k, n), cols.reshape(top, k, n), diag.reshape(top, k),
-                    back.reshape(top, k), _covers(blk, sq.base)))
+                    back.reshape(top, k), _covers(member)))
     return out
 
 
@@ -516,7 +522,7 @@ def _composed_misses(sq, targets: dict):
     its parts with no pass over its entries; None when its entries may
     leave the int64 range, which the exhaustive pass reads wrapped."""
     outer = np.asarray(sq.outer, dtype=np.int64)
-    stack = np.asarray(sq.stack, dtype=np.int64)
+    stack = np.ascontiguousarray(sq.stack, dtype=np.int64)
     count, n = stack.shape[:2]
     m, size, top = outer.shape[0], sq.n, len(targets)
     f = np.asarray(sq.f, dtype=np.int64) % count  # rows() reads f with mode="wrap"
@@ -529,10 +535,9 @@ def _composed_misses(sq, targets: dict):
     below = min(2**31, math.isqrt((2**63 - 1) // count) + 1)
     moduli, needs, _ = _plan(size, top, min(lo, 0), max(hi, size * size - 1), below)
     reduce = [j > 0 and not (0 <= b_lo and b_hi < p) for j, p in enumerate(moduli)]
-    squares = [MagicSquare(member, 1) for member in stack]
     starts = _pool.blocks(count, n * n, _BLOCK_ENTRIES)
     runs = _pool.ordered_map(partial(_member_sums, moduli, top, reduce),
-                             (squares[i:i + starts.step] for i in starts))
+                             (stack[i:i + starts.step] for i in starts))
     *lines, covered = zip(*(x for run in runs for x in run))
     lines = [np.stack(x, axis=2) for x in lines]  # (top, K, count, ...)
 
@@ -581,41 +586,45 @@ def verify_ms(sq, t: int | None = None) -> VerifyReport:
     )
 
 
-def verify_cms(members, t: int) -> VerifyReport:
-    """Check that the members, a sequence of squares of one order n, are
-    each MS(n, t) and that the three complementary power-sum conditions
-    hold at exponent t+1:
+def _family_stack(stack, t: int) -> np.ndarray:
+    """stack as a C-contiguous int64 array, a view when it is one;
+    ValueError unless it is an (m, n, n) stack, m, n >= 1, and t >= 1."""
+    stack = np.ascontiguousarray(stack, dtype=np.int64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
+        raise ValueError("a family is an (m, n, n) stack of squares, m, n >= 1")
+    if t < 1:
+        raise ValueError("degree must be at least 1")
+    return stack
+
+
+def verify_cms(stack, t: int) -> VerifyReport:
+    """Check that the members, the (m, n, n) stack of squares with entries
+    from 0, are each MS(n, t) and that the three complementary power-sum
+    conditions hold at exponent t+1:
 
       R1: per row index, the exponent-(t+1) total over all members;
       R2: per column index;
       R3: both diagonals.
 
     Every total must equal m times the degree-(t+1) magic constant.
-    Members are summed on the pool, degrees 1..t+1 in one pass each.
+    Runs of members are summed on the pool, degrees 1..t+1 in one pass
+    each.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("empty family")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("member orders disagree")
-    m_count = len(members)
+    stack = _family_stack(stack, t)
+    m_count, n = stack.shape[:2]
     e = t + 1
     each = {d: magic_sum(n, d) for d in range(1, e)}  # per member
     sums_at = {**each, e: magic_sum(n, e)}
     target = m_count * sums_at[e]
 
     # one set of moduli covers every member line, family total and target
-    lo, hi = 0, n * n - 1
-    for sq in members:
-        norm = sq.normalized()
-        lo, hi = min(lo, int(norm.min())), max(hi, int(norm.max()))
+    lo, hi = min(0, int(stack.min())), max(n * n - 1, int(stack.max()))
     moduli, _, reduce = _plan(m_count * n, e, lo, hi)
     # runs of members of about _BLOCK_ENTRIES / workers entries per task,
     # as for row blocks, so that small members do not pay a task each
     starts = _pool.blocks(m_count, n * n, _BLOCK_ENTRIES)
     runs = _pool.ordered_map(partial(_member_sums, moduli, e, reduce),
-                             (members[i:i + starts.step] for i in starts))
+                             (stack[i:i + starts.step] for i in starts))
     failures: list[LineFailure] = []
     consecutive_ok = True
     # modulo 2**64 the adds wrap; an odd row stays below m * n * 2**31,

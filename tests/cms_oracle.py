@@ -10,7 +10,6 @@ import numpy as np
 from multimagic import construct, linalg, oa, verify
 from multimagic.construct import CmsFamily
 from multimagic.errors import ConstructionError
-from multimagic.verify import MagicSquare
 
 from conftest import cells_family
 
@@ -51,7 +50,7 @@ def build_cms(cert, scheme=None) -> CmsFamily:
         if not oa.verify_sdloa(cells_family(cells, q, t), t):
             raise ConstructionError(
                 f"translated grid {i} failed strong-double-large-set verification")
-        members.append(MagicSquare(cells.astype(np.int64) @ weights, t))
+        members.append(cells.astype(np.int64) @ weights)
 
     def large_set(line: np.ndarray) -> bool:
         """Cells (N, 2t) of one line; member s is line.T + shift s."""
@@ -74,8 +73,9 @@ def build_cms(cert, scheme=None) -> CmsFamily:
         bad = [k for k in ("main_diagonal", "back_diagonal") if not checks[k]]
         raise ConstructionError(f"diagonal families are not large sets: {bad}")
 
-    report = verify.verify_cms(members, t)
+    stack = np.stack(members)
+    report = verify.verify_cms(stack, t)
     if not report.passed:
         raise ConstructionError("complementary family failed verification: "
                                 + "; ".join(f.describe() for f in report.failures[:4]))
-    return CmsFamily(tuple(members), t, checks)
+    return CmsFamily(stack, t, checks)

@@ -52,7 +52,7 @@ class TestAcceptance:
 
     def test_02_golden_family_verifies(self, golden_cms9):
         t0 = time.time()
-        rep = verify.verify_cms(golden_cms9.members, 2)
+        rep = verify.verify_cms(golden_cms9.stack, 2)
         elapsed = time.time() - t0
 
         # independent direct-summation oracles
@@ -162,7 +162,7 @@ class TestAcceptance:
         cert = linalg.find_cms_pair(f5, 2)
         fallback_ok = cert.all_true() and all(linalg.revalidate(cert).values())
         fam = construct.build_cms(cert)
-        rep = verify.verify_cms(fam.members, 2)
+        rep = verify.verify_cms(fam.stack, 2)
         ok = rejected and fallback_ok and fam.m == 25 and rep.passed
         _report(6, ok, f"literal candidate rejected, fallback d={cert.d} certified")
         assert ok
@@ -172,7 +172,7 @@ class TestAcceptance:
         prod = construct.product_compose(c0, c0)
         prod_rep = verify.verify_ms(prod, 2)
 
-        fam = construct.CmsFamily((MagicSquare(c0.entries, 1),), 1)
+        fam = construct.CmsFamily(c0.entries[None], 1)
         assign = construct.BlockAssignment(9, 1, np.zeros((9, 9), dtype=np.int64))
         degenerate = construct.cms_compose(MagicSquare(c0.entries, 2), fam, assign)
         identical = np.array_equal(degenerate.entries, prod.entries)

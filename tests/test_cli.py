@@ -315,11 +315,10 @@ class TestVerifyCommands:
 
     def test_verify_cms_corrupt_bundle(self, tmp_path, golden_cms9):
         from multimagic import construct, verify as ver
-        members = list(golden_cms9.members)
-        rotated = np.rot90(members[0].entries).copy()
-        members[0] = ver.MagicSquare(rotated, 2)
+        stack = golden_cms9.stack.copy()
+        stack[0] = np.rot90(golden_cms9.stack[0])
         path = tmp_path / "corrupt.cms"
-        io.write_cms_bundle(path, construct.CmsFamily(tuple(members), 2))
+        io.write_cms_bundle(path, construct.CmsFamily(stack, 2))
         assert run_cli("verify-cms", str(path)) == 1
 
 

@@ -160,7 +160,7 @@ class TestBuildCms:
         fam = build_cms_family(f5, 2)
         assert fam.m == 25 and fam.n == 25
         assert all(fam.family_checks.values())
-        assert verify.verify_cms(fam.members, 2).passed
+        assert verify.verify_cms(fam.stack, 2).passed
 
     def test_zero_translation_member_matches_plain_grid(self, f5):
         cert = linalg.find_cms_pair(f5, 2)
@@ -191,10 +191,10 @@ class TestBuildCms:
         # still refuse a member whose degree-t line sums fail
         gate = verify.verify_cms
 
-        def corrupt_fourth(members, t):
-            bad = members[3].entries
+        def corrupt_fourth(stack, t):
+            bad = stack[3]
             bad[0, 0], bad[1, 2] = bad[1, 2], bad[0, 0]
-            return gate(members, t)
+            return gate(stack, t)
 
         monkeypatch.setattr(verify, "verify_cms", corrupt_fourth)
         with pytest.raises(ConstructionError,
@@ -234,7 +234,7 @@ def outcome(build, cert, scheme=None):
         fam = build(cert, scheme)
     except (ConstructionError, ValueError) as exc:
         return type(exc), str(exc)
-    return np.stack([m.entries for m in fam.members]), fam.family_checks
+    return fam.stack, fam.family_checks
 
 
 def assert_matches_oracle(cert, scheme=None):
@@ -281,7 +281,7 @@ class TestFamilyFromGridZero:
         # a family, so the recorded diagonal verdicts are compared too;
         # H* = H fails only the main diagonal, H* = -H only the back one
         monkeypatch.setattr(verify, "verify_cms",
-                            lambda members, t: verify.VerifyReport(members[0].n, t))
+                            lambda stack, t: verify.VerifyReport(stack.shape[1], t))
         cert = linalg.find_cms_pair(f5, 2)
         schemes = [random_scheme(5, 2, seed) for seed in range(20)]
         schemes += [construct.default_scheme(f5, 2, d) for d in range(1, 5)]
@@ -384,25 +384,64 @@ class TestBlockAssignment:
         with pytest.raises(ValueError):
             BlockAssignment(4, 2, f)
 
+    @pytest.mark.parametrize("q, t_big, t_small",
+                             [(4, 2, 1), (5, 3, 2), (8, 3, 2), (7, 4, 3), (5, 2, 0)])
+    def test_matches_component_array(self, q, t_big, t_small):
+        table = gf.build_field_q(q)
+        ba = make_block_assignment(table, t_big, t_small)
+        assert np.array_equal(ba.f, assignment_oracle(table, t_big, t_small))
+        assert ba.f.dtype == np.int64
+
+
+def assignment_oracle(table, t_big: int, t_small: int) -> np.ndarray:
+    """make_block_assignment's table as first written: the (m, m, t_big)
+    components of alpha X + beta Y, the leading t_small of them read as a
+    base-q numeral."""
+    q = table.q
+    alpha, beta = next((a, b) for b in range(1, q) for a in range(1, q)
+                       if a != b and table.add(a, b) != 0)
+    digits = construct._digit_matrix(q, t_big)
+    sums = table.add_table[table.mul_table[digits, alpha][:, None, :],
+                           table.mul_table[digits, beta][None, :, :]]
+    weights = q ** (t_small - 1 - np.arange(t_small, dtype=np.int64))
+    return sums[:, :, :t_small].astype(np.int64) @ weights
+
 
 class TestCmsCompose:
     def test_degenerate_matches_product(self, golden_cms9):
         c0 = golden_cms9.members[0]
-        fam = construct.CmsFamily((verify.MagicSquare(c0.entries, 1),), 1)
+        fam = construct.CmsFamily(c0.entries[None], 1)
         assign = BlockAssignment(9, 1, np.zeros((9, 9), dtype=np.int64))
         out = cms_compose(verify.MagicSquare(c0.entries, 2), fam, assign)
         assert np.array_equal(out.entries, product_compose(c0, c0).entries)
 
     def test_degree_mismatch(self, golden_cms9):
         c0 = golden_cms9.members[0]
-        fam = construct.CmsFamily((verify.MagicSquare(c0.entries, 2),), 2)
+        fam = construct.CmsFamily(c0.entries[None], 2)
         assign = BlockAssignment(9, 1, np.zeros((9, 9), dtype=np.int64))
         with pytest.raises(ValueError):
             cms_compose(verify.MagicSquare(c0.entries, 2), fam, assign)
 
+    def test_output_holds_the_family_stack(self, f5, monkeypatch):
+        # cms_compose, _compose_blocks and build_ms_q2t1 pass the family's
+        # (m, n, n) stack to the composed square as it is, with no copy
+        a = build_ms_qt(f5, 3)
+        fam = build_cms_family(f5, 2)
+        assign = make_block_assignment(f5, 3, 2)
+        for out in (cms_compose(a, fam, assign), construct._compose_blocks(a, fam, assign)):
+            assert out.stack is fam.stack
+        built = []
+
+        def recorded(*args):
+            built.append(build_cms_family(*args))
+            return built[-1]
+
+        monkeypatch.setattr(construct, "build_cms_family", recorded)
+        assert build_ms_q2t1(f5, 3).stack is built[0].stack
+
     def test_assignment_shape_mismatch(self, golden_cms9):
         c0 = golden_cms9.members[0]
-        fam = construct.CmsFamily((verify.MagicSquare(c0.entries, 1),), 1)
+        fam = construct.CmsFamily(c0.entries[None], 1)
         assign = BlockAssignment(3, 1, np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             cms_compose(verify.MagicSquare(c0.entries, 2), fam, assign)

@@ -301,9 +301,16 @@ class TestCheckedWriters:
                            sq, sq.n, tmp_path, pool_size, monkeypatch)
         assert got == {repr(_square_of(sq))}
 
+    def test_bundle_members_view_the_stack(self):
+        fam = io.read_cms_bundle(GOLDEN_CMS9)
+        assert fam.stack.shape == (9, 9, 9) and fam.stack.dtype == np.int64
+        for member, block in zip(fam.members, fam.stack):
+            assert np.shares_memory(member.entries, block)
+            assert np.array_equal(member.entries, block)
+
     @pytest.mark.parametrize("members", ["one", "golden", "built"])
     def test_bundles(self, members, golden_cms9, f5, tmp_path, pool_size, monkeypatch):
-        fam = {"one": lambda: CmsFamily(golden_cms9.members[:1], 2),
+        fam = {"one": lambda: CmsFamily(golden_cms9.stack[:1], 2),
                "golden": lambda: golden_cms9,
                "built": lambda: construct.build_cms_family(f5, 2)}[members]()
         got = self.written(io.write_cms_bundle, lambda path: _bundle_of(io.read_cms_bundle(path)),

@@ -111,6 +111,14 @@ def test_verify_grid_square_in_row_blocks(cert625, monkeypatch):
     assert peak <= 0.5 * square_bytes(sq.n)
 
 
+def test_block_assignment_builds_one_table():
+    # f is built a component at a time into one (m, m) int64 table; the
+    # (m, m, t) component array and its int64 copy took 5.0 times f
+    table = gf.build_field_q(7)
+    ba, peak = traced_peak(construct.make_block_assignment, table, 4, 3)
+    assert peak <= 1.5 * ba.f.nbytes
+
+
 def test_compose_writes_its_output_directly(f5):
     # the acceptance-5 inputs: MS(125, 3) with the 25-member CMS(25, 2)
     a = construct.build_ms_qt(f5, 3)
@@ -139,6 +147,24 @@ def test_read_back_in_place_at_four_workers(tmp_path, pool_size):
     # the pool's window holds up to two pieces of text per worker, 0.53 of
     # the square in all (writing alone took 0.59)
     test_read_back_in_place(tmp_path, pool_size, 4, 0.58)
+
+
+def test_text_square_read(tmp_path, pool_size, workers=1, bound=1.2):
+    # each piece's per-line counts are sized by its line breaks, not its
+    # bytes; one int64 per byte took 1.36 of the square at one worker
+    pool_size(workers)
+    n = 625
+    sq = verify.MagicSquare(np.random.default_rng(3).permutation(n * n).reshape(n, n), 2)
+    path = tmp_path / "sq.mms"
+    io.write_ms(path, sq)
+    back, peak = traced_peak(io.read_ms, path)
+    assert np.array_equal(back.entries, sq.entries)
+    assert peak <= bound * sq.entries.nbytes
+
+
+def test_text_square_read_at_four_workers(tmp_path, pool_size):
+    # four workers hold more pieces in flight (1.54 of the square before)
+    test_text_square_read(tmp_path, pool_size, 4, 1.3)
 
 
 def test_binary_square_is_read_in_place(tmp_path):

@@ -196,10 +196,10 @@ class TestVerifyAgreement:
             assert got == want, (size, rows)
 
     def test_verify_cms(self, golden_cms9, pool_size, monkeypatch):
-        members = list(golden_cms9.members)
-        bad = members[3].entries.copy()
+        members = golden_cms9.stack
+        corrupted = members.copy()
+        bad = corrupted[3]
         bad[0, 1], bad[4, 6] = bad[4, 6], bad[0, 1]
-        corrupted = members[:3] + [MagicSquare(bad, 2)] + members[4:]
         want = None
         for size, rows in _configs():
             pool_size(size)
@@ -562,13 +562,13 @@ def test_public_functions_stay_on_the_main_thread(argv, tmp_path, monkeypatch,
 
             monkeypatch.setattr(mod, attr, wrapper)
     kernel_threads = []
-    real = verify._block_sums
+    real = verify._sums  # the residue kernel of row blocks and of members
 
     def spy(*args):
         kernel_threads.append(threading.current_thread())
         return real(*args)
 
-    monkeypatch.setattr(verify, "_block_sums", spy)
+    monkeypatch.setattr(verify, "_sums", spy)
     out = tmp_path / "artifact"
     assert cli.main([*argv, "--out", str(out), "--threads", "2"]) == 0
     assert calls

@@ -368,7 +368,7 @@ class TestExactPowerSums:
 
 class TestVerifyCms:
     def test_golden_family(self, golden_cms9):
-        rep = verify_cms(golden_cms9.members, 2)
+        rep = verify_cms(golden_cms9.stack, 2)
         assert rep.passed
         assert rep.magic_sums[3] == 1166400
         assert 9 * rep.magic_sums[3] == 10497600
@@ -377,9 +377,9 @@ class TestVerifyCms:
         # a transposed member still passes on its own (its lines carry the
         # same sums), but its cube row totals move between R1 and R2; the
         # report must blame exactly the family conditions
-        members = list(golden_cms9.members)
-        members[4] = MagicSquare(members[4].entries.T.copy(), 2)
-        rep = verify_cms(members, 2)
+        stack = golden_cms9.stack.copy()
+        stack[4] = golden_cms9.stack[4].T
+        rep = verify_cms(stack, 2)
         assert not rep.passed
         assert all(f.member is None for f in rep.failures)
         kinds = {f.kind for f in rep.failures}
@@ -388,43 +388,53 @@ class TestVerifyCms:
     def test_single_member_reduction(self, golden_cms9):
         # a bimagic square is a valid 1-member complementary family at
         # degree 1: the exponent-2 conditions are its own bimagic sums
-        rep = verify_cms([golden_cms9.members[0]], 1)
+        rep = verify_cms(golden_cms9.stack[:1], 1)
         assert rep.passed
 
     def test_detects_member_replacement(self, golden_cms9):
-        members = list(golden_cms9.members)
-        rotated = np.rot90(members[0].entries).copy()
-        members[0] = MagicSquare(rotated, 2)
-        rep = verify_cms(members, 2)
+        stack = golden_cms9.stack.copy()
+        stack[0] = np.rot90(golden_cms9.stack[0])
+        rep = verify_cms(stack, 2)
         r_kinds = {f.kind for f in rep.failures}
         assert not rep.passed
         assert r_kinds & {"R1", "R2", "R3-main", "R3-back"}
 
     def test_threads_deterministic(self, golden_cms9, pool_size):
         pool_size(1)
-        a = verify_cms(golden_cms9.members, 2)
+        a = verify_cms(golden_cms9.stack, 2)
         pool_size(4)
-        b = verify_cms(golden_cms9.members, 2)
+        b = verify_cms(golden_cms9.stack, 2)
         assert a == b
 
     def test_summary_counts_each_failing_line_once(self, cms25):
         # member k swaps entries (r, 0) and (r + 1, 1), r = k % 3: rows
         # 0..3 and columns 0 and 1 fail, most of them in several members
-        members = []
-        for k, sq in enumerate(cms25.members):
-            e, r = sq.entries.copy(), k % 3
+        stack = cms25.stack.copy()
+        for k, e in enumerate(stack):
+            r = k % 3
             e[r, 0], e[r + 1, 1] = e[r + 1, 1], e[r, 0]
-            members.append(MagicSquare(e, 2))
-        lines = verify_cms(members, 2).summary().splitlines()
+        lines = verify_cms(stack, 2).summary().splitlines()
         assert lines[2:5] == [
             "degree 1: target=7800 rows=21/25 cols=23/25 diagonals=2/2",
             "degree 2: target=3247400 rows=21/25 cols=23/25 diagonals=2/2",
             "degree 3: target=1521000000 rows=21/25 cols=23/25 diagonals=2/2"]
 
     def test_mismatched_orders(self, golden_cms9):
-        tiny = MagicSquare(np.array([[0]]), 2)
+        for build in (construct.CmsFamily, verify_cms):
+            with pytest.raises(ValueError):  # a ragged stack
+                build([golden_cms9.stack[0], np.array([[0]])], 2)
+
+    @pytest.mark.parametrize("build", [construct.CmsFamily, verify_cms])
+    @pytest.mark.parametrize("stack, t", [
+        (np.arange(81).reshape(9, 9), 2),                     # 2-D
+        (np.zeros((0, 9, 9), dtype=np.int64), 2),             # no members
+        (np.zeros((2, 0, 0), dtype=np.int64), 2),             # order 0
+        (np.zeros((2, 3, 4), dtype=np.int64), 2),             # not square
+        (np.arange(81).reshape(1, 9, 9), 0),                  # t < 1
+    ])
+    def test_rejects_malformed_stacks(self, build, stack, t):
         with pytest.raises(ValueError):
-            verify_cms([golden_cms9.members[0], tiny], 2)
+            build(stack, t)
 
 
 def _lines(p):
@@ -516,7 +526,7 @@ class TestVerifyCmsOracle:
                        ("golden member", list(golden_cms9.members[:1]), 1)])
         verdicts: dict = {}
         for name, members, t in families:
-            rep = verify_cms(members, t)
+            rep = verify_cms(np.stack([m.normalized() for m in members]), t)
             failures, consecutive_ok = _cms_oracle(members, t)
             got = [(f.degree, f.kind, f.index, f.got, f.want, f.member) for f in rep.failures]
             assert got == failures, name

@@ -121,5 +121,5 @@ def read_cms_bundle(path) -> CmsFamily:
         if entries.size != n * n:
             raise FormatError(f"block {b} holds {entries.size} entries, "
                               f"want {n * n}")
-        members.append(MagicSquare(entries.reshape(n, n), t))
-    return CmsFamily(tuple(members), t)
+        members.append(entries.reshape(n, n))
+    return CmsFamily(np.stack(members), t)
