@@ -195,7 +195,7 @@ class SdloaGrid:
     @property
     def square(self) -> GridSquare:
         """The grid's square of cell codes, component 0 least significant,
-        as a row source; grid_to_ms verifies it."""
+        as a row source, which build_sdloa_grid verifies."""
         return GridSquare(self.stack, self.t)
 
 
@@ -212,12 +212,18 @@ def _require_pair_flags(cert: MatrixPairCertificate) -> None:
 
 def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
-    large set before returning."""
+    large set before returning: oa._sdloa_ok checks its members, slabs
+    and diagonal selections, and verify_ms its square, whose entries, the
+    cell codes, are consecutive exactly when the cells cover every
+    2t-tuple once.  That pass fills each row once and sums its powers."""
     _require_pair_flags(cert)
     grid = SdloaGrid(cert.table, cert.t, cert)
-    if not oa._sdloa_ok(grid.stack, cert.table.q, cert.t):
-        raise ConstructionError("grid failed strong-double-large-set verification")
-    return grid
+    if oa._sdloa_ok(grid.stack, cert.table.q, cert.t):
+        report = verify.verify_ms(grid.square, cert.t)
+        if report.consecutive_ok:
+            _verified_or_raise(report, "encoded square")
+            return grid
+    raise ConstructionError("grid failed strong-double-large-set verification")
 
 
 def grid_to_ms(grid: SdloaGrid) -> GridSquare:
@@ -547,14 +553,14 @@ def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> Comp
 # ---------------------------------------------------------------------------
 
 def build_ms_qt(table: FieldTable, t: int) -> GridSquare:
-    """Verified MS(q^t, t) from a strong-double-large-set grid, as a row
-    source (see GridSquare)."""
+    """Verified MS(q^t, t): the square of a strong-double-large-set grid,
+    which build_sdloa_grid verified, as a row source (see GridSquare)."""
     if t < 2:
         raise ValueError("t must be at least 2")
     if table.q < 2 * t - 1:
         raise ValueError(f"q={table.q} must be at least 2t-1={2 * t - 1}")
     cert = registered_pair(table, t) or linalg.find_sdloa_pair(table, t)
-    return grid_to_ms(build_sdloa_grid(cert))
+    return build_sdloa_grid(cert).square
 
 
 def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> ComposedSquare:

@@ -10,14 +10,15 @@ read of it (member 0, column slab 0, unproved members or slabs, the
 diagonal selections), and its column codes, the cell codes that make its
 square, are filled on request, any run of members at a time, by
 _GridStack.codes (the compiled grid_rows), so the N^2 codes are never
-held either.  The check of a valid grid is proved from its structure
-(see Members below): it holds O(N k) cells, the code blocks in flight
-and the v^k-bit coverage map.  A grid its structure does not prove is
-gathered whole, once, for the member pass:
+held either.  A grid whose structure proves its members and slabs (see
+Members below) is checked holding O(N k) cells and the tallies, and
+leaves its coverage to its square (see Coverage).  A grid its structure
+does not prove is gathered whole, once, for the member pass:
 
 * Strength: for every t-subset of rows the column t-tuples are coded
-  base v by one float64 BLAS product and counted against the index
-  N / v^t.  Every code is below v^t, and v^t divides N (a slab whose N it
+  base v by a float64 BLAS product and counted against the index
+  N / v^t, a chunk of about _TALLY_ENTRIES (slab, subset) codes at a
+  time.  Every code is below v^t, and v^t divides N (a slab whose N it
   does not divide fails untallied), so v^t <= N < 2^53 keeps the codes
   exact.  In-scope arrays have at most 2t <= 20 rows, so the product
   is small and one BLAS thread runs it as fast as several: the command
@@ -35,14 +36,15 @@ gathered whole, once, for the member pass:
   for a column holding a symbol outside 0..v-1, into the block's own
   codes, which the pool task returns.
 * Coverage: the family holds exactly v^k columns (checked first, a
-  ValueError otherwise), and every column code is marked in a v^k-bit
-  map by the compiled mark(), through verify._mark, on the calling
-  thread as the code blocks arrive: a grid's from _GridStack.codes, one
-  block per pool task, any other stack's from the member pass.  mark()
-  counts the bits it sets that were clear, and by pigeonhole v^k codes
-  set v^k bits exactly when each k-tuple is covered once, so that count
-  is the same verdict as "every count equal to 1" at one bit per code
-  instead of 64.
+  ValueError otherwise), and every column code of the member pass is
+  marked in a v^k-bit map by the compiled mark(), through verify._mark,
+  on the calling thread as the code blocks arrive.  mark() counts the
+  bits it sets that were clear, and by pigeonhole v^k codes set v^k bits
+  exactly when each k-tuple is covered once, so that count is the same
+  verdict as "every count equal to 1" at one bit per code instead of 64.
+  A grid's column codes are its square's entries, so the coverage of a
+  grid proved from its structure is its square's consecutive-entry
+  check, not made here (construct.build_sdloa_grid).
 * Members: only member 0 is always tallied.  A member with
   member[i, j] = sigma_i(member_0[i, j]) for injective per-row maps
   sigma_i needs no tally: sigma carries the t-tuples of any row subset
@@ -149,8 +151,9 @@ class ArrayFamily:
         return self.members[0].v
 
 
-# Codes per chunk of slabs in the strength tally.
-_TALLY_ENTRIES = 4_000_000
+# Codes per chunk of (slab, subset) rows in the strength tally: the
+# codes, their float64 product and their counts take 8 MB each.
+_TALLY_ENTRIES = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -174,14 +177,16 @@ def _strength_ok(stack: np.ndarray, v: int, t: int) -> bool:
         return False
     weights = _subset_weights(k, t, v)
     nsub = weights.shape[0]
-    chunk = max(1, _TALLY_ENTRIES // max(1, nsub * n))
-    for s0 in range(0, count, chunk):
-        blk = stack[s0:s0 + chunk]
-        rows = len(blk) * nsub  # one tally row per (slab, subset)
-        codes = np.matmul(weights, blk.astype(np.float64)).astype(np.int64)
-        codes = codes.reshape(rows, n) + np.arange(rows)[:, None] * span
-        if not np.all(np.bincount(codes.ravel(), minlength=rows * span) == n // span):
-            return False
+    per = max(1, _TALLY_ENTRIES // max(1, n))  # (slab, subset) rows a chunk
+    slabs, subs = max(1, per // max(1, nsub)), max(1, min(nsub, per))
+    for s0 in range(0, count, slabs):
+        blk = stack[s0:s0 + slabs].astype(np.float64)
+        for w0 in range(0, nsub, subs):
+            codes = np.matmul(weights[w0:w0 + subs], blk).astype(np.int64)
+            rows = codes.shape[0] * codes.shape[1]
+            codes += (np.arange(rows) * span).reshape(codes.shape[:2] + (1,))
+            if not np.all(np.bincount(codes.ravel(), minlength=rows * span) == n // span):
+                return False
     return True
 
 
@@ -354,10 +359,6 @@ _CHUNK_ENTRIES = 8_000_000
 # Entries read at once, over all workers, in the member pass.
 _CODE_ENTRIES = 1 << 20
 
-# Column codes held at once by a grid's coverage: the blocks in the
-# pool's window, two per worker, waiting to be marked.
-_MARK_CODES = 1 << 18
-
 
 def _images(ref: np.ndarray, slabs, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Relabelling tables of a stack of slabs against its slab 0, ref
@@ -400,23 +401,6 @@ def _pass_block(stack, codes: np.ndarray | None, ref, tail: tuple, step: int,
     _lib.members(_ffi.cast("void *", blk.ctypes.data), ref, *blk.strides,
                  first, first + count, *tail, _buffer("int64_t[]", out))
     return out
-
-
-def _mark_blocks(bits: np.ndarray, full: int, blocks) -> int:
-    """Mark every code in [0, full) of each block of codes in the bit map
-    bits, on the calling thread as the blocks arrive, by verify._mark;
-    returns the number of bits set that were clear."""
-    marked = 0
-    for blk in blocks:
-        marked += _mark(blk, bits, full)
-        del blk  # before the next block is made
-    return marked
-
-
-def _grid_codes(grid: "_GridStack", step: int, first: int) -> np.ndarray:
-    """The column codes of members first..first+step-1 of a grid, filled
-    by the compiled grid_rows: the pooled body of a grid's coverage."""
-    return grid.codes(first, min(first + step, grid.shape[0]))
 
 
 def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = False,
@@ -468,7 +452,11 @@ def _member_pass(stack, v: int, bits: np.ndarray | None = None, columns: bool = 
     if bits is None:
         _pool.each(block, starts)
         return codes, rows, cols, 0
-    return codes, rows, cols, _mark_blocks(bits, v**k, _pool.ordered_map(block, starts))
+    marked = 0
+    for blk in _pool.ordered_map(block, starts):
+        marked += _mark(blk, bits, v**k)
+        del blk  # before the next block is made
+    return codes, rows, cols, marked
 
 
 def _members_ok(stack, proved: np.ndarray, v: int, t: int) -> bool:
@@ -486,11 +474,11 @@ def _members_ok(stack, proved: np.ndarray, v: int, t: int) -> bool:
 
 def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
     """Large-set check on (count, k, N) member stacks (_HeldStack or
-    _GridStack) sharing k (one per column count), entries in 0..v-1:
-    every member a simple OA of strength t, and the columns cover every
-    k-tuple exactly once; ValueError if their shapes cannot.  Returns
-    (verdict, one column-slab mask per stack), from the grid's structure
-    or the member pass, the masks None unless columns."""
+    _GridStack, gathered whole) sharing k (one per column count), entries
+    in 0..v-1: every member a simple OA of strength t, and the columns
+    cover every k-tuple exactly once; ValueError if their shapes cannot.
+    Returns (verdict, one column-slab mask per stack), from the member
+    pass, the masks None unless columns."""
     if t < 1:
         raise ValueError("strength must be at least 1")
     k = stacks[0].shape[1]
@@ -505,16 +493,8 @@ def _large_set_ok(stacks: list, v: int, t: int, columns: bool = False):
     bits = np.zeros((full + 7) // 8, dtype=np.uint8)
     ok, masks, marked = True, [], 0
     for s in stacks:
-        if isinstance(s, _GridStack) and s.relabels(v):
-            count, _, n = s.shape
-            rows = np.ones(count, dtype=bool)
-            cols = np.ones(n, dtype=bool) if columns else None
-            starts = _pool.blocks(count, 2 * n, _MARK_CODES)
-            marked += _mark_blocks(bits, full, _pool.ordered_map(
-                partial(_grid_codes, s, starts.step), starts))
-        else:
-            _, rows, cols, fresh = _member_pass(s, v, bits, columns)
-            marked += fresh
+        _, rows, cols, fresh = _member_pass(s, v, bits, columns)
+        marked += fresh
         masks.append(cols)
         ok = ok and _members_ok(s, rows, v, t)
     return ok and marked == full, masks
@@ -559,8 +539,16 @@ def _sdloa_ok(members, v: int, t: int):
     orientation, whose member pass also proves column slabs, the column
     orientation's unproved slabs tallied (its columns are the same
     multiset, so coverage needs no second count), and both diagonal
-    selections tallied at strength t.  Returns the verdict."""
-    ok, [cols] = _large_set_ok([members], v, t, True)
+    selections tallied at strength t.  A _GridStack whose structure
+    proves every member and slab (relabels) takes no pass and is not
+    checked for coverage (see the module docstring).  Returns the verdict."""
+    count, k, n = members.shape
+    if isinstance(members, _GridStack) and members.relabels(v):
+        _check_strength(k, n, v, t)
+        cols = np.ones(n, dtype=bool)
+        ok = _members_ok(members, np.ones(count, dtype=bool), v, t)
+    else:
+        ok, [cols] = _large_set_ok([members], v, t, True)
     return (ok and _members_ok(members.T, cols, v, t)
             and _strength_ok(_diagonals(members), v, t))
 

@@ -58,8 +58,10 @@ The consecutive-entry check needs no sort: the compiled ``mark()`` sets
 bit v of an n^2-bit seen-map for each entry v in [0, n^2), on the calling
 thread as the first pass's blocks arrive, and counts the bits it set.
 By pigeonhole the n^2 entries are 0..n^2-1, each once, exactly when they
-set n^2 bits.  One wrapper, _mark, calls it; the grid check of oa.py
-marks its column codes through it, into a v^k-bit map, in the same way.
+set n^2 bits.  One wrapper, _mark, calls it; oa.py's member pass marks
+column codes through it, into a v^k-bit map, in the same way.  A grid
+square's entries are its cells' codes, so for a grid proved from its
+table this check is the grid's coverage (construct.build_sdloa_grid).
 
 The factored route.  Row I*n + lo of a composed square holds outer[I, J]
 + b_s[lo, c] with s = f[I, J], so by the binomial theorem its degree-e

@@ -95,3 +95,31 @@ def test_broken_fill_fails_verification(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("construction failed: encoded square failed verification: col 0 ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_ms_fills_its_square_twice_and_marks_one_map(tmp_path, monkeypatch):
+    """gen-ms --method qt at (7, 4) fills each row of its square twice
+    through _GridStack.codes, once to verify it and once to write it, and
+    marks one N^2-bit map, the square's consecutive entries, which are the
+    grid's coverage."""
+    n = 7**4
+    filled, maps = [], []
+    codes, mark = oa._GridStack.codes, verify._mark
+
+    def counted_codes(self, r0, r1, out=None):
+        filled.append(r1 - r0)
+        return codes(self, r0, r1, out)
+
+    def counted_mark(values, bits, limit, base=0):
+        if bits.size * 8 >= n * n:
+            maps.append(bits)  # held, so that no two maps share an id
+        return mark(values, bits, limit, base)
+
+    monkeypatch.setattr(oa._GridStack, "codes", counted_codes)
+    monkeypatch.setattr(verify, "_mark", counted_mark)
+    monkeypatch.setattr(oa, "_mark", counted_mark)
+    out = tmp_path / "x.mms"
+    assert cli.main(["gen-ms", "--q", "7", "--t", "4", "--method", "qt",
+                     "--out", str(out)]) == 0
+    assert sum(filled) == 2 * n
+    assert len({id(bits) for bits in maps}) == 1

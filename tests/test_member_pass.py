@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multimagic import _pool, construct, gf, io, linalg, oa
+from multimagic import _pool, cli, construct, gf, io, linalg, oa, verify
 
 import oa_oracle
 from conftest import GOLDEN_LOA
@@ -291,13 +291,21 @@ def gathered(grid: oa._GridStack) -> np.ndarray:
     return grid.table[grid.a[:, None, :] + grid.b[None, :, :]].transpose(0, 2, 1)
 
 
+def square_consecutive(grid: oa._GridStack, t: int) -> bool:
+    """The consecutive-entry check of the grid's square, the coverage of
+    a grid whose table proves it."""
+    return verify.verify_ms(construct.GridSquare(grid, t), t).consecutive_ok
+
+
 def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypatch):
     """The grid stack and the held stack of the same entries give the
     oracle's codes, masks and bit map and, if every entry lies in 0..v-1
     (the oracle's checks need it), its verdicts, at pool sizes 1-3 and
-    blocks of one member up to all members; the grid's square, filled by
-    grid_rows, holds the oracle's Horner codes, whatever the symbols.
-    Returns the SDLOA verdict, None if not checked."""
+    blocks of one member up to all members; a grid whose table proves it
+    gives the SDLOA verdict with its square's consecutive-entry check.
+    The grid's square, filled by grid_rows, holds the oracle's Horner
+    codes, whatever the symbols.  Returns the SDLOA verdict, None if not
+    checked."""
     stack = gathered(grid)
     want_pass = oracle(stack, v)
     horner = oa_oracle._column_codes(stack, v)
@@ -318,7 +326,10 @@ def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypat
             if want_sd is None:
                 continue
             assert oa._large_set_ok([source], v, t)[0] == want_ls
-            assert oa._sdloa_ok(source, v, t) == want_sd
+            got_sd = oa._sdloa_ok(source, v, t)
+            if isinstance(source, oa._GridStack) and source.relabels(v):
+                got_sd = got_sd and square_consecutive(source, t)
+            assert got_sd == want_sd, (size, rows, type(source))
     return want_sd
 
 
@@ -495,9 +506,33 @@ class TestStructuralProof:
             pool_size(size)
             spy = spy_members(monkeypatch)
             assert oa._sdloa_ok(grid, q, t)
-            ok, [cols] = oa._large_set_ok([grid], q, t, True)
-            assert ok and cols.all()
             assert spy.calls == 0, size
+
+    @pytest.mark.parametrize("q,t", [(5, 2), (5, 3), (7, 3)])
+    def test_coverage_is_left_to_the_square(self, q, t, pool_size, monkeypatch, tmp_path):
+        """A grid with E2 = 2 E1: every member, slab and diagonal selection
+        is an OA of strength t, but every grid row holds the same cells,
+        in another order.  The grid check passes it, its square's entries
+        are not consecutive, and build_sdloa_grid and gen-ms refuse it."""
+        grid = grid_source(q, t)
+        digits = construct._digit_matrix(q, t)
+        doubled = (2 * digits % q) @ q ** np.arange(t - 1, -1, -1)  # the index of 2 Y
+        twice = oa._GridStack(grid.table, grid.a, grid.a[doubled] // q)
+        assert twice.relabels(q)
+        assert not oa_oracle._sdloa_ok(gathered(twice), q, t)
+        for size in (1, 2, 3):
+            pool_size(size)
+            assert oa._sdloa_ok(twice, q, t), size
+            assert not square_consecutive(twice, t), size
+        monkeypatch.setattr(construct, "_grid_stack", lambda cert: twice)
+        cert = linalg.find_sdloa_pair(gf.build_field_q(q), t)
+        with pytest.raises(construct.ConstructionError,
+                           match="^grid failed strong-double-large-set verification$"):
+            construct.build_sdloa_grid(cert)
+        out = tmp_path / "x.mms"
+        assert cli.main(["gen-ms", "--q", str(q), "--t", str(t), "--method", "qt",
+                         "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("q,t", [(5, 2), (5, 3), (7, 3)])
     def test_pipeline_runs_no_member_pass(self, q, t, monkeypatch):

@@ -34,12 +34,22 @@ def square_bytes(n: int) -> int:
     return n * n * 8
 
 
+def grid_check_peak(cert) -> tuple[int, int]:
+    """The order of a built grid and the traced peak of its grid check,
+    oa._sdloa_ok on its row orientation."""
+    grid = construct.build_sdloa_grid(cert)
+    ok, peak = traced_peak(oa._sdloa_ok, grid.stack, grid.table.q, grid.t)
+    assert ok
+    return grid.n, peak
+
+
 def test_grid_check_in_place(cert625):
     # at t = 2 the int16 cells take as many bytes as the int64 square; the
-    # check holds the blocks of column codes waiting to be marked, 2^18
-    # codes at most, and the N^2-bit seen-map
-    grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
-    assert peak <= 1.0 * square_bytes(grid.n)
+    # check proves members and slabs from the grid's table and tallies
+    # member 0, column slab 0 and the diagonal selections (0.06 of the
+    # square); coverage is the square's, checked by verify_ms
+    n, peak = grid_check_peak(cert625)
+    assert peak <= 1.0 * square_bytes(n)
 
 
 def test_encode_by_horner(cert625):
@@ -55,13 +65,24 @@ def test_encode_by_horner(cert625):
 
 def test_grid_check_holds_no_cells():
     # MS(2401, 4): the (N, N, 8) int16 cells would be twice the int64
-    # square; the check proves the members from the grid's structure,
-    # gathers no block of cells and holds a few blocks of column codes and
-    # the N^2-bit seen-map, 1/64 of the square; the peak (0.133 of the
-    # square) is the strength tally of the two diagonal selections
-    cert = linalg.find_sdloa_pair(gf.build_field_q(7), 4)
-    grid, peak = traced_peak(construct.build_sdloa_grid, cert)
-    assert peak <= 0.15 * square_bytes(grid.n)
+    # square; the check proves the members from the grid's structure and
+    # gathers no block of cells; the peak (0.13 of the square) is the
+    # strength tally of the two diagonal selections
+    n, peak = grid_check_peak(linalg.find_sdloa_pair(gf.build_field_q(7), 4))
+    assert peak <= 0.15 * square_bytes(n)
+
+
+def test_strength_tally_is_bounded_by_its_chunk(monkeypatch):
+    # MS(2401, 4): the diagonal selections' tally holds about a chunk of
+    # codes, their float64 product and their counts, whatever C(8, 4) = 70;
+    # coding every subset of a slab at once held 2 x 70 x 2401 codes
+    chunk = 1 << 16
+    monkeypatch.setattr(oa, "_TALLY_ENTRIES", chunk)
+    grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(gf.build_field_q(7), 4))
+    diagonals = oa._diagonals(grid.stack)
+    ok, peak = traced_peak(oa._strength_ok, diagonals, 7, 4)
+    assert ok
+    assert peak <= 4 * chunk * 8
 
 
 def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):

@@ -497,7 +497,7 @@ class TestWriterAgreement:
 # ---------------------------------------------------------------------------
 
 KERNELS = {"sums": (verify, "_block_sums"), "encode": (io, "_encode"),
-           "decode": (io, "_scan"), "codes": (oa, "_grid_codes"),
+           "decode": (io, "_scan"), "codes": (oa._GridStack, "codes"),
            "member pass": (oa, "_pass_block")}
 
 
