@@ -27,7 +27,6 @@ _EXPORTS = {
     "FieldTable": "gf",
     "FMatrix": "linalg",
     "FormatError": "errors",
-    "GridSquare": "construct",
     "MagicSquare": "verify",
     "MatrixPairCertificate": "linalg",
     "OrderPlan": "construct",
@@ -47,7 +46,6 @@ _EXPORTS = {
     "cms_compose": "construct",
     "find_cms_pair": "linalg",
     "find_sdloa_pair": "linalg",
-    "grid_to_ms": "construct",
     "is_nonsingular": "linalg",
     "is_simple": "oa",
     "is_strength_t": "linalg",

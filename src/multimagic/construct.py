@@ -13,17 +13,17 @@ Every constructor verifies its output before returning it.  A square or
 family that fails verification is raised as a ConstructionError, never
 returned.
 
-Generated squares are row sources, never held whole.  grid_to_ms and
-build_ms_qt return a GridSquare, whose rows are the grid's cell codes,
-filled on demand from q E1 X and E2 Y by the compiled grid_rows.  The
-compositions (product_compose, cms_compose, build_ms_q2t1) return a
-ComposedSquare: one implementation, a stack of member squares, an outer
-square and a block assignment, whose rows are filled block row by block
-row on demand.  The writers read both through rows(), one block per
-pool task, filled into the worker's buffer, and so does verification of
-a grid square, so neither the grid square (6.08 GiB as int64 at order
-28561) nor the composite (8 GiB at order 32768) is ever held; a
-composite is verified from its parts.
+Generated squares are row sources, never held whole.  build_sdloa_grid
+and build_ms_qt return an SdloaGrid, which is its own square: its rows
+are the grid's cell codes, filled on demand from q E1 X and E2 Y by the
+compiled grid_rows.  The compositions (product_compose, cms_compose,
+build_ms_q2t1) return a ComposedSquare: one implementation, a stack of
+member squares, an outer square and a block assignment, whose rows are
+filled block row by block row on demand.  The writers read both through
+rows(), one block per pool task, filled into the worker's buffer, and so
+does verification of a grid square, so neither the grid square (6.08
+GiB as int64 at order 28561) nor the composite (8 GiB at order 32768) is
+ever held; a composite is verified from its parts.
 """
 
 from __future__ import annotations
@@ -147,35 +147,24 @@ class _RowSource:
 
 
 @dataclass(frozen=True)
-class GridSquare(_RowSource):
-    """The order-N square of a grid: entry (r, c) is the code of
+class SdloaGrid(_RowSource):
+    """The q^t x q^t grid of 2t-component cells E1 X + E2 Y of a
+    certificate, and the grid's square: the cell code is a bijection, so
+    they are one object.  Entry (r, c) of the square is the code of
     cell(X_r, Y_c), sum(component_l * q**l), the member pass's code of
-    column c of grid row r.  rows() fills them through the compiled
-    grid_rows, in O(rows * N) time and memory."""
+    column c of grid row r.  Nothing of size N^2 is held: rows() fills
+    the codes through the compiled grid_rows, in O(rows * N) time and
+    memory, and cells gathers the cells whole only on request."""
 
-    stack: oa._GridStack  # the grid's row orientation
-    t: int
+    cert: MatrixPairCertificate
 
     @property
-    def n(self) -> int:
-        return self.stack.shape[0]
+    def table(self) -> FieldTable:
+        return self.cert.table
 
-    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows r0..r1-1, filled from the grid rows they code, into out
-        if given."""
-        return self.stack.codes(r0, r1, out)
-
-
-@dataclass(frozen=True)
-class SdloaGrid:
-    """A q^t x q^t grid of 2t-component cells E1 X + E2 Y, plus its
-    provenance and the row orientation its check read.  Nothing of size
-    N^2 is held: the square fills its cell codes on demand, and cells
-    gathers them whole only on request."""
-
-    table: FieldTable
-    t: int
-    cert: MatrixPairCertificate
+    @property
+    def t(self) -> int:
+        return self.cert.t
 
     @property
     def n(self) -> int:
@@ -192,11 +181,10 @@ class SdloaGrid:
         tests and API users: no pipeline stage reads them."""
         return self.stack.pick(slice(None)).transpose(0, 2, 1)
 
-    @property
-    def square(self) -> GridSquare:
-        """The grid's square of cell codes, component 0 least significant,
-        as a row source, which build_sdloa_grid verifies."""
-        return GridSquare(self.stack, self.t)
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1-1 of the square, filled from the grid rows they
+        code, into out if given."""
+        return self.stack.codes(r0, r1, out)
 
 
 def _require_pair_flags(cert: MatrixPairCertificate) -> None:
@@ -212,26 +200,19 @@ def _require_pair_flags(cert: MatrixPairCertificate) -> None:
 
 def build_sdloa_grid(cert: MatrixPairCertificate) -> SdloaGrid:
     """Grid with cell(X, Y) = E1 X + E2 Y; verified as a strong double
-    large set before returning: oa._sdloa_ok checks its members, slabs
-    and diagonal selections, and verify_ms its square, whose entries, the
-    cell codes, are consecutive exactly when the cells cover every
-    2t-tuple once.  That pass fills each row once and sums its powers."""
+    large set and as MS(q^t, t) before returning: oa._sdloa_ok checks its
+    members, slabs and diagonal selections, and verify_ms its square,
+    whose entries, the cell codes, are consecutive exactly when the cells
+    cover every 2t-tuple once.  That pass fills each row once and sums
+    its powers."""
     _require_pair_flags(cert)
-    grid = SdloaGrid(cert.table, cert.t, cert)
-    if oa._sdloa_ok(grid.stack, cert.table.q, cert.t):
-        report = verify.verify_ms(grid.square, cert.t)
+    grid = SdloaGrid(cert)
+    if oa._sdloa_ok(grid.stack, grid.table.q, grid.t):
+        report = verify.verify_ms(grid, grid.t)
         if report.consecutive_ok:
             _verified_or_raise(report, "encoded square")
             return grid
     raise ConstructionError("grid failed strong-double-large-set verification")
-
-
-def grid_to_ms(grid: SdloaGrid) -> GridSquare:
-    """Encode each cell as sum(component_l * q**l) and verify the square,
-    a row source whose rows are encoded as they are read."""
-    sq = grid.square
-    _verified_or_raise(verify.verify_ms(sq, grid.t), "encoded square")
-    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +316,7 @@ def build_cms(cert: MatrixPairCertificate,
     # (m, 2, N, t) vectors X + H_s and Y + H*_s, then their indices
     sums = table.add_table[_digit_matrix(q, t), np.array(scheme.pairs)[:, :, None]]
     rows, cols = (sums @ q ** np.arange(t - 1, -1, -1)).transpose(1, 0, 2)
-    square0 = grid.square.rows(0, n)  # N = q^t is small here
+    square0 = grid.rows(0, n)  # N = q^t is small here
     stack = square0[rows[:, :, None], cols[:, None, :]]  # (m, N, N)
 
     ar = np.arange(n)
@@ -449,15 +430,13 @@ def _composed(outer: np.ndarray, stack: np.ndarray, f: np.ndarray, t: int,
     return sq
 
 
-def product_compose(a: MagicSquare, b: MagicSquare, t: int | None = None) -> ComposedSquare:
-    """Order m*n square with entry((i1,i2),(j1,j2)) = a[i1,j1]*n^2 + b[i2,j2]:
-    the block composition with b as a one-member stack and an all-zero
-    assignment."""
-    if t is None:
-        t = a.t
-    a0 = _require_ms(a, t, "first factor")
-    b0 = _require_ms(b, t, "second factor")
-    return _composed(a0, b0[None], np.zeros(a0.shape, dtype=np.int64), t, "product square")
+def product_compose(a: MagicSquare, b: MagicSquare) -> ComposedSquare:
+    """Order m*n square with entry((i1,i2),(j1,j2)) = a[i1,j1]*n^2 + b[i2,j2],
+    of a's degree: the block composition with b as a one-member stack and
+    an all-zero assignment."""
+    a0 = _require_ms(a, a.t, "first factor")
+    b0 = _require_ms(b, a.t, "second factor")
+    return _composed(a0, b0[None], np.zeros(a0.shape, dtype=np.int64), a.t, "product square")
 
 
 @dataclass(frozen=True)
@@ -470,7 +449,7 @@ class BlockAssignment:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f)
+        f = verify._int64(self.f)
         m, mp = self.m, self.m_prime
         if f.shape != (m, m):
             raise ValueError("assignment table shape mismatch")
@@ -478,7 +457,7 @@ class BlockAssignment:
             raise ValueError("symbol count must divide the grid order")
         if f.size and (f.min() < 0 or f.max() >= mp):
             raise ValueError("symbols out of range")
-        object.__setattr__(self, "f", np.ascontiguousarray(f, dtype=np.int64))
+        object.__setattr__(self, "f", f)
         per = m // mp
         ar = np.arange(m)
         lines = [self.f[i] for i in range(m)] + [self.f[:, j] for j in range(m)]
@@ -527,40 +506,35 @@ def make_block_assignment(table: FieldTable, t_big: int, t_small: int) -> BlockA
     return BlockAssignment(m, mp, f)
 
 
-def _compose_blocks(a: MagicSquare, fam: CmsFamily,
-                    assign: BlockAssignment) -> ComposedSquare:
-    """cms_compose without checking its inputs; the output, whose stack is
-    the family's, is still verified."""
-    return _composed(a.normalized(), fam.stack, assign.f, a.t, "composed square")
-
-
 def cms_compose(a: MagicSquare, fam: CmsFamily, assign: BlockAssignment) -> ComposedSquare:
     """Block (I, J) of the output holds member f(I, J) of the family,
-    shifted by n^2 * a[I, J].  Both inputs are verified first."""
+    shifted by n^2 * a[I, J].  Both inputs are verified first, and the
+    output, whose stack is the family's, after."""
     if fam.t != a.t - 1:
         raise ValueError(f"family degree {fam.t} must be {a.t - 1}")
     if assign.m != a.n or assign.m_prime != fam.m:
         raise ValueError("assignment shape does not match the inputs")
-    _require_ms(a, a.t, "outer square")
+    a0 = _require_ms(a, a.t, "outer square")
     rep = verify.verify_cms(fam.stack, fam.t)
     if not rep.passed:
         raise ValueError("family fails complementary verification")
-    return _compose_blocks(a, fam, assign)
+    return _composed(a0, fam.stack, assign.f, a.t, "composed square")
 
 
 # ---------------------------------------------------------------------------
 # End-to-end pipelines
 # ---------------------------------------------------------------------------
 
-def build_ms_qt(table: FieldTable, t: int) -> GridSquare:
-    """Verified MS(q^t, t): the square of a strong-double-large-set grid,
-    which build_sdloa_grid verified, as a row source (see GridSquare)."""
+def build_ms_qt(table: FieldTable, t: int) -> SdloaGrid:
+    """Verified MS(q^t, t): a strong-double-large-set grid, which is its
+    own square, a row source (see SdloaGrid), as build_sdloa_grid
+    verified it."""
     if t < 2:
         raise ValueError("t must be at least 2")
     if table.q < 2 * t - 1:
         raise ValueError(f"q={table.q} must be at least 2t-1={2 * t - 1}")
     cert = registered_pair(table, t) or linalg.find_sdloa_pair(table, t)
-    return build_sdloa_grid(cert).square
+    return build_sdloa_grid(cert)
 
 
 def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> ComposedSquare:
@@ -579,7 +553,7 @@ def build_ms_q2t1(table: FieldTable, t: int, progress=None) -> ComposedSquare:
     say("complementary family verified; composing blocks")
     assign = make_block_assignment(table, t, t - 1)
     # a and fam were verified by their constructors just above
-    out = _compose_blocks(a, fam, assign)
+    out = _composed(a.normalized(), fam.stack, assign.f, t, "composed square")
     say(f"composition verified (order {out.n})")
     return out
 

@@ -30,7 +30,7 @@ The three integer text formats (``MMS`` squares, ``OAF`` array families,
   Squares are written through their row-block interface ``rows(r0, r1,
   out)`` (see verify.py): each pool task fills its own rows into its
   worker's buffer, encodes them and decodes the text with the readers'
-  kernels, so a generated square (construct.GridSquare or
+  kernels, so a generated square (construct.SdloaGrid or
   construct.ComposedSquare) is never held whole, and filled once.
 * A ``CMS`` bundle is read into, and written from, a family's stack.
 
@@ -433,7 +433,7 @@ def _write_blocks(path, header: str, blocks, binary: bool = False) -> None:
 
 def write_ms(path, sq, binary: bool = False) -> None:
     """Write a MagicSquare, or any square read through rows(r0, r1, out)
-    such as a construct.GridSquare or ComposedSquare, in checked row
+    such as a construct.SdloaGrid or ComposedSquare, in checked row
     blocks (see _write_blocks): it is never held whole."""
     header = (f"{_MS_BINARY_MAGIC if binary else _MS_MAGIC} {_VERSION} "
               f"n={sq.n} t={sq.t} base={sq.base}\n")

@@ -4,7 +4,7 @@ properties.
 Every square is read through one row-block interface: ``sq.n``, ``sq.t``,
 ``sq.base`` and ``sq.rows(r0, r1)``, the int64 rows r0..r1-1.  A held
 MagicSquare serves views of its entries; a generated square is never held
-whole: a construct.GridSquare fills its rows from the grid's cells, and a
+whole: a construct.SdloaGrid fills its rows from the grid's cells, and a
 construct.ComposedSquare from its blocks, on demand, into ``out`` when
 called as ``rows(r0, r1, out)`` with a C-contiguous (r1 - r0, n) int64
 array.  Each pool task reads its own block, so a generated square is
@@ -104,6 +104,15 @@ from . import _pool
 from ._codec import ffi as _ffi, lib as _lib
 
 
+def _int64(a) -> np.ndarray:
+    """a as a C-contiguous int64 array, a view when it is one; ValueError
+    unless its entries are integers, which the cast would truncate."""
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError("entries must be integers")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class MagicSquare:
     """An n x n integer square with a claimed multimagic degree."""
@@ -113,12 +122,12 @@ class MagicSquare:
     base: int = 0
 
     def __post_init__(self):
-        e = np.asarray(self.entries)
+        e = _int64(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must form a square matrix")
         if self.t < 1:
             raise ValueError("degree must be at least 1")
-        object.__setattr__(self, "entries", np.ascontiguousarray(e, dtype=np.int64))
+        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
@@ -590,8 +599,9 @@ def verify_ms(sq, t: int | None = None) -> VerifyReport:
 
 def _family_stack(stack, t: int) -> np.ndarray:
     """stack as a C-contiguous int64 array, a view when it is one;
-    ValueError unless it is an (m, n, n) stack, m, n >= 1, and t >= 1."""
-    stack = np.ascontiguousarray(stack, dtype=np.int64)
+    ValueError unless it is an (m, n, n) stack of integers, m, n >= 1,
+    and t >= 1."""
+    stack = _int64(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
         raise ValueError("a family is an (m, n, n) stack of squares, m, n >= 1")
     if t < 1:

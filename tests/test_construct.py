@@ -12,7 +12,6 @@ from multimagic.construct import (
     build_ms_qt,
     build_sdloa_grid,
     cms_compose,
-    grid_to_ms,
     index_to_vec,
     make_block_assignment,
     plan_order,
@@ -125,10 +124,9 @@ class TestGrid:
 class TestGridToMs:
     def test_encoding_weights_first_component_least(self, f3):
         grid = build_sdloa_grid(construct.registered_pair(f3, 2))
-        sq = grid_to_ms(grid)
         r, c = 1, 0
         cell = grid.cells[r, c]
-        assert sq.entries[r, c] == sum(int(d) * 3**l for l, d in enumerate(cell))
+        assert grid.entries[r, c] == sum(int(d) * 3**l for l, d in enumerate(cell))
 
     def test_fixture_entry_value(self, golden_cms9):
         # cell digits (1,0,2,1) encode to 46, the golden corner entry
@@ -136,7 +134,7 @@ class TestGridToMs:
         assert golden_cms9.members[0].entries[0, 0] == 46
 
     def test_output_is_permutation(self, f5):
-        sq = grid_to_ms(build_sdloa_grid(linalg.find_sdloa_pair(f5, 2)))
+        sq = build_sdloa_grid(linalg.find_sdloa_pair(f5, 2))
         assert np.array_equal(np.sort(sq.entries, axis=None), np.arange(625))
 
 
@@ -165,7 +163,7 @@ class TestBuildCms:
     def test_zero_translation_member_matches_plain_grid(self, f5):
         cert = linalg.find_cms_pair(f5, 2)
         fam = build_cms(cert)
-        plain = grid_to_ms(build_sdloa_grid(cert))
+        plain = build_sdloa_grid(cert)
         assert np.array_equal(fam.members[0].entries, plain.entries)
 
     def test_row_union_covers_everything(self, f3, f5):
@@ -384,6 +382,27 @@ class TestBlockAssignment:
         with pytest.raises(ValueError):
             BlockAssignment(4, 2, f)
 
+    @pytest.mark.parametrize("f, unbalanced", [
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "main"),  # (j - i) mod 3
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], "back"),  # (i + j) mod 3
+        ([[0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]], "main"),
+        ([[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]], "back"),
+    ])
+    def test_unbalanced_diagonal_rejected(self, f, unbalanced):
+        # every row and column and the other diagonal are balanced
+        f = np.array(f)
+        m, mp = len(f), int(f.max()) + 1
+        diagonals = {"main": np.diagonal(f), "back": np.diagonal(np.fliplr(f))}
+        balanced = [*f, *f.T, *(d for k, d in diagonals.items() if k != unbalanced)]
+        assert all(np.all(np.bincount(line, minlength=mp) == m // mp) for line in balanced)
+        with pytest.raises(ValueError, match="not balanced"):
+            BlockAssignment(m, mp, f)
+
+    def test_non_integer_table_rejected(self):
+        # a cast to int64 would truncate it to a balanced all-zero table
+        with pytest.raises(ValueError, match="entries must be integers"):
+            BlockAssignment(2, 1, [[0.3, 0.9], [0.1, 0.5]])
+
     @pytest.mark.parametrize("q, t_big, t_small",
                              [(4, 2, 1), (5, 3, 2), (8, 3, 2), (7, 4, 3), (5, 2, 0)])
     def test_matches_component_array(self, q, t_big, t_small):
@@ -422,13 +441,31 @@ class TestCmsCompose:
         with pytest.raises(ValueError):
             cms_compose(verify.MagicSquare(c0.entries, 2), fam, assign)
 
+    def test_outer_square_is_gathered_once(self, f5, monkeypatch):
+        # a row-source outer square is filled once to verify it and once
+        # for the blocks' shifts: 2 x 125 rows through _GridStack.codes
+        a = build_ms_qt(f5, 3)
+        fam = build_cms_family(f5, 2)
+        assign = make_block_assignment(f5, 3, 2)
+        filled = []
+        codes = oa._GridStack.codes
+
+        def counted(self, r0, r1, out=None):
+            filled.append(r1 - r0)
+            return codes(self, r0, r1, out)
+
+        monkeypatch.setattr(oa._GridStack, "codes", counted)
+        cms_compose(a, fam, assign)
+        assert sum(filled) == 2 * a.n
+
     def test_output_holds_the_family_stack(self, f5, monkeypatch):
-        # cms_compose, _compose_blocks and build_ms_q2t1 pass the family's
+        # cms_compose, _composed and build_ms_q2t1 pass the family's
         # (m, n, n) stack to the composed square as it is, with no copy
         a = build_ms_qt(f5, 3)
         fam = build_cms_family(f5, 2)
         assign = make_block_assignment(f5, 3, 2)
-        for out in (cms_compose(a, fam, assign), construct._compose_blocks(a, fam, assign)):
+        for out in (cms_compose(a, fam, assign),
+                    construct._composed(a.normalized(), fam.stack, assign.f, a.t, "composed")):
             assert out.stack is fam.stack
         built = []
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multimagic import cli, construct, gf, linalg, oa, verify
-from multimagic.construct import GridSquare
+from multimagic.construct import SdloaGrid
 
 import oa_oracle
 
@@ -29,11 +29,10 @@ def oracle_square(grid: construct.SdloaGrid) -> np.ndarray:
 
 @pytest.mark.parametrize("q,t", FILLS)
 def test_fill_matches_the_oracle(q, t):
-    grid = grid_of(q, t)
-    sq = grid.square
-    want = oracle_square(grid)
-    n = grid.n
-    assert sq.n == n == q**t and sq.t == t and sq.base == 0
+    sq = grid_of(q, t)
+    want = oracle_square(sq)
+    n = sq.n
+    assert n == q**t and sq.t == t and sq.base == 0
     assert np.array_equal(sq.entries, want)
     assert np.array_equal(sq.normalized(), want)
     spans = [(0, n), (0, 1), (n - 1, n), (1, n - 1), (n // 3, n // 2 + 1), (n // 2, n // 2)]
@@ -45,7 +44,7 @@ def test_fill_matches_the_oracle(q, t):
 
 
 def test_rows_outside_the_square_are_refused():
-    sq = grid_of(5, 2).square
+    sq = grid_of(5, 2)
     for r0, r1 in ((-1, 2), (3, 2), (0, 26)):
         with pytest.raises(ValueError, match="outside"):
             sq.rows(r0, r1)
@@ -66,21 +65,41 @@ def test_fill_refuses_entries_out_of_range(size, a, b, message):
         stack.codes(0, 1)
 
 
-def test_grid_to_ms_returns_the_verified_row_source(f5):
-    grid = grid_of(5, 3)
-    sq = construct.grid_to_ms(grid)
-    assert isinstance(sq, GridSquare)
-    assert verify.verify_ms(sq).passed
-    assert np.array_equal(sq.entries, oracle_square(grid))
-    built = construct.build_ms_qt(f5, 3)
-    assert isinstance(built, GridSquare) and np.array_equal(built.entries, sq.entries)
+def test_the_grid_is_verified_once_as_its_own_square(monkeypatch):
+    """build_sdloa_grid at (7, 4) makes one verify_ms call, on the grid
+    itself, which fills each of its 2401 rows once through
+    _GridStack.codes; build_ms_qt returns that verified grid."""
+    table = gf.build_field_q(7)
+    cert = linalg.find_sdloa_pair(table, 4)
+    filled, checked = [], []
+    codes, verify_ms = oa._GridStack.codes, verify.verify_ms
+
+    def counted_codes(self, r0, r1, out=None):
+        filled.append(r1 - r0)
+        return codes(self, r0, r1, out)
+
+    def counted_verify(sq, t=None):
+        checked.append(sq)
+        return verify_ms(sq, t)
+
+    monkeypatch.setattr(oa._GridStack, "codes", counted_codes)
+    monkeypatch.setattr(verify, "verify_ms", counted_verify)
+    grid = construct.build_sdloa_grid(cert)
+    assert isinstance(grid, SdloaGrid) and grid.cert is cert
+    assert len(checked) == 1 and checked[0] is grid
+    assert sum(filled) == grid.n == 7**4
+    checked.clear()
+    monkeypatch.setattr(linalg, "find_sdloa_pair", lambda *args: cert)
+    built = construct.build_ms_qt(table, 4)
+    assert isinstance(built, SdloaGrid) and built.cert is cert
+    assert len(checked) == 1 and checked[0] is built
 
 
 def test_broken_fill_fails_verification(tmp_path, capsys, monkeypatch):
     """A fill that swaps two entries of each block it returns keeps the
     entries consecutive but breaks two column sums: gen-ms exits 3 and
     writes nothing."""
-    real = GridSquare.rows
+    real = SdloaGrid.rows
 
     def swapped(self, r0, r1):
         out = real(self, r0, r1)
@@ -88,7 +107,7 @@ def test_broken_fill_fails_verification(tmp_path, capsys, monkeypatch):
             out[0, [0, 1]] = out[0, [1, 0]]
         return out
 
-    monkeypatch.setattr(GridSquare, "rows", swapped)
+    monkeypatch.setattr(SdloaGrid, "rows", swapped)
     out = tmp_path / "x.mms"
     assert cli.main(["gen-ms", "--q", "5", "--t", "2", "--method", "qt",
                      "--out", str(out)]) == 3

@@ -6,6 +6,7 @@ checks built on it; and the structural proof that spares built grids the
 pass."""
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,8 +294,10 @@ def gathered(grid: oa._GridStack) -> np.ndarray:
 
 def square_consecutive(grid: oa._GridStack, t: int) -> bool:
     """The consecutive-entry check of the grid's square, the coverage of
-    a grid whose table proves it."""
-    return verify.verify_ms(construct.GridSquare(grid, t), t).consecutive_ok
+    a grid whose table proves it, read through a row source of the
+    stack's codes, so that a corrupted stack can be checked."""
+    sq = SimpleNamespace(n=grid.shape[0], t=t, base=0, rows=grid.codes)
+    return verify.verify_ms(sq, t).consecutive_ok
 
 
 def assert_grid_agrees(grid: oa._GridStack, v: int, t: int, pool_size, monkeypatch):
@@ -438,7 +441,7 @@ class TestGridStack:
         assert cells.shape == (9, 9, 4) and cells.dtype == np.int16
         assert np.array_equal(cells, gathered(grid_source(3, 2)).transpose(0, 2, 1))
         assert np.array_equal((cells.astype(np.int64) * 3 ** np.arange(4)).sum(axis=2),
-                              grid.square.entries)
+                              grid.entries)
 
 
 # ---------------------------------------------------------------------------

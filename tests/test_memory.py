@@ -58,8 +58,8 @@ def test_encode_by_horner(cert625):
     grid, peak = traced_peak(construct.build_sdloa_grid, cert625)
     cells = grid.cells
     want = (cells.astype(np.int64) * grid.table.q ** np.arange(cells.shape[2])).sum(axis=2)
-    assert np.array_equal(grid.square.entries, want)
-    assert np.array_equal(grid.square.rows(100, 133), want[100:133])
+    assert np.array_equal(grid.entries, want)
+    assert np.array_equal(grid.rows(100, 133), want[100:133])
     assert peak <= 1.5 * square_bytes(grid.n)
 
 
@@ -97,7 +97,7 @@ def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
         raise AssertionError("the whole grid square was gathered")
 
     monkeypatch.setattr(construct.SdloaGrid, "cells", property(whole))
-    monkeypatch.setattr(construct.GridSquare, "entries", property(whole_square))
+    monkeypatch.setattr(construct.SdloaGrid, "entries", property(whole_square))
     picks = []
     pick = oa._GridStack.pick
 
@@ -116,7 +116,7 @@ def test_pipelines_never_gather_the_whole_grid(f5, monkeypatch):
 
 def test_verify_in_row_blocks(cert625, monkeypatch):
     grid = construct.build_sdloa_grid(cert625)
-    sq = verify.MagicSquare(grid.square.entries, grid.t)
+    sq = verify.MagicSquare(grid.entries, grid.t)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
     rep, peak = traced_peak(verify.verify_ms, sq, 2)
     assert rep.passed
@@ -125,7 +125,7 @@ def test_verify_in_row_blocks(cert625, monkeypatch):
 
 def test_verify_grid_square_in_row_blocks(cert625, monkeypatch):
     # the grid square's rows are filled block by block on the workers
-    sq = construct.build_sdloa_grid(cert625).square
+    sq = construct.build_sdloa_grid(cert625)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16 * sq.n)
     rep, peak = traced_peak(verify.verify_ms, sq, 2)
     assert rep.passed
@@ -145,7 +145,8 @@ def test_compose_writes_its_output_directly(f5):
     a = construct.build_ms_qt(f5, 3)
     fam = construct.build_cms_family(f5, 2)
     assign = construct.make_block_assignment(f5, 3, 2)
-    out, peak = traced_peak(construct._compose_blocks, a, fam, assign)
+    out, peak = traced_peak(lambda: construct._composed(a.normalized(), fam.stack, assign.f,
+                                                        a.t, "composed square"))
     assert out.n == 3125
     assert peak <= 2 * out.entries.nbytes
 

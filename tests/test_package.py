@@ -62,6 +62,37 @@ def test_unknown_attribute_names_itself():
     assert not hasattr(multimagic, "no_such_name")
 
 
+def _library_names() -> list:
+    """The names in backticks in README's Library section, outside fenced
+    code; a call such as `verify_cms(stack, t)` gives the name called."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"^```.*?^```", "", section, flags=re.S | re.M)
+    return re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", section)
+
+
+def test_readme_library_names_resolve():
+    # a bare name with an underscore or a capital letter is public, and
+    # module.name is an attribute of the package module; other names,
+    # such as square.rows, name a variable of the text
+    modules = {path.stem for path in Path(multimagic.__file__).parent.glob("*.py")}
+    names = _library_names()
+    assert "build_ms_qt" in names and "io.write_ms" in names
+    unresolved = []
+    for name in names:
+        head, *attrs = name.split(".")
+        if not attrs:
+            if (name != name.lower() or "_" in name) and name not in multimagic.__all__:
+                unresolved.append(name)
+        elif head in modules:
+            obj = importlib.import_module(f"multimagic.{head}")
+            for attr in attrs:
+                obj = getattr(obj, attr, None)
+            if obj is None:
+                unresolved.append(name)
+    assert not unresolved, unresolved
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -136,7 +136,7 @@ def _configs():
 def ms125(f5):
     """MS(125, 3), encoded without the verifier under test."""
     grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
-    return MagicSquare(grid.square.entries, grid.t)
+    return MagicSquare(grid.entries, grid.t)
 
 
 def _corruptions(sq: MagicSquare) -> dict:
@@ -435,7 +435,7 @@ def test_stress_more_workers_than_cores(ms125, f5, pool_size, monkeypatch, tmp_p
             assert ((tmp_path / "pooled.mms").read_bytes()
                     == (tmp_path / "serial.mms").read_bytes())
             # a fresh grid square: its first fills race for the pair index
-            grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3)).square
+            grid = construct.build_sdloa_grid(linalg.find_sdloa_pair(f5, 3))
             assert verify_ms(grid, 3) == want[0]
             io.write_ms(tmp_path / "grid.mms", grid)
             assert (tmp_path / "grid.mms").read_bytes() == (tmp_path / "serial.mms").read_bytes()

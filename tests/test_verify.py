@@ -100,6 +100,11 @@ class TestVerifyMs:
     def test_trivial_single_cell(self):
         assert verify_ms(MagicSquare(np.array([[0]]), 1), 3).passed
 
+    def test_non_integer_entries_refused(self):
+        # a cast to int64 would truncate them to a square of 0..3
+        with pytest.raises(ValueError, match="entries must be integers"):
+            MagicSquare([[0.9, 1.2], [2.7, 3.1]], 1)
+
     def test_entry_set_checked(self):
         sq = MagicSquare(np.array([[0, 1], [1, 2]]), 1)
         rep = verify_ms(sq, 1)
@@ -431,6 +436,7 @@ class TestVerifyCms:
         (np.zeros((2, 0, 0), dtype=np.int64), 2),             # order 0
         (np.zeros((2, 3, 4), dtype=np.int64), 2),             # not square
         (np.arange(81).reshape(1, 9, 9), 0),                  # t < 1
+        (np.arange(81).reshape(1, 9, 9) + 0.5, 2),            # not integers
     ])
     def test_rejects_malformed_stacks(self, build, stack, t):
         with pytest.raises(ValueError):
